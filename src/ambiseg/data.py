@@ -13,6 +13,7 @@ maxval = num_classes - 1; each dataset directory carries a manifest.tsv.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -51,12 +52,19 @@ def load_tensor(path: str | Path) -> np.ndarray:
         blob = f.read()
     if blob[:4] != TENSOR_MAGIC:
         raise ValueError(f"{path}: not a tensor file (bad magic)")
+    if len(blob) < 8:
+        raise ValueError(f"{path}: truncated tensor header")
     (rank,) = struct.unpack("<I", blob[4:8])
-    dims = struct.unpack(f"<{rank}I", blob[8 : 8 + 4 * rank])
-    data = np.frombuffer(blob[8 + 4 * rank :], dtype="<f8")
-    expect = int(np.prod(dims)) if rank else 1
-    if data.shape[0] != expect:
-        raise ValueError(f"{path}: payload holds {data.shape[0]} values, expected {expect}")
+    header = 8 + 4 * rank
+    if len(blob) < header:
+        raise ValueError(f"{path}: truncated tensor header ({rank} dimensions)")
+    dims = struct.unpack(f"<{rank}I", blob[8:header])
+    expect = math.prod(dims)
+    if len(blob) - header != 8 * expect:
+        raise ValueError(
+            f"{path}: payload holds {len(blob) - header} bytes, expected {8 * expect}"
+        )
+    data = np.frombuffer(blob[header:], dtype="<f8")
     return data.reshape(dims).astype(np.float64)
 
 
@@ -97,6 +105,8 @@ def load_mask_pgm(path: str | Path) -> LabelMask:
         start = pos
         while pos < len(blob) and not blob[pos : pos + 1].isspace():
             pos += 1
+        if not blob[start:pos].isdigit():
+            raise ValueError(f"{path}: truncated or malformed PGM header")
         fields.append(int(blob[start:pos]))
     pos += 1  # single whitespace byte before raster data
     width, height, maxval = fields

@@ -10,6 +10,7 @@ schedule does not (callers set lr per step).
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -21,6 +22,8 @@ from .masks import ShapeError
 
 CHECKPOINT_MAGIC = b"MSEN"
 CHECKPOINT_VERSION = 1
+# magic, then version, in_channels, hidden, num_classes (u32) and seed (u64)
+CHECKPOINT_HEADER_BYTES = 4 + struct.calcsize("<IIIIQ")
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.99
@@ -77,19 +80,25 @@ def _layer_shapes(arch: Architecture) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(arch: Architecture) -> tuple[tuple[str, tuple[int, ...], slice], ...]:
+    """(name, shape, flat slice) of each layer; immutable, computed once per arch."""
+    out = []
+    offset = 0
+    for name, shape in _layer_shapes(arch):
+        size = int(np.prod(shape))
+        out.append((name, shape, slice(offset, offset + size)))
+        offset += size
+    return tuple(out)
+
+
 def param_count(arch: Architecture) -> int:
-    return sum(int(np.prod(shape)) for _, shape in _layer_shapes(arch))
+    return _layout(arch)[-1][2].stop
 
 
 def layer_slices(arch: Architecture) -> dict[str, slice]:
     """Position of each named layer inside the flat parameter vector."""
-    out = {}
-    offset = 0
-    for name, shape in _layer_shapes(arch):
-        size = int(np.prod(shape))
-        out[name] = slice(offset, offset + size)
-        offset += size
-    return out
+    return {name: sl for name, _, sl in _layout(arch)}
 
 
 @dataclass
@@ -111,12 +120,9 @@ class ModelParams:
             raise ValueError("parameters must be finite")
 
     def unpack(self) -> dict[str, np.ndarray]:
-        views = {}
-        for (name, shape), sl in zip(
-            _layer_shapes(self.arch), layer_slices(self.arch).values()
-        ):
-            views[name] = self.flat[sl].reshape(shape)
-        return views
+        return {
+            name: self.flat[sl].reshape(shape) for name, shape, sl in _layout(self.arch)
+        }
 
 
 def init_params(arch: Architecture, seed: int) -> ModelParams:
@@ -205,21 +211,24 @@ def forward(
     return logits, cache
 
 
-def _conv3_backward(
-    cols: np.ndarray, w: np.ndarray, gout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a 3x3 SAME convolution: (d_input, d_weight, d_bias)."""
-    _, _, _, h, width = cols.shape
+def _conv3_param_grads(
+    cols: np.ndarray, gout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradients of a 3x3 SAME convolution."""
     dw = np.tensordot(gout, cols, axes=([1, 2], [3, 4]))
-    db = gout.sum(axis=(1, 2))
-    cin = cols.shape[0]
-    dxp = np.zeros((cin, h + 2, width + 2))
+    return dw, gout.sum(axis=(1, 2))
+
+
+def _conv3_input_grad(w: np.ndarray, gout: np.ndarray) -> np.ndarray:
+    """Input gradient of a 3x3 SAME convolution."""
+    _, h, width = gout.shape
+    dxp = np.zeros((w.shape[1], h + 2, width + 2))
     for dy in range(3):
         for dx in range(3):
             dxp[:, dy : dy + h, dx : dx + width] += np.tensordot(
                 w[:, :, dy, dx], gout, axes=([0], [0])
             )
-    return dxp[:, 1 : h + 1, 1 : width + 1], dw, db
+    return dxp[:, 1 : h + 1, 1 : width + 1]
 
 
 def backward(
@@ -242,10 +251,12 @@ def backward(
     d_act2 = np.tensordot(p["w3"][:, :, 0, 0], g_chw, axes=([0], [0]))
 
     d_pre2 = d_act2 * (cache.pre2 > 0.0)
-    d_act1, dw2, db2 = _conv3_backward(cache.cols2, p["w2"], d_pre2)
+    dw2, db2 = _conv3_param_grads(cache.cols2, d_pre2)
+    d_act1 = _conv3_input_grad(p["w2"], d_pre2)
 
+    # the image is not a parameter, so layer 1's input gradient is never formed
     d_pre1 = d_act1 * (cache.pre1 > 0.0)
-    _, dw1, db1 = _conv3_backward(cache.cols1, p["w1"], d_pre1)
+    dw1, db1 = _conv3_param_grads(cache.cols1, d_pre1)
 
     return np.concatenate(
         [dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel(), dw3.ravel(), db3.ravel()]
@@ -341,18 +352,27 @@ def load_checkpoint(path: str) -> ModelParams:
         blob = f.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < CHECKPOINT_HEADER_BYTES:
+        raise ValueError(
+            f"{path}: truncated checkpoint header ({len(blob)} of "
+            f"{CHECKPOINT_HEADER_BYTES} bytes)"
+        )
     version, in_ch, hidden, num_classes, seed = struct.unpack(
-        "<IIIIQ", blob[4:28]
+        "<IIIIQ", blob[4:CHECKPOINT_HEADER_BYTES]
     )
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    arch = Architecture(in_channels=in_ch, hidden=hidden, num_classes=num_classes)
-    flat = np.frombuffer(blob[28:], dtype="<f8").astype(np.float64)
+    try:
+        arch = Architecture(in_channels=in_ch, hidden=hidden, num_classes=num_classes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    body = blob[CHECKPOINT_HEADER_BYTES:]
     expect = param_count(arch)
-    if flat.shape[0] != expect:
+    if len(body) != 8 * expect:
         raise ValueError(
-            f"{path}: parameter vector has {flat.shape[0]} entries, expected {expect}"
+            f"{path}: parameter vector has {len(body)} bytes, expected {8 * expect}"
         )
+    flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
     return ModelParams(arch=arch, flat=flat, seed=seed)
 
 

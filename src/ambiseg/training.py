@@ -9,6 +9,16 @@ images on pixels where all peers unanimously agree, the last term scaled
 by a Gaussian ramp-up weight. Gradients are computed for all networks
 against a pre-iteration parameter snapshot, then applied together, so
 results do not depend on update order.
+
+An iteration walks the batch image by image. For each image it builds
+one prediction row (every network's forward pass, probabilities, argmax
+mask and cache), feeds every learner's loss terms on that image from the
+row, backpropagates each learner once, and releases the row before the
+next image. Each network therefore forwards each batch image once. Every
+learner's losses and gradients still add up in batch order (annotated
+samples, then unannotated ones), so results are bit-identical to a
+learner-major loop over the public npce_losses and mnps_loss. Checkpoint
+probes use the same rows and run no backward pass.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +49,7 @@ from .masks import LabelMask, argmax_mask, consensus_set, restrict, separate_agr
 from .metrics import agreement_fraction, jaccard
 from .model import (
     Architecture,
+    ForwardCache,
     ImageTensor,
     ModelParams,
     OptState,
@@ -178,6 +189,72 @@ def _probs_with_cache(params: ModelParams, image: ImageTensor):
     return probs, cache
 
 
+@dataclass
+class _PredictionRow:
+    """Some networks' predictions on one image, keyed by network index.
+
+    Holds each network's probabilities, its hard argmax mask (when the
+    caller asked for masks) and its forward cache; a learner pops its
+    cache once its backward pass has run. Every loss term of every
+    learner on that image reads from one row, so each network forwards
+    each image once.
+    """
+
+    probs: dict[int, ProbMap]
+    masks: dict[int, LabelMask]
+    caches: dict[int, ForwardCache]
+
+
+def _prediction_row(
+    snapshot: Sequence[ModelParams],
+    image: ImageTensor,
+    nets: Iterable[int],
+    masks: bool = True,
+) -> _PredictionRow:
+    row = _PredictionRow(probs={}, masks={}, caches={})
+    for z in nets:
+        probs, cache = _probs_with_cache(snapshot[z], image)
+        row.probs[z] = probs
+        if masks:
+            row.masks[z] = argmax_mask(probs)
+        row.caches[z] = cache
+    return row
+
+
+def _npce_terms(
+    row: _PredictionRow,
+    sample: MultiAnnotatedSample,
+    k: int,
+    j: int,
+    alpha: float,
+    beta: float,
+) -> tuple[float, float, np.ndarray]:
+    """l_ma, l_pc and the weighted logit gradient of network k against peer j."""
+    agree, disagree = separate_agreement(sample.annotations[k], sample.annotations[j])
+    probs_k = row.probs[k]
+    grad_logits = np.zeros_like(probs_k.probs)
+    l_ma = 0.0
+    if alpha != 0:
+        l_ma, g_ma = masked_cross_entropy(probs_k, agree)
+        grad_logits += alpha * g_ma
+    l_pc = 0.0
+    if beta != 0:
+        consistent, _ = separate_agreement(row.masks[k], row.masks[j])
+        refined = restrict(consistent, disagree)
+        l_pc, g_pc = masked_cross_entropy(probs_k, refined)
+        grad_logits += beta * g_pc
+    return l_ma, l_pc, grad_logits
+
+
+def _mnps_terms(row: _PredictionRow, k: int) -> tuple[float, np.ndarray]:
+    """l_ps and its logit gradient for network k.
+
+    The row must hold every network's mask, in ascending network order.
+    """
+    peer_masks = [mask for z, mask in row.masks.items() if z != k]
+    return masked_cross_entropy(row.probs[k], consensus_set(peer_masks))
+
+
 def npce_losses(
     snapshot: Sequence[ModelParams],
     sample: MultiAnnotatedSample,
@@ -195,24 +272,10 @@ def npce_losses(
     """
     if k == j:
         raise ValueError("comparison network must differ from the learner")
-    agree, disagree = separate_agreement(sample.annotations[k], sample.annotations[j])
-    probs_k, cache = _probs_with_cache(snapshot[k], sample.image)
-
-    grad_logits = np.zeros_like(probs_k.probs)
-    l_ma = 0.0
-    if alpha != 0:
-        l_ma, g_ma = masked_cross_entropy(probs_k, agree)
-        grad_logits += alpha * g_ma
-    l_pc = 0.0
-    if beta != 0:
-        pred_k = argmax_mask(probs_k)
-        pred_j = argmax_mask(predict_probs(snapshot[j], sample.image))
-        consistent, _ = separate_agreement(pred_k, pred_j)
-        refined = restrict(consistent, disagree)
-        l_pc, g_pc = masked_cross_entropy(probs_k, refined)
-        grad_logits += beta * g_pc
-
-    return l_ma, l_pc, backward(snapshot[k], cache, grad_logits)
+    nets = (k, j) if beta != 0 else (k,)
+    row = _prediction_row(snapshot, sample.image, nets, masks=beta != 0)
+    l_ma, l_pc, grad_logits = _npce_terms(row, sample, k, j, alpha, beta)
+    return l_ma, l_pc, backward(snapshot[k], row.caches[k], grad_logits)
 
 
 def mnps_loss(
@@ -225,14 +288,40 @@ def mnps_loss(
     Targets are the pixels where all peer networks' hard predictions
     agree, labeled with that unanimous prediction; peers are constants.
     """
-    peers = [z for z in range(len(snapshot)) if z != k]
-    peer_masks = [
-        argmax_mask(predict_probs(snapshot[z], sample.image)) for z in peers
-    ]
-    consensus = consensus_set(peer_masks)
-    probs_k, cache = _probs_with_cache(snapshot[k], sample.image)
-    l_ps, grad_logits = masked_cross_entropy(probs_k, consensus)
-    return l_ps, backward(snapshot[k], cache, grad_logits)
+    row = _prediction_row(snapshot, sample.image, range(len(snapshot)))
+    l_ps, grad_logits = _mnps_terms(row, k)
+    return l_ps, backward(snapshot[k], row.caches[k], grad_logits)
+
+
+def _annotated_grads(
+    snapshot: Sequence[ModelParams],
+    sample: MultiAnnotatedSample,
+    peers: Sequence[int],
+    config: TrainConfig,
+) -> list[tuple[float, float, np.ndarray]]:
+    """(l_ma, l_pc, param_grad) of every network k against peers[k] on one sample."""
+    nets = range(len(snapshot))
+    row = _prediction_row(snapshot, sample.image, nets, masks=config.beta != 0)
+    out = []
+    for k, j in enumerate(peers):
+        l_ma, l_pc, grad_logits = _npce_terms(
+            row, sample, k, j, config.alpha, config.beta
+        )
+        out.append((l_ma, l_pc, backward(snapshot[k], row.caches.pop(k), grad_logits)))
+    return out
+
+
+def _unannotated_grads(
+    snapshot: Sequence[ModelParams], sample: UnannotatedSample
+) -> list[tuple[float, np.ndarray]]:
+    """(l_ps, param_grad) of every network on one unannotated image."""
+    nets = range(len(snapshot))
+    row = _prediction_row(snapshot, sample.image, nets)
+    out = []
+    for k in nets:
+        l_ps, grad_logits = _mnps_terms(row, k)
+        out.append((l_ps, backward(snapshot[k], row.caches.pop(k), grad_logits)))
+    return out
 
 
 def train_iteration(
@@ -252,34 +341,39 @@ def train_iteration(
     lr = config.lr_at(state.t)
     snapshot = state.snapshot()
     use_ps = config.w_max > 0 and len(unannotated) > 0
+    nets = range(config.k)
+    peers = [pick_comparison(k, config.k, state.rng) for k in nets]
 
-    breakdowns = []
-    grads = []
-    for k in range(config.k):
-        j = pick_comparison(k, config.k, state.rng)
-        grad = np.zeros_like(snapshot[k].flat)
-        l_ma_sum = l_pc_sum = 0.0
-        for sample in annotated:
-            l_ma, l_pc, g = npce_losses(
-                snapshot, sample, k, j, alpha=config.alpha, beta=config.beta
-            )
-            l_ma_sum += l_ma
-            l_pc_sum += l_pc
-            grad += g
-        l_ma_mean = l_ma_sum / len(annotated)
-        l_pc_mean = l_pc_sum / len(annotated)
+    # Each network's sums run over the images in batch order, exactly as a
+    # learner-major loop would add them, so the results are bit-identical.
+    grads = [np.zeros_like(p.flat) for p in snapshot]
+    l_ma_sums = [0.0] * config.k
+    l_pc_sums = [0.0] * config.k
+    for sample in annotated:
+        for k, (l_ma, l_pc, g) in enumerate(
+            _annotated_grads(snapshot, sample, peers, config)
+        ):
+            l_ma_sums[k] += l_ma
+            l_pc_sums[k] += l_pc
+            grads[k] += g
+    for grad in grads:
         grad /= len(annotated)
 
-        l_ps_mean = 0.0
-        if use_ps:
-            ps_grad = np.zeros_like(grad)
-            for sample in unannotated:
-                l_ps, g = mnps_loss(snapshot, sample, k)
-                l_ps_mean += l_ps
-                ps_grad += g
-            l_ps_mean /= len(unannotated)
+    l_ps_sums = [0.0] * config.k
+    if use_ps:
+        ps_grads = [np.zeros_like(p.flat) for p in snapshot]
+        for sample in unannotated:
+            for k, (l_ps, g) in enumerate(_unannotated_grads(snapshot, sample)):
+                l_ps_sums[k] += l_ps
+                ps_grads[k] += g
+        for grad, ps_grad in zip(grads, ps_grads):
             grad += lam * ps_grad / len(unannotated)
 
+    breakdowns = []
+    for k in nets:
+        l_ma_mean = l_ma_sums[k] / len(annotated)
+        l_pc_mean = l_pc_sums[k] / len(annotated)
+        l_ps_mean = l_ps_sums[k] / len(unannotated) if use_ps else 0.0
         if not all(map(math.isfinite, (l_ma_mean, l_pc_mean, l_ps_mean))):
             raise TrainingError(
                 f"non-finite loss for network {k} at iteration {state.t}: "
@@ -290,7 +384,6 @@ def train_iteration(
                 l_ma_mean, l_pc_mean, l_ps_mean, config.alpha, config.beta, lam
             )
         )
-        grads.append(grad)
 
     for k, slot in enumerate(state.nets):
         slot.opt = replace(slot.opt, lr=lr)
@@ -325,18 +418,6 @@ def validation_references(
     return [majority_vote(s.annotations) for s in samples]
 
 
-def fused_validation_score(
-    params_list: Sequence[ModelParams],
-    samples: Sequence[MultiAnnotatedSample],
-    references: Sequence[LabelMask],
-) -> float:
-    scores = [
-        _foreground_jaccard(fused_prediction(params_list, s.image), ref)
-        for s, ref in zip(samples, references)
-    ]
-    return float(np.mean(scores))
-
-
 def network_validation_score(
     params: ModelParams,
     samples: Sequence[MultiAnnotatedSample],
@@ -347,6 +428,32 @@ def network_validation_score(
         for s, ref in zip(samples, references)
     ]
     return float(np.mean(scores))
+
+
+def _validation_scores(
+    params_list: Sequence[ModelParams],
+    samples: Sequence[MultiAnnotatedSample],
+    references: Sequence[LabelMask],
+) -> tuple[float, list[float]]:
+    """The fused validation score and each network's network_validation_score,
+    from one forward per (network, image)."""
+    fused: list[float] = []
+    per_net: list[list[float]] = [[] for _ in params_list]
+    for s, ref in zip(samples, references):
+        row = [predict_probs(p, s.image) for p in params_list]
+        fused.append(_foreground_jaccard(argmax_mask(average_fuse(row)), ref))
+        for scores, probs in zip(per_net, row):
+            scores.append(_foreground_jaccard(argmax_mask(probs), ref))
+    return float(np.mean(fused)), [float(np.mean(scores)) for scores in per_net]
+
+
+def fused_validation_score(
+    params_list: Sequence[ModelParams],
+    samples: Sequence[MultiAnnotatedSample],
+    references: Sequence[LabelMask],
+) -> float:
+    """Mean foreground Jaccard of the averaged ensemble's predictions."""
+    return _validation_scores(params_list, samples, references)[0]
 
 
 def ensemble_agreement(
@@ -417,23 +524,32 @@ def _probe_losses(
 
     Uses the first annotated sample and the head of the unannotated pool
     with the deterministic pairing j = (k+1) mod K, so checkpoint rows
-    are comparable across iterations and consume no rng draws.
+    are comparable across iterations and consume no rng draws. Losses
+    only: one prediction row per probe image and no backward pass.
     """
     sample = dataset.multi[0]
     probe_unann = dataset.unannotated[: config.unannotated_batch]
     use_ps = config.w_max > 0 and len(probe_unann) > 0
+    nets = range(config.k)
+    row = _prediction_row(snapshot, sample.image, nets, masks=config.beta != 0)
+    npce = [
+        _npce_terms(row, sample, k, (k + 1) % config.k, config.alpha, config.beta)
+        for k in nets
+    ]
+    # a row holds K forward caches: free each before building the next
+    del row
+    l_ps = [0.0] * config.k
+    if use_ps:
+        for u in probe_unann:
+            row = _prediction_row(snapshot, u.image, nets)
+            for k in nets:
+                l_ps[k] += _mnps_terms(row, k)[0]
+            del row
     l_ma_m = l_pc_m = l_ps_m = total_m = 0.0
-    for k in range(config.k):
-        j = (k + 1) % config.k
-        l_ma, l_pc, _ = npce_losses(
-            snapshot, sample, k, j, alpha=config.alpha, beta=config.beta
-        )
-        l_ps = 0.0
-        if use_ps:
-            for u in probe_unann:
-                l_ps += mnps_loss(snapshot, u, k)[0]
-            l_ps /= len(probe_unann)
-        bd = total_network_loss(l_ma, l_pc, l_ps, config.alpha, config.beta, lam)
+    for k in nets:
+        l_ma, l_pc, _ = npce[k]
+        l_ps_k = l_ps[k] / len(probe_unann) if use_ps else 0.0
+        bd = total_network_loss(l_ma, l_pc, l_ps_k, config.alpha, config.beta, lam)
         l_ma_m += bd.l_ma
         l_pc_m += bd.l_pc
         l_ps_m += bd.l_ps
@@ -502,7 +618,7 @@ def run_training(
         lam = config.lambda_at(state.t)
         l_ma, l_pc, l_ps, total = _probe_losses(snapshot, dataset, config, lam)
         agreement = ensemble_agreement(snapshot, train_images)
-        val_score = fused_validation_score(snapshot, dataset.validation, val_refs)
+        val_score, net_scores = _validation_scores(snapshot, dataset.validation, val_refs)
         trace.append(
             TraceRow(
                 iteration=state.t,
@@ -517,8 +633,7 @@ def run_training(
             )
         )
         if config.selection == "per-network":
-            for k, params in enumerate(snapshot):
-                score = network_validation_score(params, dataset.validation, val_refs)
+            for k, (params, score) in enumerate(zip(snapshot, net_scores)):
                 if score > net_best[k][0]:
                     net_best[k] = (score, params, state.t)
         elif state.best is None or val_score > state.best.score:

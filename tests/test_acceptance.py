@@ -306,6 +306,7 @@ def experiment(bench_dataset):
     return out
 
 
+@pytest.mark.slow
 def test_criterion_6_determinism(capsys, bench_dataset, tmp_path):
     t0 = time.monotonic()
     config = TrainConfig(
@@ -327,6 +328,7 @@ def test_criterion_6_determinism(capsys, bench_dataset, tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_experiment(capsys, experiment):
     seeds = experiment["seeds"]
     mean_full = float(np.mean([s["full"] for s in seeds]))
@@ -351,6 +353,7 @@ def test_criterion_7_directional_experiment(capsys, experiment):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_consistency_growth(capsys, experiment):
     seeds = experiment["seeds"]
     grew = [s["agreement_final"] > s["agreement_start"] for s in seeds]

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
 import hashlib
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -275,3 +276,28 @@ def test_grad_check_detects_corruption():
 
 def test_unknown_subcommand():
     assert entry(["polish"]) == 2
+
+
+def test_eval_truncated_checkpoint_is_an_error(
+    run_dir, dataset_dir, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    (run / "net0.msen").write_bytes(b"MSEN\x01\x00")
+    code = entry(["eval", "--run", str(run), "--data", str(dataset_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "net0.msen" in err
+
+
+def test_eval_truncated_image_tensor_is_an_error(
+    run_dir, dataset_dir, tmp_path, capsys
+):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    image = sorted((data / "images").glob("*.tns"))[0]
+    image.write_bytes(image.read_bytes()[:6])
+    code = entry(["eval", "--run", str(run_dir), "--data", str(data)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and image.name in err

@@ -44,6 +44,12 @@ def test_tensor_rejects_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_tensor(str(path))
+    save_tensor(str(path), np.zeros((2, 3)))
+    whole = path.read_bytes()
+    for cut in (6, 10, len(whole) - 1):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ValueError, match="bad.tns"):
+            load_tensor(str(path))
 
 
 def test_image_round_trip(tmp_path):
@@ -78,6 +84,10 @@ def test_mask_pgm_rejects_garbage(tmp_path):
     path.write_bytes(b"P6 2 2 255\n" + b"\x00" * 12)
     with pytest.raises(ValueError):
         load_mask_pgm(str(path))
+    for header in (b"P5", b"P5\n4 ", b"P5\n4 4\n-1\n"):
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match="bad.pgm"):
+            load_mask_pgm(str(path))
 
 
 def test_scene_determinism_and_area():

@@ -221,7 +221,12 @@ def test_checkpoint_rejects_garbage(tmp_path):
     with pytest.raises(ValueError):
         load_checkpoint(str(path))
     path.write_bytes(b"MSEN" + b"\x00" * 10)
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="bad.msen: truncated"):
+        load_checkpoint(str(path))
+    good = tmp_path / "good.msen"
+    save_checkpoint(init_params(Architecture(), seed=1), str(good))
+    path.write_bytes(good.read_bytes()[:-3])
+    with pytest.raises(ValueError, match="bad.msen"):
         load_checkpoint(str(path))
 
 

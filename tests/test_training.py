@@ -1,6 +1,7 @@
 """Ensemble trainer: loss assembly, scheduling, determinism, run artifacts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from ambiseg.data import (
     load_dataset,
     simulate_annotator,
 )
-from ambiseg.losses import softmax
+from ambiseg.losses import softmax, total_network_loss
 from ambiseg.model import (
     Architecture,
     ModelParams,
+    adam_step,
     forward,
     init_opt_state,
     init_params,
@@ -35,6 +37,7 @@ from ambiseg.training import (
     ensemble_agreement,
     fused_validation_score,
     mnps_loss,
+    network_validation_score,
     npce_losses,
     pick_comparison,
     run_training,
@@ -321,6 +324,109 @@ def test_train_iteration_respects_budget():
         train_iteration(state, [make_sample(63)], [], config)
 
 
+def reference_iteration(state, annotated, unannotated, config):
+    """Learner-major iteration built from the public per-sample losses."""
+    lam = config.lambda_at(state.t)
+    snapshot = state.snapshot()
+    breakdowns, grads = [], []
+    for k in range(config.k):
+        j = pick_comparison(k, config.k, state.rng)
+        grad = np.zeros_like(snapshot[k].flat)
+        l_ma_sum = l_pc_sum = 0.0
+        for sample in annotated:
+            l_ma, l_pc, g = npce_losses(
+                snapshot, sample, k, j, alpha=config.alpha, beta=config.beta
+            )
+            l_ma_sum += l_ma
+            l_pc_sum += l_pc
+            grad += g
+        grad /= len(annotated)
+        l_ps_sum = 0.0
+        ps_grad = np.zeros_like(grad)
+        for sample in unannotated:
+            l_ps, g = mnps_loss(snapshot, sample, k)
+            l_ps_sum += l_ps
+            ps_grad += g
+        grad += lam * ps_grad / len(unannotated)
+        breakdowns.append(total_network_loss(
+            l_ma_sum / len(annotated), l_pc_sum / len(annotated),
+            l_ps_sum / len(unannotated), config.alpha, config.beta, lam,
+        ))
+        grads.append(grad)
+    for slot, grad in zip(state.nets, grads):
+        slot.opt = replace(slot.opt, lr=config.lr_at(state.t))
+        slot.params, slot.opt = adam_step(slot.params, slot.opt, grad)
+    state.t += 1
+    return breakdowns
+
+
+def iteration_batch(k, seed):
+    annotated = [make_sample(seed + i, k=k) for i in range(2)]
+    unannotated = [
+        UnannotatedSample(
+            image=generate_scene(SceneSpec(width=16, height=16, seed=seed + 10 + i))[0]
+        )
+        for i in range(3)
+    ]
+    return annotated, unannotated
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_train_iteration_equals_learner_major_reference(k):
+    config = TrainConfig(k=k, lr=0.02, total_iters=10, validation_every=5,
+                         annotated_per_iter=2, unannotated_batch=3)
+    state, ref = make_state(config), make_state(config)
+    for t in range(3):
+        state.t = ref.t = 4 + t  # a ramp weight well above zero
+        annotated, unannotated = iteration_batch(k, 100 * t)
+        got = train_iteration(state, annotated, unannotated, config)
+        want = reference_iteration(ref, annotated, unannotated, config)
+        assert got == want
+        for a, b in zip(state.nets, ref.nets):
+            assert np.array_equal(a.params.flat, b.params.flat)
+            assert np.array_equal(a.opt.m, b.opt.m)
+            assert np.array_equal(a.opt.v, b.opt.v)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of model.<name> under both of its bindings."""
+    from ambiseg import model, training
+
+    calls = []
+    original = getattr(model, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    # training imports the function by name; model's own callers
+    # (predict_probs) look it up in model's globals
+    for module in (model, training):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_one_forward_and_backward_per_network_and_image(k, monkeypatch):
+    config = TrainConfig(k=k, lr=0.02, total_iters=10, validation_every=5,
+                         annotated_per_iter=2, unannotated_batch=3)
+    state = make_state(config)
+    forwards = count_calls(monkeypatch, "forward")
+    backwards = count_calls(monkeypatch, "backward")
+    train_iteration(state, *iteration_batch(k, 7), config)
+    assert len(forwards) == len(backwards) == k * (2 + 3)
+
+
+def test_checkpoints_run_no_backward(tiny_dataset, monkeypatch):
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
+                         annotated_per_iter=2, unannotated_batch=3,
+                         selection="per-network")
+    backwards = count_calls(monkeypatch, "backward")
+    result = run_training(tiny_dataset, config)
+    assert len(result.trace) == 3  # checkpoints at iterations 0, 2 and 4
+    assert len(backwards) == config.total_iters * config.k * (2 + 3)
+
+
 def test_validation_references_are_majority_votes(tiny_dataset):
     from ambiseg.fusion import majority_vote
 
@@ -426,6 +532,15 @@ def test_run_training_per_network_selection(tiny_dataset, tmp_path):
     manifest = (out / "manifest.tsv").read_text()
     assert "net0_best_iteration" in manifest
     assert "net1_best_iteration" in manifest
+    refs = validation_references(tiny_dataset.validation)
+    kept = [
+        network_validation_score(p, tiny_dataset.validation, refs)
+        for p in result.best.params
+    ]
+    assert result.best.score == pytest.approx(np.mean(kept), abs=1e-12)
+    # selection does not steer training, so the fused trace matches fused mode
+    fused = run_training(tiny_dataset, replace(config, selection="fused"))
+    assert fused.trace_csv() == result.trace_csv()
 
 
 def test_run_training_rejects_annotation_mismatch(tiny_dataset):
