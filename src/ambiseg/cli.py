@@ -13,6 +13,7 @@ import hashlib
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -37,7 +38,11 @@ from .training import (
     train_single_annotator,
 )
 
-CONFIG_KEYS = {f.name: f.type for f in fields(TrainConfig)}
+# each TrainConfig field parses as its type; Optional[int] parses as int
+CONFIG_TYPES = {
+    name: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for name, hint in get_type_hints(TrainConfig).items()
+}
 EXTRA_KEYS = ("data", "out", "strategy")
 
 
@@ -57,14 +62,11 @@ def parse_config_file(path: Path) -> dict:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip().strip('"')
-        if key in ("data", "out", "strategy", "selection"):
+        if key in EXTRA_KEYS:
             values[key] = text
-        elif key in CONFIG_KEYS:
+        elif key in CONFIG_TYPES:
             try:
-                if key in ("alpha", "beta", "w_max", "lr", "lr_decay_factor"):
-                    values[key] = float(text)
-                else:
-                    values[key] = int(text)
+                values[key] = CONFIG_TYPES[key](text)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: bad value for {key}: {text}") from exc
         else:
@@ -241,12 +243,11 @@ def cmd_fuse(ns: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown strategy {ns.strategy!r}; choose from {FUSION_STRATEGIES}"
         )
-    data_path = Path(ns.data)
-    dataset_dir = data_path
+    dataset_dir = Path(ns.data)
+    # read every source file before the output exists, so bad input fails
+    # with nothing written
+    _load_dataset_or_fail(dataset_dir)
     manifest = dataset_dir / "manifest.tsv"
-    if not manifest.exists():
-        print(f"error: no dataset at {data_path}", file=sys.stderr)
-        return 1
     out = Path(ns.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(exist_ok=True)

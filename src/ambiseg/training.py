@@ -10,6 +10,10 @@ by a Gaussian ramp-up weight. Gradients are computed for all networks
 against a pre-iteration parameter snapshot, then applied together, so
 results do not depend on update order.
 
+The single-annotator baseline is this loop with K = 1: a lone network
+compares with itself, so it learns its whole annotation (full-grid CE),
+with nothing to refine, no peer consensus and no ramp weight.
+
 An iteration walks the batch image by image. For each image it builds
 one prediction row (every network's forward pass, probabilities, argmax
 mask and cache), feeds every learner's loss terms on that image from the
@@ -177,18 +181,6 @@ def pick_comparison(k: int, num_nets: int, rng: np.random.Generator) -> int:
     return draw + (draw >= k)
 
 
-def _probs_with_cache(params: ModelParams, image: ImageTensor):
-    logits, cache = forward(params, image)
-    probs = ProbMap(
-        width=image.width,
-        height=image.height,
-        num_classes=params.arch.num_classes,
-        probs=softmax(logits),
-        logits=logits,
-    )
-    return probs, cache
-
-
 @dataclass
 class _PredictionRow:
     """Some networks' predictions on one image, keyed by network index.
@@ -213,7 +205,14 @@ def _prediction_row(
 ) -> _PredictionRow:
     row = _PredictionRow(probs={}, masks={}, caches={})
     for z in nets:
-        probs, cache = _probs_with_cache(snapshot[z], image)
+        logits, cache = forward(snapshot[z], image)
+        probs = ProbMap(
+            width=image.width,
+            height=image.height,
+            num_classes=snapshot[z].arch.num_classes,
+            probs=softmax(logits),
+            logits=logits,
+        )
         row.probs[z] = probs
         if masks:
             row.masks[z] = argmax_mask(probs)
@@ -238,7 +237,8 @@ def _npce_terms(
         l_ma, g_ma = masked_cross_entropy(probs_k, agree)
         grad_logits += alpha * g_ma
     l_pc = 0.0
-    if beta != 0:
+    # annotations that agree everywhere leave nothing to refine
+    if beta != 0 and len(disagree):
         consistent, _ = separate_agreement(row.masks[k], row.masks[j])
         refined = restrict(consistent, disagree)
         l_pc, g_pc = masked_cross_entropy(probs_k, refined)
@@ -324,6 +324,12 @@ def _unannotated_grads(
     return out
 
 
+def _ramp_weight(config: TrainConfig, t: int, num_nets: int) -> float:
+    """The pseudo-label weight at iteration t; 0 for a lone network, which
+    has no peers to form a consensus."""
+    return config.lambda_at(t) if num_nets > 1 else 0.0
+
+
 def train_iteration(
     state: EnsembleState,
     annotated: Sequence[MultiAnnotatedSample],
@@ -333,22 +339,27 @@ def train_iteration(
     """One optimizer step for every network against a shared snapshot.
 
     rng consumption order is fixed: one comparison draw per network in
-    ascending k. Batches are sampled by the caller.
+    ascending k, and none for a lone network, which compares with itself.
+    Batches are sampled by the caller.
     """
     if state.t >= config.total_iters:
         raise TrainingError(f"iteration {state.t} exceeds total_iters")
-    lam = config.lambda_at(state.t)
-    lr = config.lr_at(state.t)
     snapshot = state.snapshot()
+    num_nets = len(snapshot)
+    lam = _ramp_weight(config, state.t, num_nets)
+    lr = config.lr_at(state.t)
     use_ps = config.w_max > 0 and len(unannotated) > 0
-    nets = range(config.k)
-    peers = [pick_comparison(k, config.k, state.rng) for k in nets]
+    nets = range(num_nets)
+    if num_nets == 1:
+        peers = [0]
+    else:
+        peers = [pick_comparison(k, num_nets, state.rng) for k in nets]
 
     # Each network's sums run over the images in batch order, exactly as a
     # learner-major loop would add them, so the results are bit-identical.
     grads = [np.zeros_like(p.flat) for p in snapshot]
-    l_ma_sums = [0.0] * config.k
-    l_pc_sums = [0.0] * config.k
+    l_ma_sums = [0.0] * num_nets
+    l_pc_sums = [0.0] * num_nets
     for sample in annotated:
         for k, (l_ma, l_pc, g) in enumerate(
             _annotated_grads(snapshot, sample, peers, config)
@@ -359,7 +370,7 @@ def train_iteration(
     for grad in grads:
         grad /= len(annotated)
 
-    l_ps_sums = [0.0] * config.k
+    l_ps_sums = [0.0] * num_nets
     if use_ps:
         ps_grads = [np.zeros_like(p.flat) for p in snapshot]
         for sample in unannotated:
@@ -459,7 +470,10 @@ def fused_validation_score(
 def ensemble_agreement(
     params_list: Sequence[ModelParams], images: Sequence[ImageTensor]
 ) -> float:
-    """Mean pairwise agreement of the networks' predictions."""
+    """Mean pairwise agreement of the networks' predictions; 1.0, without
+    a forward pass, for fewer than two networks."""
+    if len(params_list) < 2:
+        return 1.0
     total = 0.0
     count = 0
     for image in images:
@@ -530,15 +544,16 @@ def _probe_losses(
     sample = dataset.multi[0]
     probe_unann = dataset.unannotated[: config.unannotated_batch]
     use_ps = config.w_max > 0 and len(probe_unann) > 0
-    nets = range(config.k)
+    num_nets = len(snapshot)
+    nets = range(num_nets)
     row = _prediction_row(snapshot, sample.image, nets, masks=config.beta != 0)
     npce = [
-        _npce_terms(row, sample, k, (k + 1) % config.k, config.alpha, config.beta)
+        _npce_terms(row, sample, k, (k + 1) % num_nets, config.alpha, config.beta)
         for k in nets
     ]
     # a row holds K forward caches: free each before building the next
     del row
-    l_ps = [0.0] * config.k
+    l_ps = [0.0] * num_nets
     if use_ps:
         for u in probe_unann:
             row = _prediction_row(snapshot, u.image, nets)
@@ -554,12 +569,7 @@ def _probe_losses(
         l_pc_m += bd.l_pc
         l_ps_m += bd.l_ps
         total_m += bd.total
-    return (
-        l_ma_m / config.k,
-        l_pc_m / config.k,
-        l_ps_m / config.k,
-        total_m / config.k,
-    )
+    return tuple(m / num_nets for m in (l_ma_m, l_pc_m, l_ps_m, total_m))
 
 
 def run_training(
@@ -575,16 +585,48 @@ def run_training(
     the configured selection mode. With out_dir set, trace.csv, one
     checkpoint per network, and a manifest are written there.
     """
-    if not dataset.multi:
-        raise TrainingError("training requires at least one multi-annotated sample")
-    if not dataset.validation:
-        raise TrainingError("training requires a validation split")
     for s in dataset.multi + dataset.validation:
         if len(s.annotations) != config.k:
             raise TrainingError(
                 f"sample has {len(s.annotations)} annotations, config.k={config.k}"
             )
+    return _train(dataset, config, out_dir)
 
+
+def train_single_annotator(
+    dataset: Dataset,
+    config: TrainConfig,
+    annotator: int,
+    out_dir: Optional[str | Path] = None,
+) -> TrainResult:
+    """Supervised baseline: the ensemble loop with one network, trained on
+    one annotator's masks and no unannotated images.
+
+    Validation still scores against majority votes over all annotators, so
+    comparisons isolate the multi-annotator machinery. config.k is unused.
+    Trace rows use net = 0, a ramp weight of 0 and an agreement of 1.0
+    (there are no peers); selection is always fused.
+    """
+    if dataset.multi and not 0 <= annotator < dataset.k:
+        raise TrainingError(f"annotator index {annotator} out of range")
+    view = replace(
+        dataset,
+        multi=[replace(s, annotations=[s.annotations[annotator]]) for s in dataset.multi],
+        unannotated=[],
+    )
+    return _train(view, config, out_dir)
+
+
+def _train(
+    dataset: Dataset, config: TrainConfig, out_dir: Optional[str | Path]
+) -> TrainResult:
+    """The training loop, with one network per annotation of a training sample."""
+    if not dataset.multi:
+        raise TrainingError("training requires at least one multi-annotated sample")
+    if not dataset.validation:
+        raise TrainingError("training requires a validation split")
+
+    num_nets = dataset.k
     first = dataset.multi[0]
     arch = Architecture(
         in_channels=first.image.channels,
@@ -594,12 +636,12 @@ def run_training(
 
     ss = np.random.SeedSequence(config.seed)
     net_ss, train_ss = ss.spawn(2)
-    net_seeds = [int(s.generate_state(1)[0]) for s in net_ss.spawn(config.k)]
+    net_seeds = [int(s.generate_state(1)[0]) for s in net_ss.spawn(num_nets)]
     rng = np.random.default_rng(train_ss)
 
     nets = []
-    for k in range(config.k):
-        params = init_params(arch, net_seeds[k])
+    for seed in net_seeds:
+        params = init_params(arch, seed)
         nets.append(NetworkSlot(params=params, opt=init_opt_state(params, config.lr)))
     state = EnsembleState(nets=nets, t=0, rng=rng)
 
@@ -609,20 +651,21 @@ def run_training(
     trace: list[TraceRow] = []
 
     # per-network selection tracks each network's own best iteration
+    per_network = config.selection == "per-network" and num_nets > 1
     net_best: list[tuple[float, ModelParams, int]] = [
-        (-1.0, nets[k].params, 0) for k in range(config.k)
+        (-1.0, slot.params, 0) for slot in nets
     ]
 
     def record_checkpoint() -> None:
         snapshot = state.snapshot()
-        lam = config.lambda_at(state.t)
+        lam = _ramp_weight(config, state.t, num_nets)
         l_ma, l_pc, l_ps, total = _probe_losses(snapshot, dataset, config, lam)
         agreement = ensemble_agreement(snapshot, train_images)
         val_score, net_scores = _validation_scores(snapshot, dataset.validation, val_refs)
         trace.append(
             TraceRow(
                 iteration=state.t,
-                net=-1,
+                net=-1 if num_nets > 1 else 0,
                 l_ma=l_ma,
                 l_pc=l_pc,
                 l_ps=l_ps,
@@ -632,7 +675,7 @@ def run_training(
                 val_jaccard=val_score,
             )
         )
-        if config.selection == "per-network":
+        if per_network:
             for k, (params, score) in enumerate(zip(snapshot, net_scores)):
                 if score > net_best[k][0]:
                     net_best[k] = (score, params, state.t)
@@ -658,7 +701,7 @@ def run_training(
             train_iteration(state, annotated, unannotated, config)
             if state.t % config.validation_every == 0:
                 record_checkpoint()
-        if config.selection == "per-network":
+        if per_network:
             state.best = BestRecord(
                 iteration=-1,
                 score=float(np.mean([b[0] for b in net_best])),
@@ -669,100 +712,6 @@ def run_training(
 
     if out_dir is not None:
         write_run(result, out_dir, net_seeds)
-    return result
-
-
-def train_single_annotator(
-    dataset: Dataset,
-    config: TrainConfig,
-    annotator: int,
-    out_dir: Optional[str | Path] = None,
-) -> TrainResult:
-    """Supervised baseline: one network, one annotator, full-grid CE.
-
-    Shares the optimizer, learning-rate schedule, batch sampling, and
-    validation-selection protocol with the ensemble run, so comparisons
-    against it isolate the multi-annotator machinery. Trace rows use
-    net = 0 and a pairwise agreement of 1.0 (there are no peers).
-    """
-    from .masks import full_grid_labels
-
-    if not dataset.multi:
-        raise TrainingError("training requires at least one multi-annotated sample")
-    if not dataset.validation:
-        raise TrainingError("training requires a validation split")
-    if not 0 <= annotator < len(dataset.multi[0].annotations):
-        raise TrainingError(f"annotator index {annotator} out of range")
-
-    first = dataset.multi[0]
-    arch = Architecture(
-        in_channels=first.image.channels,
-        hidden=config.hidden,
-        num_classes=first.annotations[0].num_classes,
-    )
-    ss = np.random.SeedSequence(config.seed)
-    net_ss, train_ss = ss.spawn(2)
-    net_seed = int(net_ss.spawn(1)[0].generate_state(1)[0])
-    rng = np.random.default_rng(train_ss)
-
-    params = init_params(arch, net_seed)
-    opt = init_opt_state(params, config.lr)
-    val_refs = validation_references(dataset.validation)
-
-    trace: list[TraceRow] = []
-    best: Optional[BestRecord] = None
-    t = 0
-
-    def record_checkpoint() -> None:
-        nonlocal best
-        targets = full_grid_labels(first.annotations[annotator])
-        probs = predict_probs(params, first.image)
-        l_ma, _ = masked_cross_entropy(probs, targets)
-        score = network_validation_score(params, dataset.validation, val_refs)
-        trace.append(
-            TraceRow(
-                iteration=t,
-                net=0,
-                l_ma=l_ma,
-                l_pc=0.0,
-                l_ps=0.0,
-                lambda_t=0.0,
-                total=config.alpha * l_ma,
-                agreement=1.0,
-                val_jaccard=score,
-            )
-        )
-        if best is None or score > best.score:
-            best = BestRecord(iteration=t, score=score, params=[params])
-
-    if config.total_iters == 0:
-        best = BestRecord(iteration=0, score=float("nan"), params=[params])
-    else:
-        record_checkpoint()
-        while t < config.total_iters:
-            idx = rng.integers(len(dataset.multi), size=config.annotated_per_iter)
-            grad = np.zeros_like(params.flat)
-            for i in idx:
-                sample = dataset.multi[int(i)]
-                probs, cache = _probs_with_cache(params, sample.image)
-                targets = full_grid_labels(sample.annotations[annotator])
-                loss, grad_logits = masked_cross_entropy(probs, targets)
-                if not math.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at iteration {t}")
-                grad += backward(params, cache, config.alpha * grad_logits)
-            grad /= len(idx)
-            opt = replace(opt, lr=config.lr_at(t))
-            params, opt = adam_step(params, opt, grad)
-            t += 1
-            if t % config.validation_every == 0:
-                record_checkpoint()
-
-    state = EnsembleState(
-        nets=[NetworkSlot(params=params, opt=opt)], t=t, rng=rng, best=best
-    )
-    result = TrainResult(state=state, best=best, trace=trace, config=config)
-    if out_dir is not None:
-        write_run(result, out_dir, [net_seed])
     return result
 
 

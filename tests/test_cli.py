@@ -2,15 +2,17 @@
 
 import hashlib
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ambiseg.cli import entry
+from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
 from ambiseg.data import load_dataset
 from ambiseg.fusion import majority_vote
 from ambiseg.model import Architecture, init_params, load_checkpoint
+from ambiseg.training import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +125,41 @@ def test_train_config_file_with_override(dataset_dir, tmp_path):
     ])
     assert code == 0
     assert "seed\t12" in (out / "manifest.tsv").read_text()
+
+
+# a config-file value for each key, and the value it must parse to
+CONFIG_VALUES = {
+    "k": ("3", 3),
+    "alpha": ("2", 2.0),
+    "beta": ("0.5", 0.5),
+    "w_max": ("0", 0.0),
+    "t_max": ("400", 400),
+    "lr": ("1e-3", 1e-3),
+    "lr_decay_every": ("100", 100),
+    "lr_decay_factor": ("1", 1.0),
+    "annotated_per_iter": ("2", 2),
+    "unannotated_batch": ("4", 4),
+    "total_iters": ("400", 400),
+    "validation_every": ("50", 50),
+    "seed": ("9", 9),
+    "hidden": ("4", 4),
+    "selection": ("per-network", "per-network"),
+    "data": ("some/ds", "some/ds"),
+    "out": ("some/run", "some/run"),
+    "strategy": ("staple", "staple"),
+}
+
+
+@pytest.mark.parametrize(
+    "key", [f.name for f in fields(TrainConfig)] + list(EXTRA_KEYS)
+)
+def test_config_file_parses_each_key_by_type(key, tmp_path):
+    text, value = CONFIG_VALUES[key]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{key} = {text}\n")
+    parsed = parse_config_file(cfg)
+    assert parsed == {key: value}
+    assert type(parsed[key]) is type(value)
 
 
 def test_train_rejects_unknown_config_key(dataset_dir, tmp_path):
@@ -301,3 +338,19 @@ def test_eval_truncated_image_tensor_is_an_error(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and image.name in err
+
+
+@pytest.mark.parametrize("rel", ["images/m000.tns", "gt/t000.pgm"])
+def test_fuse_truncated_source_is_an_error(rel, dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    path = data / rel
+    path.write_bytes(path.read_bytes()[:6])
+    out = tmp_path / "fused"
+    code = entry([
+        "fuse", "--data", str(data), "--out", str(out), "--strategy", "average-vote",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and path.name in err
+    assert not out.exists()

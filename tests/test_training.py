@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ambiseg.model import (
     Architecture,
     ModelParams,
     adam_step,
+    backward,
     forward,
     init_opt_state,
     init_params,
@@ -491,10 +493,14 @@ def test_run_training_trace_contract(tiny_dataset, tmp_path):
         assert np.array_equal(loaded.flat, result.best.params[k].flat)
 
 
-def test_run_training_zero_iterations(tiny_dataset, tmp_path):
+@pytest.mark.parametrize(
+    "train", [run_training, partial(train_single_annotator, annotator=1)],
+    ids=["ensemble", "baseline"],
+)
+def test_run_training_zero_iterations(train, tiny_dataset, tmp_path):
     config = TrainConfig(k=2, lr=0.01, total_iters=0, validation_every=5, seed=7)
     out = tmp_path / "zero"
-    result = run_training(tiny_dataset, config, out_dir=str(out))
+    result = train(tiny_dataset, config, out_dir=str(out))
     assert result.trace == []
     assert result.trace_csv().strip() == TRACE_HEADER
     assert math.isnan(result.best.score)
@@ -565,3 +571,84 @@ def test_single_annotator_baseline(tiny_dataset, tmp_path):
     assert "net0_file\tnet0.msen" in manifest
     with pytest.raises(TrainingError):
         train_single_annotator(tiny_dataset, config, annotator=5)
+
+
+def test_single_annotator_is_one_network_without_pool(tiny_dataset):
+    config = TrainConfig(k=2, alpha=0.5, lr=0.01, total_iters=10,
+                         validation_every=5, seed=17)
+    result = train_single_annotator(tiny_dataset, config, annotator=0)
+    for row in result.trace:
+        assert row.lambda_t == 0.0
+        assert row.l_ps == 0.0
+        assert row.total == config.alpha * row.l_ma
+    # the unannotated pool is never sampled; the annotator's masks are
+    no_pool = train_single_annotator(
+        replace(tiny_dataset, unannotated=[]), config, annotator=0
+    )
+    other = train_single_annotator(tiny_dataset, config, annotator=1)
+    flat = result.state.nets[0].params.flat
+    assert no_pool.trace_csv() == result.trace_csv()
+    assert np.array_equal(no_pool.state.nets[0].params.flat, flat)
+    assert other.trace_csv() != result.trace_csv()
+    assert not np.array_equal(other.state.nets[0].params.flat, flat)
+    # per-network selection of one network is fused selection
+    per_net = train_single_annotator(
+        tiny_dataset, replace(config, selection="per-network"), annotator=0
+    )
+    assert per_net.best.net_iterations is None
+    assert (per_net.best.iteration, per_net.best.score) == (
+        result.best.iteration, result.best.score
+    )
+
+
+def test_one_network_iteration_is_a_full_grid_ce_step():
+    config = TrainConfig(alpha=0.5, lr=0.02, total_iters=10, validation_every=5)
+    params = init_params(Architecture(), seed=60)
+    opt = init_opt_state(params, config.lr)
+    state = EnsembleState(
+        nets=[NetworkSlot(params=params, opt=opt)], t=0,
+        rng=np.random.default_rng(5),
+    )
+    annotated = [make_sample(70 + i, k=1) for i in range(2)]
+
+    # clean room: mean CE over every pixel against the one annotation
+    losses, grad = [], np.zeros_like(params.flat)
+    for sample in annotated:
+        logits, cache = forward(params, sample.image)
+        probs = softmax(logits)
+        labels = sample.annotations[0].labels
+        pixels = np.arange(len(labels))
+        losses.append(float(np.mean(
+            -np.log(np.maximum(probs[pixels, labels], 1e-12))
+        )))
+        grad_logits = probs.copy()
+        grad_logits[pixels, labels] -= 1.0
+        grad_logits /= len(labels)
+        grad += backward(params, cache, config.alpha * grad_logits)
+    grad /= len(annotated)
+    want_params, want_opt = adam_step(params, replace(opt, lr=config.lr_at(0)), grad)
+    want = total_network_loss(
+        sum(losses) / len(annotated), 0.0, 0.0, config.alpha, config.beta, 0.0
+    )
+
+    rng_state = state.rng.bit_generator.state
+    assert train_iteration(state, annotated, [], config) == [want]
+    assert state.rng.bit_generator.state == rng_state  # no comparison draw
+    assert np.array_equal(state.nets[0].params.flat, want_params.flat)
+    assert np.array_equal(state.nets[0].opt.m, want_opt.m)
+    assert np.array_equal(state.nets[0].opt.v, want_opt.v)
+
+
+def test_single_annotator_forward_count(tiny_dataset, monkeypatch):
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
+                         annotated_per_iter=2)
+    forwards = count_calls(monkeypatch, "forward")
+    result = train_single_annotator(tiny_dataset, config, annotator=1)
+    checkpoints = len(result.trace)
+    assert checkpoints == 3  # iterations 0, 2 and 4
+    # one probe forward and one per validation image at each checkpoint,
+    # and no agreement pass for a lone network
+    n_val = len(tiny_dataset.validation)
+    assert len(forwards) == (
+        config.total_iters * config.annotated_per_iter + checkpoints * (1 + n_val)
+    )
