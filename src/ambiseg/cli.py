@@ -25,15 +25,14 @@ from .data import (
     load_mask_pgm,
     save_mask_pgm,
 )
-from .fusion import FUSION_STRATEGIES, fuse_annotations
-from .masks import argmax_mask
+from .fusion import FUSION_STRATEGIES, average_fuse, fuse_annotations
+from .masks import LabelMask, argmax_mask
 from .metrics import evaluate_masks
 from .model import gradient_check_report, load_checkpoint, predict_probs
 from .training import (
     TrainConfig,
     TrainingError,
     config_hash,
-    fused_prediction,
     run_training,
     train_single_annotator,
 )
@@ -208,15 +207,19 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ValueError(f"dataset at {data_path} has no test split")
 
     refs = [s.clean_gt for s in dataset.test]
-    scopes = [("fused", [fused_prediction(params, s.image) for s in dataset.test])]
+    # one forward per (network, image); the fused scope averages the same
+    # probabilities the per-network scopes take their argmax of
+    fused: list[LabelMask] = []
+    per_net: list[list[LabelMask]] = [[] for _ in params]
+    for s in dataset.test:
+        probs = [predict_probs(p, s.image) for p in params]
+        fused.append(argmax_mask(average_fuse(probs)))
+        if ns.per_network:
+            for preds, pm in zip(per_net, probs):
+                preds.append(argmax_mask(pm))
+    scopes = [("fused", fused)]
     if ns.per_network:
-        for i, p in enumerate(params):
-            scopes.append(
-                (
-                    f"net{i}",
-                    [argmax_mask(predict_probs(p, s.image)) for s in dataset.test],
-                )
-            )
+        scopes += [(f"net{i}", preds) for i, preds in enumerate(per_net)]
 
     lines = ["network,class,jaccard,dice"]
     summary = []

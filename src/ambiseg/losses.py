@@ -8,6 +8,7 @@ scores, so callers never differentiate through the log themselves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -103,7 +104,10 @@ class LossBreakdown:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, numerically stable; rows are pixels."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    # the row max taken column by column: a max is exact in any order, and
+    # a few whole-column ufunc calls beat a reduction along short rows
+    row_max = functools.reduce(np.maximum, logits.T)
+    z = logits - row_max[:, None]
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
 

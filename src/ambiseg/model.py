@@ -6,6 +6,20 @@ padded so the logit grid matches the input grid. Forward/backward are
 hand written over numpy so the gradient is exact and checkable against
 finite differences. The Adam optimizer lives here too; the learning-rate
 schedule does not (callers set lr per step).
+
+Buffers: forward writes its activations into a ForwardCache, the one it
+is given when that fits the architecture and image shape, else a new one.
+A cache is overwritten by the next forward that receives it. backward
+only reads its activations, so a cache can be backpropagated any number
+of times; it works in the cache's gradient scratch, which it overwrites
+on every call. Logits and gradients are always new arrays. Who owns the
+caches decides how long they live: a training run keeps one cache per
+network, and they die with the run.
+
+The convolutions are im2col GEMMs (np.dot on reshaped views, written
+into the caller's buffers), with the same operands and memory layouts as
+the np.pad + np.tensordot kernels they replace, so results are bitwise
+unchanged.
 """
 
 from __future__ import annotations
@@ -92,6 +106,11 @@ def _layout(arch: Architecture) -> tuple[tuple[str, tuple[int, ...], slice], ...
     return tuple(out)
 
 
+def _unpack(arch: Architecture, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each named layer of a flat vector, as a view of its shape."""
+    return {name: flat[sl].reshape(shape) for name, shape, sl in _layout(arch)}
+
+
 def param_count(arch: Architecture) -> int:
     return _layout(arch)[-1][2].stop
 
@@ -120,9 +139,7 @@ class ModelParams:
             raise ValueError("parameters must be finite")
 
     def unpack(self) -> dict[str, np.ndarray]:
-        return {
-            name: self.flat[sl].reshape(shape) for name, shape, sl in _layout(self.arch)
-        }
+        return _unpack(self.arch, self.flat)
 
 
 def init_params(arch: Architecture, seed: int) -> ModelParams:
@@ -146,7 +163,17 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Activations saved by forward for exact backprop."""
+    """Activations saved by forward for exact backprop, plus backward's
+    gradient scratch.
+
+    A cache is a set of buffers sized for one architecture and image
+    shape. forward overwrites every activation buffer of a cache it is
+    given, so a cache describes only the latest forward that received it.
+    backward only reads the activations and overwrites the scratch
+    (d2, d1, tap: (hidden, H, W) each). The im2col buffers (cols1, cols2)
+    keep the zero borders written when the cache was created: forward
+    writes only the in-image part of each tap.
+    """
 
     arch: Architecture
     width: int
@@ -157,84 +184,139 @@ class ForwardCache:
     cols2: np.ndarray
     pre2: np.ndarray
     act2: np.ndarray
+    d2: np.ndarray
+    d1: np.ndarray
+    tap: np.ndarray
+
+    @classmethod
+    def allocate(cls, arch: Architecture, height: int, width: int) -> "ForwardCache":
+        act = (arch.hidden, height, width)
+        return cls(
+            arch=arch,
+            width=width,
+            height=height,
+            cols1=_zero_bordered_cols(arch.in_channels, height, width),
+            pre1=np.empty(act),
+            act1=np.empty(act),
+            cols2=_zero_bordered_cols(arch.hidden, height, width),
+            pre2=np.empty(act),
+            act2=np.empty(act),
+            d2=np.empty(act),
+            d1=np.empty(act),
+            tap=np.empty(act),
+        )
 
 
-def _im2col3(x: np.ndarray) -> np.ndarray:
-    """All nine 3x3 taps of a zero-padded (C, H, W) tensor: (C, 3, 3, H, W)."""
-    c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-    cols = np.empty((c, 3, 3, h, w))
-    for dy in range(3):
-        for dx in range(3):
-            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
+def _zero_bordered_cols(channels: int, height: int, width: int) -> np.ndarray:
+    """Uninitialized (C, 3, 3, H, W) im2col columns whose out-of-image
+    entries, the ones _im2col3 never writes, are zero."""
+    cols = np.empty((channels, 3, 3, height, width))
+    cols[:, 0, :, 0, :] = 0.0  # dy = 0 reads above row 0
+    cols[:, 2, :, height - 1, :] = 0.0  # dy = 2 reads below the last row
+    cols[:, :, 0, :, 0] = 0.0  # dx = 0 reads left of column 0
+    cols[:, :, 2, :, width - 1] = 0.0  # dx = 2 reads right of the last column
     return cols
 
 
-def _conv3_from_cols(cols: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.tensordot(w, cols, axes=([1, 2, 3], [0, 1, 2]))
-    return out + b[:, None, None]
+def _taps(n: int) -> tuple[tuple[slice, slice], ...]:
+    """(output, input) slices along one axis of length n for the three 3x3
+    tap offsets of a SAME convolution: output index i reads input i + d - 1
+    when that lies inside [0, n), and sees zero padding otherwise."""
+    return (
+        (slice(1, n), slice(0, n - 1)),
+        (slice(0, n), slice(0, n)),
+        (slice(0, n - 1), slice(1, n)),
+    )
+
+
+def _im2col3(x: np.ndarray, cols: np.ndarray) -> None:
+    """Write the nine 3x3 taps of zero-padded (C, H, W) x into cols,
+    shape (C, 3, 3, H, W), whose out-of-image border is already zero."""
+    _, h, w = x.shape
+    for dy, (rows_out, rows_in) in enumerate(_taps(h)):
+        for dx, (cols_out, cols_in) in enumerate(_taps(w)):
+            cols[:, dy, dx, rows_out, cols_out] = x[:, rows_in, cols_in]
+
+
+def _conv3_from_cols(
+    cols: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
+) -> None:
+    """3x3 SAME convolution of im2col columns into out, shape (O, H, W)."""
+    np.dot(
+        w.reshape(w.shape[0], -1),
+        cols.reshape(-1, out.shape[1] * out.shape[2]),
+        out=out.reshape(out.shape[0], -1),
+    )
+    out += b[:, None, None]
 
 
 def forward(
-    params: ModelParams, image: ImageTensor
+    params: ModelParams, image: ImageTensor, cache: Optional[ForwardCache] = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for every pixel, shape (width*height, num_classes), row-major."""
+    """Logits for every pixel, shape (width*height, num_classes), row-major.
+
+    The activations go into `cache` when it fits this architecture and
+    image shape, overwriting what it held, and into a new cache otherwise;
+    the cache used is returned. The logits are always a new array.
+    """
     arch = params.arch
     if image.channels != arch.in_channels:
         raise ShapeError(
             f"image has {image.channels} channels, model expects {arch.in_channels}"
         )
+    shape = (image.height, image.width)
+    if cache is None or (cache.arch, cache.height, cache.width) != (arch, *shape):
+        cache = ForwardCache.allocate(arch, *shape)
     p = params.unpack()
-    x = image.planes()
-    cols1 = _im2col3(x)
-    pre1 = _conv3_from_cols(cols1, p["w1"], p["b1"])
-    act1 = np.maximum(pre1, 0.0)
-    cols2 = _im2col3(act1)
-    pre2 = _conv3_from_cols(cols2, p["w2"], p["b2"])
-    act2 = np.maximum(pre2, 0.0)
-    logits_chw = (
-        np.tensordot(p["w3"][:, :, 0, 0], act2, axes=([1], [0]))
-        + p["b3"][:, None, None]
-    )
-    logits = logits_chw.reshape(arch.num_classes, -1).T.copy()
-    cache = ForwardCache(
-        arch=arch,
-        width=image.width,
-        height=image.height,
-        cols1=cols1,
-        pre1=pre1,
-        act1=act1,
-        cols2=cols2,
-        pre2=pre2,
-        act2=act2,
-    )
-    return logits, cache
+    _im2col3(image.planes(), cache.cols1)
+    _conv3_from_cols(cache.cols1, p["w1"], p["b1"], cache.pre1)
+    np.maximum(cache.pre1, 0.0, out=cache.act1)
+    _im2col3(cache.act1, cache.cols2)
+    _conv3_from_cols(cache.cols2, p["w2"], p["b2"], cache.pre2)
+    np.maximum(cache.pre2, 0.0, out=cache.act2)
+    logits_cn = np.dot(p["w3"][:, :, 0, 0], cache.act2.reshape(arch.hidden, -1))
+    logits_cn += p["b3"][:, None]
+    return logits_cn.T.copy(), cache
 
 
 def _conv3_param_grads(
-    cols: np.ndarray, gout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias gradients of a 3x3 SAME convolution."""
-    dw = np.tensordot(gout, cols, axes=([1, 2], [3, 4]))
-    return dw, gout.sum(axis=(1, 2))
+    cols: np.ndarray, gout: np.ndarray, dw: np.ndarray, db: np.ndarray
+) -> None:
+    """Weight and bias gradients of a 3x3 SAME convolution into dw and db."""
+    gout_2d = gout.reshape(gout.shape[0], -1)
+    cols_2d = cols.reshape(-1, gout_2d.shape[1])
+    np.dot(gout_2d, cols_2d.T, out=dw.reshape(dw.shape[0], -1))
+    db[:] = gout.sum(axis=(1, 2))
 
 
-def _conv3_input_grad(w: np.ndarray, gout: np.ndarray) -> np.ndarray:
-    """Input gradient of a 3x3 SAME convolution."""
+def _conv3_input_grad(
+    w: np.ndarray, gout: np.ndarray, out: np.ndarray, tap: np.ndarray
+) -> None:
+    """Input gradient of a 3x3 SAME convolution into out, shape (C, H, W).
+
+    Each tap's product lands on the input pixels it read, in (dy, dx)
+    order starting from zero; tap is scratch of out's shape.
+    """
     _, h, width = gout.shape
-    dxp = np.zeros((w.shape[1], h + 2, width + 2))
-    for dy in range(3):
-        for dx in range(3):
-            dxp[:, dy : dy + h, dx : dx + width] += np.tensordot(
-                w[:, :, dy, dx], gout, axes=([0], [0])
-            )
-    return dxp[:, 1 : h + 1, 1 : width + 1]
+    gout_2d = gout.reshape(gout.shape[0], -1)
+    tap_2d = tap.reshape(tap.shape[0], -1)
+    out.fill(0.0)
+    # a tap's gradient flows from the output pixels back to the inputs they read
+    for dy, (rows_from, rows_to) in enumerate(_taps(h)):
+        for dx, (cols_from, cols_to) in enumerate(_taps(width)):
+            np.dot(w[:, :, dy, dx].T, gout_2d, out=tap_2d)
+            out[:, rows_to, cols_to] += tap[:, rows_from, cols_from]
 
 
 def backward(
     params: ModelParams, cache: ForwardCache, grad_logits: np.ndarray
 ) -> np.ndarray:
-    """Flat parameter gradient for the loss whose logit gradient is given."""
+    """Flat parameter gradient for the loss whose logit gradient is given.
+
+    The cache's activations are only read, so one forward can be
+    backpropagated any number of times; intermediate gradients go into
+    the cache's scratch. The returned gradient is always a new array.
+    """
     arch = params.arch
     if cache.arch != arch:
         raise ValueError("cache was produced by a different architecture")
@@ -243,24 +325,25 @@ def backward(
         raise ShapeError(
             f"grad_logits shape {grad_logits.shape} != ({n}, {arch.num_classes})"
         )
+    d2, d1, tap = cache.d2, cache.d1, cache.tap
     p = params.unpack()
+    grad = np.empty(param_count(arch))
+    g = _unpack(arch, grad)
     g_chw = grad_logits.T.reshape(arch.num_classes, cache.height, cache.width)
+    g_cn = g_chw.reshape(arch.num_classes, -1)
 
-    dw3 = np.tensordot(g_chw, cache.act2, axes=([1, 2], [1, 2]))[:, :, None, None]
-    db3 = g_chw.sum(axis=(1, 2))
-    d_act2 = np.tensordot(p["w3"][:, :, 0, 0], g_chw, axes=([0], [0]))
+    np.dot(g_cn, cache.act2.reshape(arch.hidden, -1).T, out=g["w3"][:, :, 0, 0])
+    g["b3"][:] = g_chw.sum(axis=(1, 2))
+    np.dot(p["w3"][:, :, 0, 0].T, g_cn, out=d2.reshape(arch.hidden, -1))
 
-    d_pre2 = d_act2 * (cache.pre2 > 0.0)
-    dw2, db2 = _conv3_param_grads(cache.cols2, d_pre2)
-    d_act1 = _conv3_input_grad(p["w2"], d_pre2)
+    d2 *= cache.pre2 > 0.0  # d_act2 -> d_pre2
+    _conv3_param_grads(cache.cols2, d2, g["w2"], g["b2"])
+    _conv3_input_grad(p["w2"], d2, d1, tap)
 
     # the image is not a parameter, so layer 1's input gradient is never formed
-    d_pre1 = d_act1 * (cache.pre1 > 0.0)
-    dw1, db1 = _conv3_param_grads(cache.cols1, d_pre1)
-
-    return np.concatenate(
-        [dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel(), dw3.ravel(), db3.ravel()]
-    )
+    d1 *= cache.pre1 > 0.0  # d_act1 -> d_pre1
+    _conv3_param_grads(cache.cols1, d1, g["w1"], g["b1"])
+    return grad
 
 
 def predict_probs(params: ModelParams, image: ImageTensor) -> ProbMap:

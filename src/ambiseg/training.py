@@ -23,6 +23,16 @@ learner's losses and gradients still add up in batch order (annotated
 samples, then unannotated ones), so results are bit-identical to a
 learner-major loop over the public npce_losses and mnps_loss. Checkpoint
 probes use the same rows and run no backward pass.
+
+Buffers: a training run owns one forward cache per network (a list,
+network z's cache at index z, None until its first forward), and every
+forward of the run (training rows, probes, validation and agreement
+passes) writes network z's activations into cache z. A cache is
+overwritten by the next forward that receives it, so a row's caches are
+valid only until the next row is built; backward only reads their
+activations. The run's caches die with the run: no returned object
+references them. A function called without caches uses caches of its own
+for that call.
 """
 
 from __future__ import annotations
@@ -186,10 +196,10 @@ class _PredictionRow:
     """Some networks' predictions on one image, keyed by network index.
 
     Holds each network's probabilities, its hard argmax mask (when the
-    caller asked for masks) and its forward cache; a learner pops its
-    cache once its backward pass has run. Every loss term of every
-    learner on that image reads from one row, so each network forwards
-    each image once.
+    caller asked for masks) and its forward cache. Every loss term of
+    every learner on that image reads from one row, so each network
+    forwards each image once. The caches are the ones the row was built
+    with, so the next row built with them overwrites them.
     """
 
     probs: dict[int, ProbMap]
@@ -201,11 +211,13 @@ def _prediction_row(
     snapshot: Sequence[ModelParams],
     image: ImageTensor,
     nets: Iterable[int],
-    masks: bool = True,
+    masks: bool,
+    caches: list[Optional[ForwardCache]],
 ) -> _PredictionRow:
     row = _PredictionRow(probs={}, masks={}, caches={})
     for z in nets:
-        logits, cache = forward(snapshot[z], image)
+        logits, cache = forward(snapshot[z], image, caches[z])
+        caches[z] = cache
         probs = ProbMap(
             width=image.width,
             height=image.height,
@@ -273,7 +285,8 @@ def npce_losses(
     if k == j:
         raise ValueError("comparison network must differ from the learner")
     nets = (k, j) if beta != 0 else (k,)
-    row = _prediction_row(snapshot, sample.image, nets, masks=beta != 0)
+    caches = [None] * len(snapshot)
+    row = _prediction_row(snapshot, sample.image, nets, beta != 0, caches)
     l_ma, l_pc, grad_logits = _npce_terms(row, sample, k, j, alpha, beta)
     return l_ma, l_pc, backward(snapshot[k], row.caches[k], grad_logits)
 
@@ -288,9 +301,16 @@ def mnps_loss(
     Targets are the pixels where all peer networks' hard predictions
     agree, labeled with that unanimous prediction; peers are constants.
     """
-    row = _prediction_row(snapshot, sample.image, range(len(snapshot)))
+    caches = [None] * len(snapshot)
+    row = _prediction_row(snapshot, sample.image, range(len(snapshot)), True, caches)
     l_ps, grad_logits = _mnps_terms(row, k)
     return l_ps, backward(snapshot[k], row.caches[k], grad_logits)
+
+
+def _needs_masks(config: TrainConfig, num_nets: int) -> bool:
+    """Whether annotated rows need argmax masks: only the consistency term
+    reads them, and a lone network has no peer to be consistent with."""
+    return config.beta != 0 and num_nets > 1
 
 
 def _annotated_grads(
@@ -298,29 +318,35 @@ def _annotated_grads(
     sample: MultiAnnotatedSample,
     peers: Sequence[int],
     config: TrainConfig,
+    caches: list[Optional[ForwardCache]],
 ) -> list[tuple[float, float, np.ndarray]]:
     """(l_ma, l_pc, param_grad) of every network k against peers[k] on one sample."""
     nets = range(len(snapshot))
-    row = _prediction_row(snapshot, sample.image, nets, masks=config.beta != 0)
+    masks = _needs_masks(config, len(snapshot))
+    row = _prediction_row(snapshot, sample.image, nets, masks, caches)
     out = []
     for k, j in enumerate(peers):
         l_ma, l_pc, grad_logits = _npce_terms(
             row, sample, k, j, config.alpha, config.beta
         )
-        out.append((l_ma, l_pc, backward(snapshot[k], row.caches.pop(k), grad_logits)))
+        grad = backward(snapshot[k], row.caches[k], grad_logits)
+        out.append((l_ma, l_pc, grad))
     return out
 
 
 def _unannotated_grads(
-    snapshot: Sequence[ModelParams], sample: UnannotatedSample
+    snapshot: Sequence[ModelParams],
+    sample: UnannotatedSample,
+    caches: list[Optional[ForwardCache]],
 ) -> list[tuple[float, np.ndarray]]:
     """(l_ps, param_grad) of every network on one unannotated image."""
     nets = range(len(snapshot))
-    row = _prediction_row(snapshot, sample.image, nets)
+    row = _prediction_row(snapshot, sample.image, nets, True, caches)
     out = []
     for k in nets:
         l_ps, grad_logits = _mnps_terms(row, k)
-        out.append((l_ps, backward(snapshot[k], row.caches.pop(k), grad_logits)))
+        grad = backward(snapshot[k], row.caches[k], grad_logits)
+        out.append((l_ps, grad))
     return out
 
 
@@ -335,17 +361,21 @@ def train_iteration(
     annotated: Sequence[MultiAnnotatedSample],
     unannotated: Sequence[UnannotatedSample],
     config: TrainConfig,
+    caches: Optional[list[Optional[ForwardCache]]] = None,
 ) -> list[LossBreakdown]:
     """One optimizer step for every network against a shared snapshot.
 
     rng consumption order is fixed: one comparison draw per network in
     ascending k, and none for a lone network, which compares with itself.
-    Batches are sampled by the caller.
+    Batches are sampled by the caller. Forwards go into `caches` (see
+    the module docstring).
     """
     if state.t >= config.total_iters:
         raise TrainingError(f"iteration {state.t} exceeds total_iters")
     snapshot = state.snapshot()
     num_nets = len(snapshot)
+    if caches is None:
+        caches = [None] * num_nets
     lam = _ramp_weight(config, state.t, num_nets)
     lr = config.lr_at(state.t)
     use_ps = config.w_max > 0 and len(unannotated) > 0
@@ -362,7 +392,7 @@ def train_iteration(
     l_pc_sums = [0.0] * num_nets
     for sample in annotated:
         for k, (l_ma, l_pc, g) in enumerate(
-            _annotated_grads(snapshot, sample, peers, config)
+            _annotated_grads(snapshot, sample, peers, config, caches)
         ):
             l_ma_sums[k] += l_ma
             l_pc_sums[k] += l_pc
@@ -374,7 +404,9 @@ def train_iteration(
     if use_ps:
         ps_grads = [np.zeros_like(p.flat) for p in snapshot]
         for sample in unannotated:
-            for k, (l_ps, g) in enumerate(_unannotated_grads(snapshot, sample)):
+            for k, (l_ps, g) in enumerate(
+                _unannotated_grads(snapshot, sample, caches)
+            ):
                 l_ps_sums[k] += l_ps
                 ps_grads[k] += g
         for grad, ps_grad in zip(grads, ps_grads):
@@ -445,16 +477,21 @@ def _validation_scores(
     params_list: Sequence[ModelParams],
     samples: Sequence[MultiAnnotatedSample],
     references: Sequence[LabelMask],
+    caches: Optional[list[Optional[ForwardCache]]] = None,
 ) -> tuple[float, list[float]]:
     """The fused validation score and each network's network_validation_score,
     from one forward per (network, image)."""
     fused: list[float] = []
     per_net: list[list[float]] = [[] for _ in params_list]
+    nets = range(len(params_list))
+    if caches is None:
+        caches = [None] * len(params_list)
     for s, ref in zip(samples, references):
-        row = [predict_probs(p, s.image) for p in params_list]
-        fused.append(_foreground_jaccard(argmax_mask(average_fuse(row)), ref))
-        for scores, probs in zip(per_net, row):
-            scores.append(_foreground_jaccard(argmax_mask(probs), ref))
+        row = _prediction_row(params_list, s.image, nets, True, caches)
+        probs = list(row.probs.values())
+        fused.append(_foreground_jaccard(argmax_mask(average_fuse(probs)), ref))
+        for scores, mask in zip(per_net, row.masks.values()):
+            scores.append(_foreground_jaccard(mask, ref))
     return float(np.mean(fused)), [float(np.mean(scores)) for scores in per_net]
 
 
@@ -468,7 +505,9 @@ def fused_validation_score(
 
 
 def ensemble_agreement(
-    params_list: Sequence[ModelParams], images: Sequence[ImageTensor]
+    params_list: Sequence[ModelParams],
+    images: Sequence[ImageTensor],
+    caches: Optional[list[Optional[ForwardCache]]] = None,
 ) -> float:
     """Mean pairwise agreement of the networks' predictions; 1.0, without
     a forward pass, for fewer than two networks."""
@@ -476,8 +515,12 @@ def ensemble_agreement(
         return 1.0
     total = 0.0
     count = 0
+    nets = range(len(params_list))
+    if caches is None:
+        caches = [None] * len(params_list)
     for image in images:
-        preds = [argmax_mask(predict_probs(p, image)) for p in params_list]
+        row = _prediction_row(params_list, image, nets, True, caches)
+        preds = list(row.masks.values())
         for a in range(len(preds)):
             for b in range(a + 1, len(preds)):
                 total += agreement_fraction(preds[a], preds[b])
@@ -533,6 +576,7 @@ def _probe_losses(
     dataset: Dataset,
     config: TrainConfig,
     lam: float,
+    caches: list[Optional[ForwardCache]],
 ) -> tuple[float, float, float, float]:
     """Ensemble-mean loss components on a fixed probe batch.
 
@@ -546,20 +590,18 @@ def _probe_losses(
     use_ps = config.w_max > 0 and len(probe_unann) > 0
     num_nets = len(snapshot)
     nets = range(num_nets)
-    row = _prediction_row(snapshot, sample.image, nets, masks=config.beta != 0)
+    masks = _needs_masks(config, num_nets)
+    row = _prediction_row(snapshot, sample.image, nets, masks, caches)
     npce = [
         _npce_terms(row, sample, k, (k + 1) % num_nets, config.alpha, config.beta)
         for k in nets
     ]
-    # a row holds K forward caches: free each before building the next
-    del row
     l_ps = [0.0] * num_nets
     if use_ps:
         for u in probe_unann:
-            row = _prediction_row(snapshot, u.image, nets)
+            row = _prediction_row(snapshot, u.image, nets, True, caches)
             for k in nets:
                 l_ps[k] += _mnps_terms(row, k)[0]
-            del row
     l_ma_m = l_pc_m = l_ps_m = total_m = 0.0
     for k in nets:
         l_ma, l_pc, _ = npce[k]
@@ -620,7 +662,11 @@ def train_single_annotator(
 def _train(
     dataset: Dataset, config: TrainConfig, out_dir: Optional[str | Path]
 ) -> TrainResult:
-    """The training loop, with one network per annotation of a training sample."""
+    """The training loop, with one network per annotation of a training sample.
+
+    Every forward of the run goes through one list of caches, which is
+    freed when this returns: the result references none of them.
+    """
     if not dataset.multi:
         raise TrainingError("training requires at least one multi-annotated sample")
     if not dataset.validation:
@@ -644,6 +690,7 @@ def _train(
         params = init_params(arch, seed)
         nets.append(NetworkSlot(params=params, opt=init_opt_state(params, config.lr)))
     state = EnsembleState(nets=nets, t=0, rng=rng)
+    caches: list[Optional[ForwardCache]] = [None] * num_nets
 
     val_refs = validation_references(dataset.validation)
     train_images = [s.image for s in dataset.multi]
@@ -659,9 +706,11 @@ def _train(
     def record_checkpoint() -> None:
         snapshot = state.snapshot()
         lam = _ramp_weight(config, state.t, num_nets)
-        l_ma, l_pc, l_ps, total = _probe_losses(snapshot, dataset, config, lam)
-        agreement = ensemble_agreement(snapshot, train_images)
-        val_score, net_scores = _validation_scores(snapshot, dataset.validation, val_refs)
+        l_ma, l_pc, l_ps, total = _probe_losses(snapshot, dataset, config, lam, caches)
+        agreement = ensemble_agreement(snapshot, train_images, caches)
+        val_score, net_scores = _validation_scores(
+            snapshot, dataset.validation, val_refs, caches
+        )
         trace.append(
             TraceRow(
                 iteration=state.t,
@@ -698,7 +747,7 @@ def _train(
                     len(dataset.unannotated), size=config.unannotated_batch
                 )
                 unannotated = [dataset.unannotated[int(i)] for i in un_idx]
-            train_iteration(state, annotated, unannotated, config)
+            train_iteration(state, annotated, unannotated, config, caches)
             if state.t % config.validation_every == 0:
                 record_checkpoint()
         if per_network:

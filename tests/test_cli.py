@@ -208,6 +208,56 @@ def test_eval_fused_and_per_network(run_dir, dataset_dir, tmp_path):
         assert 0.0 <= float(parts[3]) <= 1.0
 
 
+def test_eval_per_network_forwards_each_image_once_per_network(
+    run_dir, dataset_dir, tmp_path, monkeypatch
+):
+    from ambiseg import model
+    from ambiseg.masks import argmax_mask
+    from ambiseg.metrics import evaluate_masks
+    from ambiseg.training import fused_prediction
+
+    # the report as scope-major code computes it: a fused pass over the
+    # test split, then one pass per network
+    dataset = load_dataset(dataset_dir)
+    params = [load_checkpoint(run_dir / f"net{k}.msen") for k in range(2)]
+    refs = [s.clean_gt for s in dataset.test]
+    scopes = [("fused", [fused_prediction(params, s.image) for s in dataset.test])]
+    for k, p in enumerate(params):
+        preds = [argmax_mask(model.predict_probs(p, s.image)) for s in dataset.test]
+        scopes.append((f"net{k}", preds))
+    want = ["network,class,jaccard,dice"]
+    for name, preds in scopes:
+        r = evaluate_masks(preds, refs)
+        want += [f"{name},{c},{r.class_jaccard[c]:.6f},{r.class_dice[c]:.6f}"
+                 for c in range(r.num_classes)]
+
+    calls = []
+    original = model.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", counted)
+    report = tmp_path / "report.csv"
+    assert entry([
+        "eval", "--run", str(run_dir), "--data", str(dataset_dir),
+        "--out", str(report), "--per-network",
+    ]) == 0
+    assert len(calls) == len(params) * len(dataset.test)
+    assert report.read_text() == "\n".join(want) + "\n"
+
+    # without --per-network: the same forwards, the fused lines only
+    calls.clear()
+    assert entry([
+        "eval", "--run", str(run_dir), "--data", str(dataset_dir),
+        "--out", str(report),
+    ]) == 0
+    assert len(calls) == len(params) * len(dataset.test)
+    fused_lines = [want[0]] + [line for line in want if line.startswith("fused,")]
+    assert report.read_text() == "\n".join(fused_lines) + "\n"
+
+
 def test_eval_missing_run(dataset_dir, tmp_path):
     code = entry([
         "eval", "--run", str(tmp_path / "ghost"), "--data", str(dataset_dir),

@@ -64,6 +64,178 @@ def test_forward_matches_naive_convolution():
     assert np.abs(logits - naive_forward(params, image)).max() < 1e-10
 
 
+# The kernels as first written (np.pad + tensordot im2col, a padded
+# nine-tensordot input gradient, an axis-1 softmax max). The library's
+# buffer-writing kernels must reproduce them bit for bit.
+
+
+def ref_im2col3(x):
+    c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    cols = np.empty((c, 3, 3, h, w))
+    for dy in range(3):
+        for dx in range(3):
+            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + w]
+    return cols
+
+
+def ref_conv3(cols, w, b):
+    return np.tensordot(w, cols, axes=([1, 2, 3], [0, 1, 2])) + b[:, None, None]
+
+
+def ref_conv3_param_grads(cols, gout):
+    return np.tensordot(gout, cols, axes=([1, 2], [3, 4])), gout.sum(axis=(1, 2))
+
+
+def ref_conv3_input_grad(w, gout):
+    _, h, width = gout.shape
+    dxp = np.zeros((w.shape[1], h + 2, width + 2))
+    for dy in range(3):
+        for dx in range(3):
+            dxp[:, dy : dy + h, dx : dx + width] += np.tensordot(
+                w[:, :, dy, dx], gout, axes=([0], [0])
+            )
+    return dxp[:, 1 : h + 1, 1 : width + 1]
+
+
+def ref_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_forward(params, image):
+    p = params.unpack()
+    acts = {"cols1": ref_im2col3(image.planes())}
+    acts["pre1"] = ref_conv3(acts["cols1"], p["w1"], p["b1"])
+    acts["act1"] = np.maximum(acts["pre1"], 0.0)
+    acts["cols2"] = ref_im2col3(acts["act1"])
+    acts["pre2"] = ref_conv3(acts["cols2"], p["w2"], p["b2"])
+    acts["act2"] = np.maximum(acts["pre2"], 0.0)
+    logits_chw = (
+        np.tensordot(p["w3"][:, :, 0, 0], acts["act2"], axes=([1], [0]))
+        + p["b3"][:, None, None]
+    )
+    return logits_chw.reshape(params.arch.num_classes, -1).T.copy(), acts
+
+
+def ref_backward(params, acts, grad_logits):
+    arch = params.arch
+    p = params.unpack()
+    _, h, w = acts["pre1"].shape
+    g_chw = grad_logits.T.reshape(arch.num_classes, h, w)
+    dw3 = np.tensordot(g_chw, acts["act2"], axes=([1, 2], [1, 2]))[:, :, None, None]
+    db3 = g_chw.sum(axis=(1, 2))
+    d_act2 = np.tensordot(p["w3"][:, :, 0, 0], g_chw, axes=([0], [0]))
+    d_pre2 = d_act2 * (acts["pre2"] > 0.0)
+    dw2, db2 = ref_conv3_param_grads(acts["cols2"], d_pre2)
+    d_act1 = ref_conv3_input_grad(p["w2"], d_pre2)
+    d_pre1 = d_act1 * (acts["pre1"] > 0.0)
+    dw1, db1 = ref_conv3_param_grads(acts["cols1"], d_pre1)
+    return np.concatenate(
+        [dw1.ravel(), db1.ravel(), dw2.ravel(), db2.ravel(), dw3.ravel(), db3.ravel()]
+    )
+
+
+CACHE_FIELDS = ("cols1", "pre1", "act1", "cols2", "pre2", "act2")
+
+
+def odd_case(in_channels, num_classes, height, width, seed):
+    """Parameters with nonzero biases and a random image of an odd shape."""
+    rng = np.random.default_rng(seed)
+    arch = Architecture(in_channels=in_channels, hidden=5, num_classes=num_classes)
+    params = init_params(arch, seed=seed)
+    # nonzero biases, so some ReLUs sit exactly at zero and some are cut
+    flat = params.flat + rng.normal(scale=0.2, size=params.flat.shape)
+    params = ModelParams(arch=arch, flat=flat, seed=seed)
+    image = ImageTensor.from_planes(
+        rng.uniform(-1, 1, size=(in_channels, height, width))
+    )
+    return params, image, rng
+
+
+ODD_SHAPES = [
+    (1, 2, 7, 5),
+    (3, 2, 5, 9),
+    (1, 3, 9, 7),
+    (3, 3, 1, 7),
+    (1, 9, 11, 3),
+    (3, 9, 7, 1),
+]
+
+
+@pytest.mark.parametrize("in_channels,num_classes,height,width", ODD_SHAPES)
+def test_forward_backward_bitwise_equal_to_reference_kernels(
+    in_channels, num_classes, height, width
+):
+    params, image, rng = odd_case(in_channels, num_classes, height, width, seed=3)
+    logits, cache = forward(params, image)
+    want_logits, acts = ref_forward(params, image)
+    assert np.array_equal(logits, want_logits)
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(cache, name), acts[name]), name
+    g = rng.normal(size=logits.shape)
+    assert np.array_equal(backward(params, cache, g), ref_backward(params, acts, g))
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
+def test_softmax_bitwise_equal_to_axis_max(num_classes):
+    rng = np.random.default_rng(num_classes)
+    logits = rng.normal(scale=30.0, size=(77, num_classes))
+    logits[::5, -1] = logits[::5, 0]  # ties for the row max
+    logits[3] = 0.0
+    logits[4, 0] = -0.0
+    assert np.array_equal(softmax(logits), ref_softmax(logits))
+
+
+@pytest.mark.parametrize("in_channels,num_classes,height,width", ODD_SHAPES[:3])
+def test_forward_into_reused_cache_equals_fresh_forward(
+    in_channels, num_classes, height, width
+):
+    params, image, rng = odd_case(in_channels, num_classes, height, width, seed=8)
+    other = ImageTensor.from_planes(
+        rng.uniform(-1, 1, size=(in_channels, height, width))
+    )
+    _, cache = forward(params, other)
+    logits, reused = forward(params, image, cache)
+    assert reused is cache
+    fresh_logits, fresh = forward(params, image)
+    assert fresh is not cache
+    assert np.array_equal(logits, fresh_logits)
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+
+
+def test_forward_replaces_a_cache_that_does_not_fit():
+    params, image, _ = odd_case(1, 2, 7, 5, seed=4)
+    _, cache = forward(params, ImageTensor.from_planes(np.ones((1, 5, 7))))
+    logits, used = forward(params, image, cache)
+    assert used is not cache and (used.height, used.width) == (7, 5)
+    assert np.array_equal(logits, ref_forward(params, image)[0])
+    wider = Architecture(hidden=6)
+    _, foreign = forward(init_params(wider, seed=1), image)
+    assert forward(params, image, foreign)[1] is not foreign
+
+
+def test_backward_only_reads_its_cache():
+    params, image, rng = odd_case(3, 3, 9, 7, seed=6)
+    logits, cache = forward(params, image)
+    before = {name: getattr(cache, name).copy() for name in CACHE_FIELDS}
+    g = rng.normal(size=logits.shape)
+    first = backward(params, cache, g)
+    kept = first.copy()
+    # another cache, then the first one again with a different gradient
+    # in between, so its scratch holds a stale backward pass
+    _, other = forward(params, ImageTensor.from_planes(rng.uniform(size=(3, 9, 7))))
+    backward(params, other, g)
+    backward(params, cache, rng.normal(size=logits.shape))
+    second = backward(params, cache, g)
+    assert np.array_equal(first, kept)  # an earlier gradient is never overwritten
+    assert np.array_equal(second, first)
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(cache, name), before[name]), name
+
+
 def test_zero_params_give_uniform_softmax():
     arch = Architecture()
     params = ModelParams(arch=arch, flat=np.zeros(param_count(arch)), seed=0)

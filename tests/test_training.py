@@ -1,6 +1,8 @@
 """Ensemble trainer: loss assembly, scheduling, determinism, run artifacts."""
 
+import gc
 import math
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -427,6 +429,62 @@ def test_checkpoints_run_no_backward(tiny_dataset, monkeypatch):
     result = run_training(tiny_dataset, config)
     assert len(result.trace) == 3  # checkpoints at iterations 0, 2 and 4
     assert len(backwards) == config.total_iters * config.k * (2 + 3)
+
+
+def test_run_reuses_one_cache_per_network_and_frees_them(tiny_dataset, monkeypatch):
+    from ambiseg import model, training
+
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
+                         annotated_per_iter=2, unannotated_batch=3)
+    original = model.forward
+    caches = []  # weak references to every distinct cache forward returned
+    received = []  # per call: index into caches of the cache passed in, or None
+
+    def recording(params, image, cache=None):
+        logits, out = original(params, image, cache)
+        if cache is None:
+            received.append(None)
+        else:
+            received.append(next(i for i, r in enumerate(caches) if r() is cache))
+        if not any(r() is out for r in caches):
+            caches.append(weakref.ref(out))
+        return logits, out
+
+    for module in (model, training):
+        monkeypatch.setattr(module, "forward", recording)
+    result = run_training(tiny_dataset, config)
+    assert len(result.trace) == 3  # checkpoints at iterations 0, 2 and 4
+
+    # the first checkpoint's probe row allocates one cache per network;
+    # every later forward, in the loop and at checkpoints, reuses them
+    assert len(caches) == config.k
+    assert received[: config.k] == [None] * config.k
+    assert None not in received[config.k :]
+    # the run's buffers die with the run, while its result (still held
+    # here) lives on, so nothing in it references a cache
+    gc.collect()
+    assert all(r() is None for r in caches)
+
+
+def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
+    from ambiseg import training
+
+    calls = []
+    original = training.argmax_mask
+
+    def counted(probs):
+        calls.append(1)
+        return original(probs)
+
+    monkeypatch.setattr(training, "argmax_mask", counted)
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
+                         annotated_per_iter=2)
+    assert config.beta != 0
+    result = train_single_annotator(tiny_dataset, config, annotator=1)
+    # only the validation pass takes argmax masks (the network's and the
+    # fused one): a lone network's consistency term never reads a mask
+    n_val = len(tiny_dataset.validation)
+    assert len(calls) == len(result.trace) * n_val * 2
 
 
 def test_validation_references_are_majority_votes(tiny_dataset):
