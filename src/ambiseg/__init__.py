@@ -75,8 +75,6 @@ from .training import (
     TrainConfig,
     TrainResult,
     TrainingError,
-    mnps_loss,
-    npce_losses,
     pick_comparison,
     run_training,
     train_iteration,

@@ -28,10 +28,11 @@ from .data import (
 from .fusion import FUSION_STRATEGIES, average_fuse, fuse_annotations
 from .masks import LabelMask, argmax_mask
 from .metrics import evaluate_masks
-from .model import gradient_check_report, load_checkpoint, predict_probs
+from .model import gradient_check_report, load_checkpoint
 from .training import (
     TrainConfig,
     TrainingError,
+    _prediction_rows,
     config_hash,
     run_training,
     train_single_annotator,
@@ -179,9 +180,16 @@ def _load_run_checkpoints(run_dir: Path):
     manifest = run_dir / "manifest.tsv"
     if not manifest.exists():
         raise FileNotFoundError(f"no run manifest at {manifest}")
-    entries = dict(
-        line.split("\t", 1) for line in manifest.read_text().splitlines() if line
-    )
+    entries: dict[str, str] = {}
+    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+        if not line:
+            continue
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{manifest}:{lineno}: expected 'key<TAB>value', got {line!r}")
+        if key == "k" and not value.isdecimal():
+            raise ValueError(f"{manifest}:{lineno}: k must be an integer, got {value!r}")
+        entries[key] = value
     k = int(entries["k"]) if "k" in entries else None
     params = []
     i = 0
@@ -211,12 +219,10 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     # probabilities the per-network scopes take their argmax of
     fused: list[LabelMask] = []
     per_net: list[list[LabelMask]] = [[] for _ in params]
-    for s in dataset.test:
-        probs = [predict_probs(p, s.image) for p in params]
-        fused.append(argmax_mask(average_fuse(probs)))
-        if ns.per_network:
-            for preds, pm in zip(per_net, probs):
-                preds.append(argmax_mask(pm))
+    for row in _prediction_rows(params, [s.image for s in dataset.test], ns.per_network):
+        fused.append(argmax_mask(average_fuse(row.probs)))
+        for preds, mask in zip(per_net, row.masks):
+            preds.append(mask)
     scopes = [("fused", fused)]
     if ns.per_network:
         scopes += [(f"net{i}", preds) for i, preds in enumerate(per_net)]
@@ -288,6 +294,10 @@ def cmd_fuse(ns: argparse.Namespace) -> int:
 
 
 def cmd_grad_check(ns: argparse.Namespace) -> int:
+    if ns.instances < 1:
+        raise UsageError(f"--instances must be >= 1, got {ns.instances}")
+    if ns.size < 1:
+        raise UsageError(f"--size must be >= 1, got {ns.size}")
     report = gradient_check_report(
         seed=ns.seed,
         instances=ns.instances,

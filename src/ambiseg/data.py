@@ -421,10 +421,24 @@ def build_dataset(
     `seed`, so rebuilding with the same arguments reproduces the tree
     byte for byte.
     """
+    counts = {"n_multi": n_multi, "n_unann": n_unann, "n_val": n_val, "n_test": n_test}
+    for name, count in counts.items():
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if profiles is None:
         profiles = default_profiles(k)
     if len(profiles) != k:
         raise ValueError(f"got {len(profiles)} profiles for k={k}")
+    # every scene differs from this one only in its seed; building it
+    # checks the scene settings before anything is written
+    base_spec = SceneSpec(
+        width=width,
+        height=height,
+        shape_family=shape_family,
+        contrast=contrast,
+        noise_level=noise_level,
+        blur_radius=blur_radius,
+    )
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(exist_ok=True)
@@ -440,16 +454,7 @@ def build_dataset(
         nonlocal scene_index
         idx = scene_index
         scene_index += 1
-        spec = SceneSpec(
-            width=width,
-            height=height,
-            shape_family=shape_family,
-            contrast=contrast,
-            noise_level=noise_level,
-            blur_radius=blur_radius,
-            seed=_derive_seed(seed, idx),
-        )
-        image, gt = make_scene(spec)
+        image, gt = make_scene(replace(base_spec, seed=_derive_seed(seed, idx)))
         return image, gt, idx
 
     def annotate_all(gt: LabelMask, idx: int) -> list[LabelMask]:

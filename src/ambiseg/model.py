@@ -517,14 +517,7 @@ def gradient_check_report(
 
         def loss_at(flat: np.ndarray) -> float:
             p = ModelParams(arch=arch, flat=flat, seed=params.seed)
-            lg, _ = forward(p, image)
-            pm = ProbMap(
-                width=size,
-                height=size,
-                num_classes=arch.num_classes,
-                probs=softmax(lg),
-            )
-            value, _ = masked_cross_entropy(pm, targets)
+            value, _ = masked_cross_entropy(predict_probs(p, image), targets)
             return value
 
         fd = np.empty_like(params.flat)

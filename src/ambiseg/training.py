@@ -14,24 +14,28 @@ The single-annotator baseline is this loop with K = 1: a lone network
 compares with itself, so it learns its whole annotation (full-grid CE),
 with nothing to refine, no peer consensus and no ramp weight.
 
-An iteration walks the batch image by image. For each image it builds
-one prediction row (every network's forward pass, probabilities, argmax
-mask and cache), feeds every learner's loss terms on that image from the
-row, backpropagates each learner once, and releases the row before the
-next image. Each network therefore forwards each batch image once. Every
-learner's losses and gradients still add up in batch order (annotated
-samples, then unannotated ones), so results are bit-identical to a
-learner-major loop over the public npce_losses and mnps_loss. Checkpoint
-probes use the same rows and run no backward pass.
+Every pass of several networks over images goes through prediction
+rows: one row per image holds every network's probabilities and, on
+request, argmax masks. An iteration walks the batch image by image: each
+row feeds every learner's loss terms on that image, each learner
+backpropagates once, and the next row is built only then. Each network
+therefore forwards each batch image once. Every learner's losses and
+gradients still add up in batch order (annotated samples, then
+unannotated ones), so results are bit-identical to a learner-major loop
+that computes each learner's losses on its own. A checkpoint is one pass
+of rows over the training images, the probe's unannotated images and the
+validation split, with no backward pass; fused prediction uses the same
+rows.
 
 Buffers: a training run owns one forward cache per network (a list,
 network z's cache at index z, None until its first forward), and every
-forward of the run (training rows, probes, validation and agreement
-passes) writes network z's activations into cache z. A cache is
-overwritten by the next forward that receives it, so a row's caches are
-valid only until the next row is built; backward only reads their
-activations. The run's caches die with the run: no returned object
-references them. A function called without caches uses caches of its own
+forward of the run (training and checkpoint rows) writes network z's
+activations into cache z. A cache is overwritten by the next forward
+that receives it, so a row's activations are valid only until the next
+row is built; backward only reads them. The run's caches die with the
+run: no returned object references them. Rows built without caches share
+one cache of their own across the networks, since nothing backpropagates
+through them; train_iteration called without caches uses one per network
 for that call.
 """
 
@@ -41,7 +45,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -72,7 +76,6 @@ from .model import (
     forward,
     init_opt_state,
     init_params,
-    predict_probs,
     save_checkpoint,
 )
 
@@ -193,43 +196,59 @@ def pick_comparison(k: int, num_nets: int, rng: np.random.Generator) -> int:
 
 @dataclass
 class _PredictionRow:
-    """Some networks' predictions on one image, keyed by network index.
+    """Every network's prediction on one image, indexed by network.
 
-    Holds each network's probabilities, its hard argmax mask (when the
-    caller asked for masks) and its forward cache. Every loss term of
-    every learner on that image reads from one row, so each network
-    forwards each image once. The caches are the ones the row was built
-    with, so the next row built with them overwrites them.
+    Holds each network's probabilities and, when the caller asked for
+    masks, its hard argmax mask. Every loss term of every learner on that
+    image reads from one row, so each network forwards each image once.
+    The row holds no activations: network z's stay in the cache the row
+    was built with until the next row overwrites them.
     """
 
-    probs: dict[int, ProbMap]
-    masks: dict[int, LabelMask]
-    caches: dict[int, ForwardCache]
+    probs: list[ProbMap]
+    masks: list[LabelMask]
 
 
 def _prediction_row(
     snapshot: Sequence[ModelParams],
     image: ImageTensor,
-    nets: Iterable[int],
     masks: bool,
     caches: list[Optional[ForwardCache]],
 ) -> _PredictionRow:
-    row = _PredictionRow(probs={}, masks={}, caches={})
-    for z in nets:
-        logits, cache = forward(snapshot[z], image, caches[z])
-        caches[z] = cache
+    row = _PredictionRow(probs=[], masks=[])
+    for z, params in enumerate(snapshot):
+        # a list of one cache is shared by every network
+        slot = z % len(caches)
+        logits, caches[slot] = forward(params, image, caches[slot])
         probs = ProbMap(
             width=image.width,
             height=image.height,
-            num_classes=snapshot[z].arch.num_classes,
+            num_classes=params.arch.num_classes,
             probs=softmax(logits),
             logits=logits,
         )
-        row.probs[z] = probs
+        row.probs.append(probs)
         if masks:
-            row.masks[z] = argmax_mask(probs)
-        row.caches[z] = cache
+            row.masks.append(argmax_mask(probs))
     return row
+
+
+def _prediction_rows(
+    params_list: Sequence[ModelParams],
+    images: Iterable[ImageTensor],
+    masks: bool,
+    caches: Optional[list[Optional[ForwardCache]]] = None,
+) -> Iterator[_PredictionRow]:
+    """One prediction row per image, in order, each built when the
+    previous one has been consumed.
+
+    Network z forwards into caches[z]. Without caches every network
+    shares one cache, so no row can be backpropagated.
+    """
+    if caches is None:
+        caches = [None]
+    for image in images:
+        yield _prediction_row(params_list, image, masks, caches)
 
 
 def _npce_terms(
@@ -240,7 +259,11 @@ def _npce_terms(
     alpha: float,
     beta: float,
 ) -> tuple[float, float, np.ndarray]:
-    """l_ma, l_pc and the weighted logit gradient of network k against peer j."""
+    """l_ma, l_pc and the weighted logit gradient of network k against peer j.
+
+    The peer contributes only its hard argmax mask, so no gradient flows
+    into network j. A zero weight skips its term and reports it as 0.
+    """
     agree, disagree = separate_agreement(sample.annotations[k], sample.annotations[j])
     probs_k = row.probs[k]
     grad_logits = np.zeros_like(probs_k.probs)
@@ -259,95 +282,16 @@ def _npce_terms(
 
 
 def _mnps_terms(row: _PredictionRow, k: int) -> tuple[float, np.ndarray]:
-    """l_ps and its logit gradient for network k.
-
-    The row must hold every network's mask, in ascending network order.
-    """
-    peer_masks = [mask for z, mask in row.masks.items() if z != k]
+    """l_ps and its logit gradient for network k: the pixels where all of
+    its peers' hard predictions agree, labeled with that prediction."""
+    peer_masks = [mask for z, mask in enumerate(row.masks) if z != k]
     return masked_cross_entropy(row.probs[k], consensus_set(peer_masks))
-
-
-def npce_losses(
-    snapshot: Sequence[ModelParams],
-    sample: MultiAnnotatedSample,
-    k: int,
-    j: int,
-    alpha: float = ALPHA_DEFAULT,
-    beta: float = BETA_DEFAULT,
-) -> tuple[float, float, np.ndarray]:
-    """Agreement and consistency losses for network k against peer j.
-
-    Returns (l_ma, l_pc, param_grad) where param_grad already carries the
-    alpha/beta weights. The peer contributes only its hard argmax mask,
-    so no gradient flows into network j. A zero weight skips its term
-    entirely and reports that component as 0.
-    """
-    if k == j:
-        raise ValueError("comparison network must differ from the learner")
-    nets = (k, j) if beta != 0 else (k,)
-    caches = [None] * len(snapshot)
-    row = _prediction_row(snapshot, sample.image, nets, beta != 0, caches)
-    l_ma, l_pc, grad_logits = _npce_terms(row, sample, k, j, alpha, beta)
-    return l_ma, l_pc, backward(snapshot[k], row.caches[k], grad_logits)
-
-
-def mnps_loss(
-    snapshot: Sequence[ModelParams],
-    sample: UnannotatedSample,
-    k: int,
-) -> tuple[float, np.ndarray]:
-    """Pseudo-supervision of network k on one unannotated image.
-
-    Targets are the pixels where all peer networks' hard predictions
-    agree, labeled with that unanimous prediction; peers are constants.
-    """
-    caches = [None] * len(snapshot)
-    row = _prediction_row(snapshot, sample.image, range(len(snapshot)), True, caches)
-    l_ps, grad_logits = _mnps_terms(row, k)
-    return l_ps, backward(snapshot[k], row.caches[k], grad_logits)
 
 
 def _needs_masks(config: TrainConfig, num_nets: int) -> bool:
     """Whether annotated rows need argmax masks: only the consistency term
     reads them, and a lone network has no peer to be consistent with."""
     return config.beta != 0 and num_nets > 1
-
-
-def _annotated_grads(
-    snapshot: Sequence[ModelParams],
-    sample: MultiAnnotatedSample,
-    peers: Sequence[int],
-    config: TrainConfig,
-    caches: list[Optional[ForwardCache]],
-) -> list[tuple[float, float, np.ndarray]]:
-    """(l_ma, l_pc, param_grad) of every network k against peers[k] on one sample."""
-    nets = range(len(snapshot))
-    masks = _needs_masks(config, len(snapshot))
-    row = _prediction_row(snapshot, sample.image, nets, masks, caches)
-    out = []
-    for k, j in enumerate(peers):
-        l_ma, l_pc, grad_logits = _npce_terms(
-            row, sample, k, j, config.alpha, config.beta
-        )
-        grad = backward(snapshot[k], row.caches[k], grad_logits)
-        out.append((l_ma, l_pc, grad))
-    return out
-
-
-def _unannotated_grads(
-    snapshot: Sequence[ModelParams],
-    sample: UnannotatedSample,
-    caches: list[Optional[ForwardCache]],
-) -> list[tuple[float, np.ndarray]]:
-    """(l_ps, param_grad) of every network on one unannotated image."""
-    nets = range(len(snapshot))
-    row = _prediction_row(snapshot, sample.image, nets, True, caches)
-    out = []
-    for k in nets:
-        l_ps, grad_logits = _mnps_terms(row, k)
-        grad = backward(snapshot[k], row.caches[k], grad_logits)
-        out.append((l_ps, grad))
-    return out
 
 
 def _ramp_weight(config: TrainConfig, t: int, num_nets: int) -> float:
@@ -375,6 +319,7 @@ def train_iteration(
     snapshot = state.snapshot()
     num_nets = len(snapshot)
     if caches is None:
+        # backward reads every network's activations of the current row
         caches = [None] * num_nets
     lam = _ramp_weight(config, state.t, num_nets)
     lr = config.lr_at(state.t)
@@ -390,25 +335,29 @@ def train_iteration(
     grads = [np.zeros_like(p.flat) for p in snapshot]
     l_ma_sums = [0.0] * num_nets
     l_pc_sums = [0.0] * num_nets
-    for sample in annotated:
-        for k, (l_ma, l_pc, g) in enumerate(
-            _annotated_grads(snapshot, sample, peers, config, caches)
-        ):
+    rows = _prediction_rows(
+        snapshot, [s.image for s in annotated], _needs_masks(config, num_nets), caches
+    )
+    for sample, row in zip(annotated, rows):
+        for k, j in enumerate(peers):
+            l_ma, l_pc, grad_logits = _npce_terms(
+                row, sample, k, j, config.alpha, config.beta
+            )
             l_ma_sums[k] += l_ma
             l_pc_sums[k] += l_pc
-            grads[k] += g
+            grads[k] += backward(snapshot[k], caches[k], grad_logits)
     for grad in grads:
         grad /= len(annotated)
 
     l_ps_sums = [0.0] * num_nets
     if use_ps:
         ps_grads = [np.zeros_like(p.flat) for p in snapshot]
-        for sample in unannotated:
-            for k, (l_ps, g) in enumerate(
-                _unannotated_grads(snapshot, sample, caches)
-            ):
+        rows = _prediction_rows(snapshot, [s.image for s in unannotated], True, caches)
+        for row in rows:
+            for k in nets:
+                l_ps, grad_logits = _mnps_terms(row, k)
                 l_ps_sums[k] += l_ps
-                ps_grads[k] += g
+                ps_grads[k] += backward(snapshot[k], caches[k], grad_logits)
         for grad, ps_grad in zip(grads, ps_grads):
             grad += lam * ps_grad / len(unannotated)
 
@@ -440,7 +389,9 @@ def train_iteration(
 
 
 def fused_probs(params_list: Sequence[ModelParams], image: ImageTensor) -> ProbMap:
-    return average_fuse([predict_probs(p, image) for p in params_list])
+    """The ensemble's averaged class probabilities on one image."""
+    (row,) = _prediction_rows(params_list, [image], masks=False)
+    return average_fuse(row.probs)
 
 
 def fused_prediction(
@@ -459,73 +410,6 @@ def validation_references(
 ) -> list[LabelMask]:
     """Majority-vote fusion of each sample's annotations."""
     return [majority_vote(s.annotations) for s in samples]
-
-
-def network_validation_score(
-    params: ModelParams,
-    samples: Sequence[MultiAnnotatedSample],
-    references: Sequence[LabelMask],
-) -> float:
-    scores = [
-        _foreground_jaccard(argmax_mask(predict_probs(params, s.image)), ref)
-        for s, ref in zip(samples, references)
-    ]
-    return float(np.mean(scores))
-
-
-def _validation_scores(
-    params_list: Sequence[ModelParams],
-    samples: Sequence[MultiAnnotatedSample],
-    references: Sequence[LabelMask],
-    caches: Optional[list[Optional[ForwardCache]]] = None,
-) -> tuple[float, list[float]]:
-    """The fused validation score and each network's network_validation_score,
-    from one forward per (network, image)."""
-    fused: list[float] = []
-    per_net: list[list[float]] = [[] for _ in params_list]
-    nets = range(len(params_list))
-    if caches is None:
-        caches = [None] * len(params_list)
-    for s, ref in zip(samples, references):
-        row = _prediction_row(params_list, s.image, nets, True, caches)
-        probs = list(row.probs.values())
-        fused.append(_foreground_jaccard(argmax_mask(average_fuse(probs)), ref))
-        for scores, mask in zip(per_net, row.masks.values()):
-            scores.append(_foreground_jaccard(mask, ref))
-    return float(np.mean(fused)), [float(np.mean(scores)) for scores in per_net]
-
-
-def fused_validation_score(
-    params_list: Sequence[ModelParams],
-    samples: Sequence[MultiAnnotatedSample],
-    references: Sequence[LabelMask],
-) -> float:
-    """Mean foreground Jaccard of the averaged ensemble's predictions."""
-    return _validation_scores(params_list, samples, references)[0]
-
-
-def ensemble_agreement(
-    params_list: Sequence[ModelParams],
-    images: Sequence[ImageTensor],
-    caches: Optional[list[Optional[ForwardCache]]] = None,
-) -> float:
-    """Mean pairwise agreement of the networks' predictions; 1.0, without
-    a forward pass, for fewer than two networks."""
-    if len(params_list) < 2:
-        return 1.0
-    total = 0.0
-    count = 0
-    nets = range(len(params_list))
-    if caches is None:
-        caches = [None] * len(params_list)
-    for image in images:
-        row = _prediction_row(params_list, image, nets, True, caches)
-        preds = list(row.masks.values())
-        for a in range(len(preds)):
-            for b in range(a + 1, len(preds)):
-                total += agreement_fraction(preds[a], preds[b])
-                count += 1
-    return total / count if count else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -571,37 +455,62 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _probe_losses(
+def _checkpoint(
     snapshot: Sequence[ModelParams],
     dataset: Dataset,
     config: TrainConfig,
-    lam: float,
+    t: int,
+    val_refs: Sequence[LabelMask],
     caches: list[Optional[ForwardCache]],
-) -> tuple[float, float, float, float]:
-    """Ensemble-mean loss components on a fixed probe batch.
+) -> tuple[TraceRow, list[float]]:
+    """The trace row of a checkpoint at iteration t, and each network's
+    mean foreground Jaccard on the validation split.
 
-    Uses the first annotated sample and the head of the unannotated pool
-    with the deterministic pairing j = (k+1) mod K, so checkpoint rows
-    are comparable across iterations and consume no rng draws. Losses
-    only: one prediction row per probe image and no backward pass.
+    One pass of prediction rows, with no backward pass and no rng draw:
+    - rows over the training images (only the first for a lone network,
+      which agrees with itself) give the mean pairwise agreement of the
+      networks' hard predictions, and the first of them gives the probe's
+      agreement and consistency losses, with the deterministic pairing
+      j = (k+1) mod K so that checkpoints are comparable;
+    - rows over the head of the unannotated pool give the probe's
+      pseudo-supervision loss;
+    - rows over the validation split give the fused score, which the
+      trace records, and the per-network scores.
+    The loss columns are ensemble means.
     """
-    sample = dataset.multi[0]
-    probe_unann = dataset.unannotated[: config.unannotated_batch]
-    use_ps = config.w_max > 0 and len(probe_unann) > 0
     num_nets = len(snapshot)
     nets = range(num_nets)
-    masks = _needs_masks(config, num_nets)
-    row = _prediction_row(snapshot, sample.image, nets, masks, caches)
-    npce = [
-        _npce_terms(row, sample, k, (k + 1) % num_nets, config.alpha, config.beta)
-        for k in nets
-    ]
+    lam = _ramp_weight(config, t, num_nets)
+    train = dataset.multi if num_nets > 1 else dataset.multi[:1]
+    agreement, pairs = 0.0, 0
+    rows = _prediction_rows(snapshot, [s.image for s in train], num_nets > 1, caches)
+    for i, row in enumerate(rows):
+        if i == 0:
+            npce = [
+                _npce_terms(row, train[0], k, (k + 1) % num_nets, config.alpha, config.beta)
+                for k in nets
+            ]
+        for a in nets:
+            for b in range(a + 1, num_nets):
+                agreement += agreement_fraction(row.masks[a], row.masks[b])
+                pairs += 1
+
+    probe_unann = dataset.unannotated[: config.unannotated_batch]
+    use_ps = config.w_max > 0 and len(probe_unann) > 0
     l_ps = [0.0] * num_nets
     if use_ps:
-        for u in probe_unann:
-            row = _prediction_row(snapshot, u.image, nets, True, caches)
+        for row in _prediction_rows(snapshot, [u.image for u in probe_unann], True, caches):
             for k in nets:
                 l_ps[k] += _mnps_terms(row, k)[0]
+
+    fused: list[float] = []
+    per_net: list[list[float]] = [[] for _ in nets]
+    rows = _prediction_rows(snapshot, [s.image for s in dataset.validation], True, caches)
+    for row, ref in zip(rows, val_refs):
+        fused.append(_foreground_jaccard(argmax_mask(average_fuse(row.probs)), ref))
+        for scores, mask in zip(per_net, row.masks):
+            scores.append(_foreground_jaccard(mask, ref))
+
     l_ma_m = l_pc_m = l_ps_m = total_m = 0.0
     for k in nets:
         l_ma, l_pc, _ = npce[k]
@@ -611,7 +520,18 @@ def _probe_losses(
         l_pc_m += bd.l_pc
         l_ps_m += bd.l_ps
         total_m += bd.total
-    return tuple(m / num_nets for m in (l_ma_m, l_pc_m, l_ps_m, total_m))
+    trace_row = TraceRow(
+        iteration=t,
+        net=-1 if num_nets > 1 else 0,
+        l_ma=l_ma_m / num_nets,
+        l_pc=l_pc_m / num_nets,
+        l_ps=l_ps_m / num_nets,
+        lambda_t=lam,
+        total=total_m / num_nets,
+        agreement=agreement / pairs if pairs else 1.0,
+        val_jaccard=float(np.mean(fused)),
+    )
+    return trace_row, [float(np.mean(scores)) for scores in per_net]
 
 
 def run_training(
@@ -693,7 +613,6 @@ def _train(
     caches: list[Optional[ForwardCache]] = [None] * num_nets
 
     val_refs = validation_references(dataset.validation)
-    train_images = [s.image for s in dataset.multi]
 
     trace: list[TraceRow] = []
 
@@ -705,32 +624,15 @@ def _train(
 
     def record_checkpoint() -> None:
         snapshot = state.snapshot()
-        lam = _ramp_weight(config, state.t, num_nets)
-        l_ma, l_pc, l_ps, total = _probe_losses(snapshot, dataset, config, lam, caches)
-        agreement = ensemble_agreement(snapshot, train_images, caches)
-        val_score, net_scores = _validation_scores(
-            snapshot, dataset.validation, val_refs, caches
-        )
-        trace.append(
-            TraceRow(
-                iteration=state.t,
-                net=-1 if num_nets > 1 else 0,
-                l_ma=l_ma,
-                l_pc=l_pc,
-                l_ps=l_ps,
-                lambda_t=lam,
-                total=total,
-                agreement=agreement,
-                val_jaccard=val_score,
-            )
-        )
+        row, net_scores = _checkpoint(snapshot, dataset, config, state.t, val_refs, caches)
+        trace.append(row)
         if per_network:
             for k, (params, score) in enumerate(zip(snapshot, net_scores)):
                 if score > net_best[k][0]:
                     net_best[k] = (score, params, state.t)
-        elif state.best is None or val_score > state.best.score:
+        elif state.best is None or row.val_jaccard > state.best.score:
             state.best = BestRecord(
-                iteration=state.t, score=val_score, params=list(snapshot)
+                iteration=state.t, score=row.val_jaccard, params=list(snapshot)
             )
 
     if config.total_iters == 0:

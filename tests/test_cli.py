@@ -66,6 +66,21 @@ def test_gen_data_reproducible(tmp_path):
     assert tree_digest(a) == tree_digest(b)
 
 
+@pytest.mark.parametrize("args", [
+    ["--n-val", "-1"], ["--n-multi", "-2"], ["--n-test", "-1"], ["--width", "0"],
+    ["--height", "7"],
+])
+def test_gen_data_rejects_bad_sizes_before_writing(args, tmp_path, capsys):
+    out = tmp_path / "ds"
+    code = entry([
+        "gen-data", "--out", str(out), "--n-multi", "1", "--n-unann", "0",
+        "--n-val", "1", "--n-test", "1", "--width", "16", "--height", "16", *args,
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_train_missing_dataset(tmp_path):
     code = entry([
         "train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
@@ -211,17 +226,21 @@ def test_eval_fused_and_per_network(run_dir, dataset_dir, tmp_path):
 def test_eval_per_network_forwards_each_image_once_per_network(
     run_dir, dataset_dir, tmp_path, monkeypatch
 ):
-    from ambiseg import model
+    from ambiseg import model, training
+    from ambiseg.fusion import average_fuse
     from ambiseg.masks import argmax_mask
     from ambiseg.metrics import evaluate_masks
-    from ambiseg.training import fused_prediction
 
-    # the report as scope-major code computes it: a fused pass over the
-    # test split, then one pass per network
+    # the report as scope-major code computes it from model.predict_probs:
+    # a fused pass over the test split, then one pass per network
     dataset = load_dataset(dataset_dir)
     params = [load_checkpoint(run_dir / f"net{k}.msen") for k in range(2)]
     refs = [s.clean_gt for s in dataset.test]
-    scopes = [("fused", [fused_prediction(params, s.image) for s in dataset.test])]
+    fused = [
+        argmax_mask(average_fuse([model.predict_probs(p, s.image) for p in params]))
+        for s in dataset.test
+    ]
+    scopes = [("fused", fused)]
     for k, p in enumerate(params):
         preds = [argmax_mask(model.predict_probs(p, s.image)) for s in dataset.test]
         scopes.append((f"net{k}", preds))
@@ -238,7 +257,9 @@ def test_eval_per_network_forwards_each_image_once_per_network(
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(model, "forward", counted)
+    # prediction rows call training's binding, predict_probs model's
+    for module in (model, training):
+        monkeypatch.setattr(module, "forward", counted)
     report = tmp_path / "report.csv"
     assert entry([
         "eval", "--run", str(run_dir), "--data", str(dataset_dir),
@@ -361,6 +382,14 @@ def test_grad_check_detects_corruption():
                   "--corrupt"]) == 1
 
 
+@pytest.mark.parametrize(
+    "args", [["--instances", "0"], ["--instances", "-3"], ["--size", "0"]]
+)
+def test_grad_check_rejects_empty_checks(args, capsys):
+    assert entry(["grad-check", *args]) == 2
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
 def test_unknown_subcommand():
     assert entry(["polish"]) == 2
 
@@ -375,6 +404,25 @@ def test_eval_truncated_checkpoint_is_an_error(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "net0.msen" in err
+
+
+@pytest.mark.parametrize("line, message", [
+    ("k2", "expected 'key<TAB>value'"), ("k\ttwo", "k must be an integer"),
+])
+def test_eval_malformed_manifest_names_file_and_line(
+    line, message, run_dir, dataset_dir, tmp_path, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    manifest = run / "manifest.tsv"
+    lines = manifest.read_text().splitlines()
+    assert lines[1] == "k\t2"
+    lines[1] = line
+    manifest.write_text("\n".join(lines) + "\n")
+    code = entry(["eval", "--run", str(run), "--data", str(dataset_dir)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}:2: {message}")
 
 
 def test_eval_truncated_image_tensor_is_an_error(

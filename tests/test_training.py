@@ -19,7 +19,15 @@ from ambiseg.data import (
     load_dataset,
     simulate_annotator,
 )
-from ambiseg.losses import softmax, total_network_loss
+from ambiseg.losses import (
+    ALPHA_DEFAULT,
+    BETA_DEFAULT,
+    ProbMap,
+    masked_cross_entropy,
+    softmax,
+    total_network_loss,
+)
+from ambiseg.masks import argmax_mask, consensus_set, restrict, separate_agreement
 from ambiseg.model import (
     Architecture,
     ModelParams,
@@ -30,6 +38,7 @@ from ambiseg.model import (
     init_params,
     layer_slices,
     load_checkpoint,
+    predict_probs,
 )
 from ambiseg.training import (
     TRACE_HEADER,
@@ -37,12 +46,8 @@ from ambiseg.training import (
     NetworkSlot,
     TrainConfig,
     TrainingError,
+    _checkpoint,
     config_hash,
-    ensemble_agreement,
-    fused_validation_score,
-    mnps_loss,
-    network_validation_score,
-    npce_losses,
     pick_comparison,
     run_training,
     train_iteration,
@@ -75,6 +80,63 @@ def make_sample(seed, k=2, size=16):
 def make_nets(n, size=16, seed0=0):
     arch = Architecture()
     return [init_params(arch, seed=seed0 + i) for i in range(n)]
+
+
+def learner_probs(params, image):
+    """Network k's prediction with the cache its backward pass needs."""
+    logits, cache = forward(params, image)
+    probs = ProbMap(width=image.width, height=image.height,
+                    num_classes=params.arch.num_classes, probs=softmax(logits))
+    return probs, cache
+
+
+def npce_losses(snapshot, sample, k, j, alpha=ALPHA_DEFAULT, beta=BETA_DEFAULT):
+    """Reference agreement and consistency losses of network k against peer
+    j on one sample, with the alpha/beta-weighted parameter gradient.
+
+    The peer contributes only its hard argmax mask; a zero weight skips
+    its term, which reads 0.
+    """
+    probs_k, cache = learner_probs(snapshot[k], sample.image)
+    agree, disagree = separate_agreement(sample.annotations[k], sample.annotations[j])
+    grad_logits = np.zeros_like(probs_k.probs)
+    l_ma = l_pc = 0.0
+    if alpha != 0:
+        l_ma, g = masked_cross_entropy(probs_k, agree)
+        grad_logits += alpha * g
+    if beta != 0 and len(disagree):
+        peer = argmax_mask(predict_probs(snapshot[j], sample.image))
+        consistent, _ = separate_agreement(argmax_mask(probs_k), peer)
+        l_pc, g = masked_cross_entropy(probs_k, restrict(consistent, disagree))
+        grad_logits += beta * g
+    return l_ma, l_pc, backward(snapshot[k], cache, grad_logits)
+
+
+def mnps_loss(snapshot, sample, k):
+    """Reference pseudo-supervision of network k on one unannotated image:
+    the pixels where all peers' hard predictions agree, with that label."""
+    probs_k, cache = learner_probs(snapshot[k], sample.image)
+    peers = [
+        argmax_mask(predict_probs(p, sample.image))
+        for z, p in enumerate(snapshot) if z != k
+    ]
+    l_ps, grad_logits = masked_cross_entropy(probs_k, consensus_set(peers))
+    return l_ps, backward(snapshot[k], cache, grad_logits)
+
+
+def clean_room_validation_score(params_list, samples, references):
+    """Mean foreground Jaccard of the averaged networks' argmax labels."""
+    scores = []
+    for s, ref in zip(samples, references):
+        probs = np.mean([softmax(forward(p, s.image)[0]) for p in params_list], axis=0)
+        pred = probs.argmax(axis=1)
+        per_class = []
+        for c in range(1, ref.num_classes):
+            a, b = pred == c, ref.labels == c
+            union = np.count_nonzero(a | b)
+            per_class.append(np.count_nonzero(a & b) / union if union else 1.0)
+        scores.append(np.mean(per_class))
+    return float(np.mean(scores))
 
 
 def clean_room_npce(snapshot, sample, k, j):
@@ -165,13 +227,6 @@ def test_npce_identical_annotations_kill_consistency_term():
     )
     _, l_pc, _ = npce_losses(snapshot, same, 0, 1)
     assert l_pc == 0.0
-
-
-def test_npce_rejects_self_comparison():
-    snapshot = make_nets(2)
-    sample = make_sample(4)
-    with pytest.raises(ValueError):
-        npce_losses(snapshot, sample, 0, 0)
 
 
 def test_npce_gradient_finite_difference_smooth_block():
@@ -329,7 +384,7 @@ def test_train_iteration_respects_budget():
 
 
 def reference_iteration(state, annotated, unannotated, config):
-    """Learner-major iteration built from the public per-sample losses."""
+    """Learner-major iteration built from the reference per-sample losses."""
     lam = config.lambda_at(state.t)
     snapshot = state.snapshot()
     breakdowns, grads = [], []
@@ -431,6 +486,23 @@ def test_checkpoints_run_no_backward(tiny_dataset, monkeypatch):
     assert len(backwards) == config.total_iters * config.k * (2 + 3)
 
 
+def test_checkpoint_forwards_each_image_once_per_network(tiny_dataset, monkeypatch):
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
+                         annotated_per_iter=2, unannotated_batch=3)
+    forwards = count_calls(monkeypatch, "forward")
+    result = run_training(tiny_dataset, config)
+    checkpoints = len(result.trace)
+    assert checkpoints == 3  # iterations 0, 2 and 4
+    # a checkpoint's probe shares the first training image's row with the
+    # agreement pass, then reads the probe batch; validation follows
+    k, a, b = config.k, config.annotated_per_iter, config.unannotated_batch
+    n_multi = len(tiny_dataset.multi)
+    n_val = len(tiny_dataset.validation)
+    assert len(forwards) == (
+        config.total_iters * k * (a + b) + checkpoints * k * (n_multi + b + n_val)
+    )
+
+
 def test_run_reuses_one_cache_per_network_and_frees_them(tiny_dataset, monkeypatch):
     from ambiseg import model, training
 
@@ -466,6 +538,27 @@ def test_run_reuses_one_cache_per_network_and_frees_them(tiny_dataset, monkeypat
     assert all(r() is None for r in caches)
 
 
+def test_fused_prediction_shares_one_cache_across_networks(monkeypatch):
+    from ambiseg import model, training
+
+    original = model.forward
+    caches = []
+
+    def recording(params, image, cache=None):
+        logits, out = original(params, image, cache)
+        caches.append(out)
+        return logits, out
+
+    for module in (model, training):
+        monkeypatch.setattr(module, "forward", recording)
+    nets = make_nets(3)
+    image, _ = generate_scene(SceneSpec(width=16, height=16, seed=52))
+    training.fused_prediction(nets, image)
+    # nothing backpropagates through inference, so one cache serves all
+    assert len(caches) == 3
+    assert all(c is caches[0] for c in caches)
+
+
 def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
     from ambiseg import training
 
@@ -497,12 +590,21 @@ def test_validation_references_are_majority_votes(tiny_dataset):
 
 
 def test_ensemble_agreement_bounds(tiny_dataset):
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2)
+    refs = validation_references(tiny_dataset.validation)
     params = init_params(Architecture(), seed=3)
-    images = [s.image for s in tiny_dataset.multi]
-    assert ensemble_agreement([params, params], images) == 1.0
+    row, _ = _checkpoint([params, params], tiny_dataset, config, 0, refs, [None, None])
+    assert row.agreement == 1.0
     other = init_params(Architecture(), seed=4)
-    value = ensemble_agreement([params, other], images)
-    assert 0.0 <= value <= 1.0
+    row, _ = _checkpoint([params, other], tiny_dataset, config, 0, refs, [None, None])
+    assert 0.0 <= row.agreement <= 1.0
+    # the mean over the training images of the two networks' label agreement
+    fractions = [
+        np.mean(softmax(forward(params, s.image)[0]).argmax(axis=1)
+                == softmax(forward(other, s.image)[0]).argmax(axis=1))
+        for s in tiny_dataset.multi
+    ]
+    assert row.agreement == pytest.approx(np.mean(fractions), abs=1e-12)
 
 
 def test_run_training_deterministic(tiny_dataset):
@@ -577,7 +679,7 @@ def test_run_training_best_matches_trace_peak(tiny_dataset):
         [row.val_jaccard for row in result.trace].index(max(scores))
     ].iteration == result.best.iteration
     refs = validation_references(tiny_dataset.validation)
-    recomputed = fused_validation_score(
+    recomputed = clean_room_validation_score(
         result.best.params, tiny_dataset.validation, refs
     )
     assert recomputed == pytest.approx(result.best.score, abs=1e-12)
@@ -598,7 +700,7 @@ def test_run_training_per_network_selection(tiny_dataset, tmp_path):
     assert "net1_best_iteration" in manifest
     refs = validation_references(tiny_dataset.validation)
     kept = [
-        network_validation_score(p, tiny_dataset.validation, refs)
+        clean_room_validation_score([p], tiny_dataset.validation, refs)
         for p in result.best.params
     ]
     assert result.best.score == pytest.approx(np.mean(kept), abs=1e-12)
