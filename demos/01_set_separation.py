@@ -36,15 +36,14 @@ agree, disagree = separate_agreement(expert_a, expert_b)
 n = gt.size
 print(f"scene: {gt.width}x{gt.height}, foreground fraction "
       f"{gt.labels.mean():.2f}")
-print(f"experts agree on {len(agree.pixels.indices)}/{n} pixels "
-      f"({len(agree.pixels.indices) / n:.1%})")
-print(f"disagreement band: {len(disagree.indices)} pixels")
+print(f"experts agree on {len(agree)}/{n} pixels ({len(agree) / n:.1%})")
+print(f"disagreement band: {len(disagree)} pixels")
 
 # the two sets partition the grid
-assert len(agree.pixels.indices) + len(disagree.indices) == n
+assert len(agree) + len(disagree) == n
 
 # where they agree near the boundary, how often are they right?
-agree_correct = (gt.labels[agree.pixels.indices] == agree.labels).mean()
+agree_correct = (gt.labels[agree.pixels.member] == agree.labels).mean()
 print(f"agreed labels match the clean shape on {agree_correct:.1%} "
       f"of agreement pixels")
 
@@ -56,8 +55,7 @@ pred_a = argmax_mask(predict_probs(net_a, image))
 pred_b = argmax_mask(predict_probs(net_b, image))
 coincide = consistency_set(pred_a, pred_b)
 refined = restrict(coincide, disagree)
-print(f"untrained networks coincide on {len(coincide.pixels.indices)}/{n} "
-      f"pixels; {len(refined.pixels.indices)} of those fall in the "
-      f"disagreement band")
+print(f"untrained networks coincide on {len(coincide)}/{n} pixels; "
+      f"{len(refined)} of those fall in the disagreement band")
 print("those band pixels plus the agreement set are the only supervision "
       "the ensemble ever sees on this image")

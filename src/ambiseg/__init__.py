@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 from .masks import (
     LabelMask,
+    PixelLabels,
     PixelSet,
     ShapeError,
-    SparseLabels,
     argmax_mask,
     consensus_set,
     consistency_set,

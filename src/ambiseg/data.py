@@ -503,16 +503,24 @@ def load_dataset(root: str | Path) -> Dataset:
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.tsv under {root}")
     lines = manifest.read_text().splitlines()
-    header = lines[0].split("\t")
+    header = lines[0].split("\t") if lines else []
     expect = ["id", "split", "image", "gt", "masks", "k"]
     if header != expect:
         raise ValueError(f"{manifest}: unexpected columns {header}")
 
     ds = Dataset(multi=[], unannotated=[], validation=[], test=[])
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        sample_id, split, image_rel, gt_rel, mask_field, k_str = line.split("\t")
+        fields = line.split("\t")
+        if len(fields) != len(expect):
+            raise ValueError(
+                f"{manifest}:{lineno}: expected {len(expect)} tab-separated "
+                f"fields, got {len(fields)}"
+            )
+        sample_id, split, image_rel, gt_rel, mask_field, k_str = fields
+        if not k_str.isdecimal():
+            raise ValueError(f"{manifest}:{lineno}: k must be an integer, got {k_str!r}")
         image = load_image(root / image_rel)
         gt = load_mask_pgm(root / gt_rel) if gt_rel else None
         masks = [

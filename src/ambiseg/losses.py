@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .masks import ShapeError, SparseLabels
+from .masks import PixelLabels, ShapeError
 
 # floor inside log; keeps the loss finite when a target class has
 # probability exactly 0
@@ -113,7 +113,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def masked_cross_entropy(
-    p: ProbMap, targets: SparseLabels
+    p: ProbMap, targets: PixelLabels
 ) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood over a pixel subset.
 
@@ -132,16 +132,16 @@ def masked_cross_entropy(
             f"num_classes mismatch: {targets.num_classes} vs {p.num_classes}"
         )
     grad = np.zeros_like(p.probs)
-    s = len(targets)
+    member = targets.pixels.member
+    rows = p.probs[member]
+    s = rows.shape[0]
     if s == 0:
         return 0.0, grad
-    idx = targets.pixels.indices
-    y = targets.labels
-    picked = p.probs[idx, y]
-    loss = float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
-    rows = p.probs[idx].copy()
-    rows[np.arange(s), y] -= 1.0
-    grad[idx] = rows / s
+    on = np.arange(s)
+    y = targets.mask.labels[member]
+    loss = float(np.mean(-np.log(np.maximum(rows[on, y], PROB_FLOOR))))
+    rows[on, y] -= 1.0
+    grad[member] = rows / s
     return loss, grad
 
 

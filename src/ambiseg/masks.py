@@ -1,9 +1,16 @@
 """Set algebra over pixel label masks.
 
-Masks are flat, row-major label arrays (index = y * width + x). All
-operations here are pure: they never mutate their inputs, so values can be
-shared freely across threads. Empty pixel sets are legal results, not
-errors; downstream losses treat them as zero contribution.
+Masks are flat, row-major label arrays (index = y * width + x). A pixel
+set is a flat boolean membership array over the same grid, so the
+paper's three sets (where the annotations agree, the refined set where
+two networks' predictions coincide inside the annotators' disagreement,
+and where all the peers agree) are `==`, `~`, `&` and `all` on grids. A
+labeled set pairs a pixel set with the mask whose labels its members
+carry; it shares that mask rather than copying labels out of it.
+
+All operations here are pure: they never mutate their inputs, so values
+can be shared freely across threads. Empty pixel sets are legal results,
+not errors; downstream losses treat them as zero contribution.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ if TYPE_CHECKING:
     from .losses import ProbMap
 
 LABEL_DTYPE = np.int32
-INDEX_DTYPE = np.int64
 
 
 class ShapeError(ValueError):
@@ -75,60 +81,52 @@ class LabelMask:
 
 @dataclass
 class PixelSet:
-    """A set of pixel indices on a grid, stored strictly increasing."""
+    """A set of pixels on a grid: member[i] says whether flat pixel i is in it."""
 
-    indices: np.ndarray
-    grid_size: int
+    member: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=INDEX_DTYPE).ravel()
-        if self.indices.size:
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("pixel indices must be strictly increasing")
-            if self.indices[0] < 0 or self.indices[-1] >= self.grid_size:
-                raise ValueError("pixel indices out of range")
+        self.member = np.asarray(self.member).ravel()
+        if self.member.dtype != np.bool_:
+            raise TypeError(f"member must be a boolean array, got {self.member.dtype}")
+
+    @property
+    def grid_size(self) -> int:
+        return int(self.member.size)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Member pixel indices, increasing."""
+        return np.flatnonzero(self.member)
 
     def __len__(self) -> int:
-        return int(self.indices.size)
+        return int(np.count_nonzero(self.member))
 
 
 @dataclass
-class SparseLabels:
-    """Pixel indices with one class label attached to each."""
+class PixelLabels:
+    """A pixel set whose members carry the labels of `mask`."""
 
     pixels: PixelSet
-    labels: np.ndarray
-    num_classes: int
+    mask: LabelMask
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=LABEL_DTYPE).ravel()
-        if self.labels.shape[0] != len(self.pixels):
-            raise ShapeError("labels must align one-to-one with pixels")
-        if self.labels.size and (
-            self.labels.min() < 0 or self.labels.max() >= self.num_classes
-        ):
-            raise ValueError("label values must lie in [0, num_classes)")
+        if self.pixels.grid_size != self.mask.size:
+            raise ShapeError(
+                f"pixel set grid size {self.pixels.grid_size} != mask size {self.mask.size}"
+            )
+
+    @property
+    def num_classes(self) -> int:
+        return self.mask.num_classes
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The members' labels, in increasing pixel order."""
+        return self.mask.labels[self.pixels.member]
 
     def __len__(self) -> int:
         return len(self.pixels)
-
-    @classmethod
-    def from_pairs(
-        cls,
-        indices: np.ndarray,
-        labels: np.ndarray,
-        grid_size: int,
-        num_classes: int,
-    ) -> "SparseLabels":
-        """Build from unordered (index, label) pairs; sorts by index."""
-        indices = np.asarray(indices, dtype=INDEX_DTYPE).ravel()
-        labels = np.asarray(labels, dtype=LABEL_DTYPE).ravel()
-        order = np.argsort(indices, kind="stable")
-        return cls(
-            pixels=PixelSet(indices[order], grid_size),
-            labels=labels[order],
-            num_classes=num_classes,
-        )
 
 
 def _check_pair(a: LabelMask, b: LabelMask) -> None:
@@ -139,22 +137,15 @@ def _check_pair(a: LabelMask, b: LabelMask) -> None:
         )
 
 
-def separate_agreement(a: LabelMask, b: LabelMask) -> tuple[SparseLabels, PixelSet]:
+def separate_agreement(a: LabelMask, b: LabelMask) -> tuple[PixelLabels, PixelSet]:
     """Split the grid into pixels where two masks agree and where they differ.
 
     Returns (agree, disagree): agree carries the shared label per pixel; the
-    two index sets partition [0, width*height).
+    two sets partition the grid.
     """
     _check_pair(a, b)
     eq = a.labels == b.labels
-    agree_idx = np.flatnonzero(eq)
-    disagree_idx = np.flatnonzero(~eq)
-    agree = SparseLabels(
-        pixels=PixelSet(agree_idx, a.size),
-        labels=a.labels[agree_idx],
-        num_classes=a.num_classes,
-    )
-    return agree, PixelSet(disagree_idx, a.size)
+    return PixelLabels(PixelSet(eq), a), PixelSet(~eq)
 
 
 def argmax_mask(p: "ProbMap") -> LabelMask:
@@ -165,27 +156,23 @@ def argmax_mask(p: "ProbMap") -> LabelMask:
     )
 
 
-def consistency_set(pred_a: LabelMask, pred_b: LabelMask) -> SparseLabels:
+def consistency_set(pred_a: LabelMask, pred_b: LabelMask) -> PixelLabels:
     """Pixels where two predicted masks coincide, with the shared label."""
     agree, _ = separate_agreement(pred_a, pred_b)
     return agree
 
 
-def restrict(consistent: SparseLabels, disagree: PixelSet) -> SparseLabels:
-    """Entries of `consistent` whose pixel index lies in `disagree`."""
+def restrict(consistent: PixelLabels, disagree: PixelSet) -> PixelLabels:
+    """The members of `consistent` that also lie in `disagree`."""
     if consistent.pixels.grid_size != disagree.grid_size:
         raise ShapeError(
             f"grid sizes differ: {consistent.pixels.grid_size} vs {disagree.grid_size}"
         )
-    keep = np.isin(consistent.pixels.indices, disagree.indices, assume_unique=True)
-    return SparseLabels(
-        pixels=PixelSet(consistent.pixels.indices[keep], disagree.grid_size),
-        labels=consistent.labels[keep],
-        num_classes=consistent.num_classes,
-    )
+    member = consistent.pixels.member & disagree.member
+    return PixelLabels(PixelSet(member), consistent.mask)
 
 
-def consensus_set(masks: Sequence[LabelMask]) -> SparseLabels:
+def consensus_set(masks: Sequence[LabelMask]) -> PixelLabels:
     """Pixels where every provided mask agrees, with the unanimous label.
 
     A single mask is unanimous everywhere, so the result is that whole mask.
@@ -195,20 +182,10 @@ def consensus_set(masks: Sequence[LabelMask]) -> SparseLabels:
     first = masks[0]
     for m in masks[1:]:
         _check_pair(first, m)
-    stacked = np.stack([m.labels for m in masks], axis=0)
-    unanimous = np.all(stacked == stacked[0], axis=0)
-    idx = np.flatnonzero(unanimous)
-    return SparseLabels(
-        pixels=PixelSet(idx, first.size),
-        labels=first.labels[idx],
-        num_classes=first.num_classes,
-    )
+    unanimous = np.all([m.labels == first.labels for m in masks], axis=0)
+    return PixelLabels(PixelSet(unanimous), first)
 
 
-def full_grid_labels(mask: LabelMask) -> SparseLabels:
-    """The whole mask viewed as sparse labels over every pixel."""
-    return SparseLabels(
-        pixels=PixelSet(np.arange(mask.size, dtype=INDEX_DTYPE), mask.size),
-        labels=mask.labels.copy(),
-        num_classes=mask.num_classes,
-    )
+def full_grid_labels(mask: LabelMask) -> PixelLabels:
+    """The whole mask as labels over every pixel."""
+    return PixelLabels(PixelSet(np.ones(mask.size, dtype=bool)), mask)

@@ -114,7 +114,7 @@ def test_criterion_2_loss_and_model_gradients(capsys):
     empty_loss, _ = masked_cross_entropy(
         uniform,
         restrict(consistency_set(mask, mask),
-                 PixelSet(indices=np.array([], dtype=np.int64), grid_size=16)),
+                 PixelSet(np.zeros(16, dtype=bool))),
     )
     grad = gradient_check_report(seed=0, instances=20, size=8)
     elapsed = time.monotonic() - t0

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ambiseg
+from ambiseg.masks import LabelMask, consensus_set, restrict, separate_agreement
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -28,6 +29,24 @@ def test_traced_modules_define_no_public_generator(monkeypatch):
         if inspect.isgeneratorfunction(fn)
     ]
     assert generators == []
+
+
+def test_set_observers_read_real_results(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from traced import OBSERVERS
+
+    # `--trace 1` reports the mean of these observers over a run
+    def mask(labels):
+        return LabelMask(width=4, height=2, num_classes=2, labels=labels)
+
+    a, b = mask([0, 1, 1, 0, 1, 1, 0, 0]), mask([0, 1, 0, 0, 1, 0, 0, 1])
+    p, q = mask([1, 0, 1, 0, 1, 0, 1, 1]), mask([0, 0, 1, 1, 0, 0, 1, 0])
+    unanimous = consensus_set([a, b])
+    assert OBSERVERS["masks.consensus_set"](([a, b],), {}, unanimous) == 5 / 8
+    _, disagree = separate_agreement(a, b)
+    consistent, _ = separate_agreement(p, q)
+    refined = restrict(consistent, disagree)
+    assert OBSERVERS["masks.restrict"]((consistent, disagree), {}, refined) == 2
 
 
 @pytest.mark.parametrize("script", ["harness.py", "setup_trial.py"])

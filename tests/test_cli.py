@@ -452,3 +452,25 @@ def test_fuse_truncated_source_is_an_error(rel, dataset_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and path.name in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "fuse"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("\tmulti\t", "\tmulti ", 1),
+     ":2: expected 6 tab-separated fields, got 5"),
+    (lambda text: text.replace("\t2\n", "\ttwo\n", 1), ":2: k must be an integer"),
+    (lambda text: "", ": unexpected columns []"),
+], ids=["five-fields", "k-not-integer", "empty"])
+def test_malformed_dataset_manifest_names_file_and_line(
+    command, edit, message, dataset_dir, tmp_path, capsys
+):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    manifest = data / "manifest.tsv"
+    manifest.write_text(edit(manifest.read_text()))
+    out = tmp_path / "out"
+    args = {"train": ["--total-iters", "2"], "fuse": ["--strategy", "average-vote"]}
+    code = entry([command, "--data", str(data), "--out", str(out), *args[command]])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}{message}")
+    assert not out.exists()

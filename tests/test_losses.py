@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ambiseg.losses import (
+    PROB_FLOOR,
     LossBreakdown,
     ProbMap,
     RampUp,
@@ -14,15 +15,36 @@ from ambiseg.losses import (
     softmax,
     total_network_loss,
 )
-from ambiseg.masks import PixelSet, ShapeError, SparseLabels
+from ambiseg.masks import LabelMask, PixelLabels, PixelSet, ShapeError
 
 
 def sparse(indices, labels, grid, c):
-    return SparseLabels(
-        pixels=PixelSet(np.asarray(indices), grid),
-        labels=np.asarray(labels),
-        num_classes=c,
-    )
+    """`labels` on the listed pixels of a one-row grid of `grid` pixels."""
+    indices = np.asarray(indices, dtype=np.intp)
+    member = np.zeros(grid, dtype=bool)
+    member[indices] = True
+    full = np.zeros(grid, dtype=np.int32)
+    full[indices] = labels
+    mask = LabelMask(width=grid, height=1, num_classes=c, labels=full)
+    return PixelLabels(PixelSet(member), mask)
+
+
+def sparse_index_cross_entropy(p, targets):
+    """Reference: masked CE over sorted member indices, labels gathered
+    alongside and gradient rows scattered back (the kernel the membership
+    grid replaced)."""
+    idx = targets.pixels.indices
+    y = targets.labels
+    grad = np.zeros_like(p.probs)
+    s = idx.size
+    if s == 0:
+        return 0.0, grad
+    picked = p.probs[idx, y]
+    loss = float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
+    rows = p.probs[idx].copy()
+    rows[np.arange(s), y] -= 1.0
+    grad[idx] = rows / s
+    return loss, grad
 
 
 def random_probmap(rng, w, h, c):
@@ -113,17 +135,38 @@ def test_permutation_and_split_recombination():
     idx = np.sort(rng.choice(36, size=20, replace=False))
     labels = rng.integers(0, 2, size=20)
     full_loss, _ = masked_cross_entropy(p, sparse(idx, labels, 36, 2))
-    # build from unsorted pairs: same set, same loss
+    # split along a random permutation and recombine with |S|-weighted averaging
     perm = rng.permutation(20)
-    resorted = SparseLabels.from_pairs(idx[perm], labels[perm], 36, 2)
-    loss_perm, _ = masked_cross_entropy(p, resorted)
-    assert loss_perm == pytest.approx(full_loss, abs=1e-15)
-    # split and recombine with |S|-weighted averaging
     cut = 8
-    l1, _ = masked_cross_entropy(p, sparse(idx[:cut], labels[:cut], 36, 2))
-    l2, _ = masked_cross_entropy(p, sparse(idx[cut:], labels[cut:], 36, 2))
+    first, rest = perm[:cut], perm[cut:]
+    l1, _ = masked_cross_entropy(p, sparse(idx[first], labels[first], 36, 2))
+    l2, _ = masked_cross_entropy(p, sparse(idx[rest], labels[rest], 36, 2))
     recombined = (cut * l1 + (20 - cut) * l2) / 20
     assert recombined == pytest.approx(full_loss, abs=1e-12)
+
+
+def test_bit_equal_to_sparse_index_reference():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        w, h = int(rng.integers(2, 65)), int(rng.integers(2, 65))
+        c = int(rng.integers(2, 5))
+        # large logits saturate probabilities to exactly 0 and 1; empty
+        # and full sets recur with every scale
+        scale = (1.0, 40.0, 800.0)[trial % 3]
+        p = ProbMap(
+            width=w, height=h, num_classes=c,
+            probs=softmax(scale * rng.normal(size=(w * h, c))),
+        )
+        density = (0.0, 1.0, rng.random(), rng.random())[trial % 4]
+        mask = LabelMask(
+            width=w, height=h, num_classes=c, labels=rng.integers(0, c, size=w * h)
+        )
+        targets = PixelLabels(PixelSet(rng.random(w * h) < density), mask)
+        loss, grad = masked_cross_entropy(p, targets)
+        ref_loss, ref_grad = sparse_index_cross_entropy(p, targets)
+        # compare bit patterns, so a zero of the other sign differs
+        assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+        assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
 
 
 def test_loss_bounded_by_probability_floor():

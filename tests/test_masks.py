@@ -6,9 +6,9 @@ import pytest
 from ambiseg.losses import ProbMap
 from ambiseg.masks import (
     LabelMask,
+    PixelLabels,
     PixelSet,
     ShapeError,
-    SparseLabels,
     argmax_mask,
     consensus_set,
     consistency_set,
@@ -119,18 +119,14 @@ def test_restrict_vs_bruteforce():
     rng = np.random.default_rng(5)
     for _ in range(30):
         n = int(rng.integers(4, 200))
-        cons_idx = np.flatnonzero(rng.random(n) < 0.5)
-        cons = SparseLabels(
-            pixels=PixelSet(cons_idx, n),
-            labels=rng.integers(0, 3, size=cons_idx.size),
-            num_classes=3,
-        )
-        dis_idx = np.flatnonzero(rng.random(n) < 0.4)
-        dis = PixelSet(dis_idx, n)
+        mask = random_mask(rng, n, 1, 3)
+        cons = PixelLabels(PixelSet(rng.random(n) < 0.5), mask)
+        dis = PixelSet(rng.random(n) < 0.4)
+        cons_idx, dis_idx = cons.pixels.indices, dis.indices
         got = restrict(cons, dis)
         keep = [
-            (int(i), int(l))
-            for i, l in zip(cons.pixels.indices, cons.labels)
+            (int(i), int(mask.labels[i]))
+            for i in cons_idx
             if i in set(dis_idx.tolist())
         ]
         assert list(zip(got.pixels.indices.tolist(), got.labels.tolist())) == keep
@@ -140,16 +136,15 @@ def test_restrict_vs_bruteforce():
 
 
 def test_restrict_trivial_cases():
-    cons = SparseLabels(
-        pixels=PixelSet(np.array([1, 3, 5]), 8),
-        labels=np.array([0, 1, 0]),
-        num_classes=2,
-    )
-    assert len(restrict(cons, PixelSet(np.array([], dtype=int), 8))) == 0
-    everything = PixelSet(np.arange(8), 8)
+    mask = LabelMask(width=8, height=1, num_classes=2, labels=[1, 0, 1, 1, 1, 0, 1, 1])
+    cons = PixelLabels(PixelSet(np.isin(np.arange(8), [1, 3, 5])), mask)
+    assert len(restrict(cons, PixelSet(np.zeros(8, dtype=bool)))) == 0
+    everything = PixelSet(np.ones(8, dtype=bool))
     got = restrict(cons, everything)
     assert got.pixels.indices.tolist() == [1, 3, 5]
     assert got.labels.tolist() == [0, 1, 0]
+    with pytest.raises(ShapeError):
+        restrict(cons, PixelSet(np.ones(9, dtype=bool)))
 
 
 def test_consensus_single_mask_is_full_grid():
@@ -191,13 +186,16 @@ def test_consensus_rejects_empty_list():
         consensus_set([])
 
 
-def test_pixelset_rejects_disorder_and_range():
-    with pytest.raises(ValueError):
-        PixelSet(np.array([3, 1]), 10)
-    with pytest.raises(ValueError):
-        PixelSet(np.array([2, 2]), 10)
-    with pytest.raises(ValueError):
-        PixelSet(np.array([9, 10]), 10)
+def test_pixellabels_rejects_grid_size_mismatch():
+    mask = LabelMask(width=3, height=2, num_classes=2, labels=[0, 1, 0, 1, 0, 1])
+    assert len(PixelLabels(PixelSet(np.ones((2, 3), dtype=bool)), mask)) == 6
+    with pytest.raises(ShapeError):
+        PixelLabels(PixelSet(np.ones(5, dtype=bool)), mask)
+    with pytest.raises(ShapeError):
+        PixelLabels(PixelSet(np.ones(7, dtype=bool)), mask)
+    # an index array is not a membership grid
+    with pytest.raises(TypeError):
+        PixelSet(np.array([0, 2, 4]))
 
 
 def test_labelmask_validation():
@@ -212,6 +210,6 @@ def test_labelmask_validation():
 def test_full_grid_labels_round_trip():
     rng = np.random.default_rng(9)
     m = random_mask(rng, 4, 3, 3)
-    sparse = full_grid_labels(m)
-    assert sparse.labels.tolist() == m.labels.tolist()
-    assert len(sparse) == m.size
+    full = full_grid_labels(m)
+    assert full.labels.tolist() == m.labels.tolist()
+    assert len(full) == m.size
