@@ -4,6 +4,11 @@ The same masked-CE kernel serves all three training losses (agreement,
 consistency, pseudo-supervision); only the target set changes. The kernel
 returns the exact analytic gradient with respect to the pre-softmax
 scores, so callers never differentiate through the log themselves.
+
+A ProbMap built by its constructor is checked (shape, range, row sums);
+the training loop builds the ProbMap of each forward without those checks,
+which a softmax always passes (masks.py says where validation happens).
+masked_cross_entropy checks only that its target set fits the map.
 """
 
 from __future__ import annotations
@@ -131,17 +136,19 @@ def masked_cross_entropy(
         raise ShapeError(
             f"num_classes mismatch: {targets.num_classes} vs {p.num_classes}"
         )
-    grad = np.zeros_like(p.probs)
     member = targets.pixels.member
-    rows = p.probs[member]
-    s = rows.shape[0]
+    idx = np.flatnonzero(member)
+    s = idx.size
     if s == 0:
-        return 0.0, grad
-    on = np.arange(s)
-    y = targets.mask.labels[member]
-    loss = float(np.mean(-np.log(np.maximum(rows[on, y], PROB_FLOOR))))
-    rows[on, y] -= 1.0
-    grad[member] = rows / s
+        return 0.0, np.zeros_like(p.probs)
+    # each member's target entry as an index into the row-major probs;
+    # take and put index that order whatever the array's memory layout
+    flat = idx * p.num_classes + targets.mask.labels[idx]
+    picked = np.take(p.probs, flat)
+    loss = float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
+    grad = np.where(member[:, None], p.probs, 0.0)
+    np.put(grad, flat, picked - 1.0)
+    grad /= s
     return loss, grad
 
 

@@ -11,6 +11,12 @@ carry; it shares that mask rather than copying labels out of it.
 All operations here are pure: they never mutate their inputs, so values
 can be shared freely across threads. Empty pixel sets are legal results,
 not errors; downstream losses treat them as zero contribution.
+
+Validation happens where values enter: the public constructors check
+every field. Values the package derives from already valid ones skip the
+checks that cannot fail: argmax_mask builds its LabelMask unchecked
+except for the class count, and the training loop builds each forward's
+ProbMap unchecked from a softmax (see _unchecked).
 """
 
 from __future__ import annotations
@@ -30,6 +36,20 @@ class ShapeError(ValueError):
     """Raised when two grid-shaped values do not share dimensions."""
 
 
+def _unchecked(cls, **fields):
+    """An instance of the dataclass `cls` holding `fields` as given, made
+    without running its __post_init__ checks: only for values that are
+    valid by construction, such as a softmax or an argmax over one."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+def _check_num_classes(num_classes: int) -> None:
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
+
+
 @dataclass
 class LabelMask:
     """Per-pixel class assignment on a width x height grid.
@@ -45,8 +65,7 @@ class LabelMask:
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=LABEL_DTYPE).ravel()
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        _check_num_classes(self.num_classes)
         n = self.width * self.height
         if self.labels.shape[0] != n:
             raise ShapeError(
@@ -149,10 +168,15 @@ def separate_agreement(a: LabelMask, b: LabelMask) -> tuple[PixelLabels, PixelSe
 
 
 def argmax_mask(p: "ProbMap") -> LabelMask:
-    """Hard mask from a probability map; ties go to the lowest class index."""
-    labels = np.argmax(p.probs, axis=1)
-    return LabelMask(
-        width=p.width, height=p.height, num_classes=p.num_classes, labels=labels
+    """Hard mask from a probability map; ties go to the lowest class index.
+
+    An argmax over the map's rows gives one label in [0, num_classes) per
+    pixel, so of LabelMask's checks only the class count can fail here.
+    """
+    _check_num_classes(p.num_classes)
+    labels = np.argmax(p.probs, axis=1).astype(LABEL_DTYPE)
+    return _unchecked(
+        LabelMask, width=p.width, height=p.height, num_classes=p.num_classes, labels=labels
     )
 
 

@@ -20,6 +20,19 @@ The convolutions are im2col GEMMs (np.dot on reshaped views, written
 into the caller's buffers), with the same operands and memory layouts as
 the np.pad + np.tensordot kernels they replace, so results are bitwise
 unchanged.
+
+The input gradient of layer 2 adds each tap's product into a flat
+accumulator: the input grid with one zero row above and below, row after
+row with rows of W, plus one cell at each end. Output pixel (y, x) of tap
+(dy, dx) read input (y + dy - 1, x + dx - 1), which sits at
+(dy * W + dx) + (y * W + x) in the accumulator, so the product of each
+of the nine per-tap GEMMs lands with one contiguous add. The GEMMs are
+those of nine strided adds into a zero-padded grid, called in the same
+(dy, dx) order. The products of the first output column under dx = 0 and
+of the last under dx = 2 read no input and would wrap onto a neighbouring
+row, so they are set to +0.0 first. Adding +0.0 leaves every sum unchanged, since the
+sums start at +0.0 and so are never -0.0: the result is bitwise that of
+the strided adds.
 """
 
 from __future__ import annotations
@@ -169,10 +182,16 @@ class ForwardCache:
     A cache is a set of buffers sized for one architecture and image
     shape. forward overwrites every activation buffer of a cache it is
     given, so a cache describes only the latest forward that received it.
-    backward only reads the activations and overwrites the scratch
-    (d2, d1, tap: (hidden, H, W) each). The im2col buffers (cols1, cols2)
-    keep the zero borders written when the cache was created: forward
-    writes only the in-image part of each tap.
+    The im2col buffers (cols1, cols2) keep the zero borders written when
+    the cache was created: forward writes only the in-image part of each
+    tap.
+
+    backward only reads the activations and overwrites the scratch:
+    - d2, d1: the gradients at layer 2's and layer 1's pre-activations,
+      (hidden, H, W) each;
+    - tap: one tap's product in layer 2's input gradient, (hidden, H, W);
+    - acc: the flat accumulator of that input gradient (see the module
+      docstring), (hidden, (H + 2) * W + 2).
     """
 
     arch: Architecture
@@ -187,6 +206,7 @@ class ForwardCache:
     d2: np.ndarray
     d1: np.ndarray
     tap: np.ndarray
+    acc: np.ndarray
 
     @classmethod
     def allocate(cls, arch: Architecture, height: int, width: int) -> "ForwardCache":
@@ -204,6 +224,7 @@ class ForwardCache:
             d2=np.empty(act),
             d1=np.empty(act),
             tap=np.empty(act),
+            acc=np.empty((arch.hidden, (height + 2) * width + 2)),
         )
 
 
@@ -290,22 +311,32 @@ def _conv3_param_grads(
 
 
 def _conv3_input_grad(
-    w: np.ndarray, gout: np.ndarray, out: np.ndarray, tap: np.ndarray
+    w: np.ndarray, gout: np.ndarray, out: np.ndarray, tap: np.ndarray, acc: np.ndarray
 ) -> None:
     """Input gradient of a 3x3 SAME convolution into out, shape (C, H, W).
 
-    Each tap's product lands on the input pixels it read, in (dy, dx)
-    order starting from zero; tap is scratch of out's shape.
+    tap (C, H, W) and acc (C, (H + 2) * W + 2) are scratch. Each tap's
+    product lands on the input pixels it read with one contiguous add, in
+    (dy, dx) order starting from +0.0 (see the module docstring).
     """
     _, h, width = gout.shape
+    n = h * width
     gout_2d = gout.reshape(gout.shape[0], -1)
     tap_2d = tap.reshape(tap.shape[0], -1)
-    out.fill(0.0)
-    # a tap's gradient flows from the output pixels back to the inputs they read
-    for dy, (rows_from, rows_to) in enumerate(_taps(h)):
-        for dx, (cols_from, cols_to) in enumerate(_taps(width)):
+    # per dx, the output column whose products read no input and would
+    # wrap onto a neighbouring row
+    wrapping = (0, None, width - 1)
+    acc.fill(0.0)
+    for dy in range(3):
+        for dx in range(3):
             np.dot(w[:, :, dy, dx].T, gout_2d, out=tap_2d)
-            out[:, rows_to, cols_to] += tap[:, rows_from, cols_from]
+            if wrapping[dx] is not None:
+                tap[:, :, wrapping[dx]] = 0.0
+            offset = dy * width + dx
+            acc[:, offset : offset + n] += tap_2d
+    # a contiguous copy: the masking and GEMM that follow run faster on it
+    # than on the strided interior of acc
+    out.reshape(out.shape[0], -1)[...] = acc[:, width + 1 : width + 1 + n]
 
 
 def backward(
@@ -325,7 +356,7 @@ def backward(
         raise ShapeError(
             f"grad_logits shape {grad_logits.shape} != ({n}, {arch.num_classes})"
         )
-    d2, d1, tap = cache.d2, cache.d1, cache.tap
+    d2, d1 = cache.d2, cache.d1
     p = params.unpack()
     grad = np.empty(param_count(arch))
     g = _unpack(arch, grad)
@@ -338,7 +369,7 @@ def backward(
 
     d2 *= cache.pre2 > 0.0  # d_act2 -> d_pre2
     _conv3_param_grads(cache.cols2, d2, g["w2"], g["b2"])
-    _conv3_input_grad(p["w2"], d2, d1, tap)
+    _conv3_input_grad(p["w2"], d2, d1, cache.tap, cache.acc)
 
     # the image is not a parameter, so layer 1's input gradient is never formed
     d1 *= cache.pre1 > 0.0  # d_act1 -> d_pre1

@@ -63,7 +63,14 @@ from .losses import (
     softmax,
     total_network_loss,
 )
-from .masks import LabelMask, argmax_mask, consensus_set, restrict, separate_agreement
+from .masks import (
+    LabelMask,
+    _unchecked,
+    argmax_mask,
+    consensus_set,
+    restrict,
+    separate_agreement,
+)
 from .metrics import agreement_fraction, jaccard
 from .model import (
     Architecture,
@@ -120,6 +127,9 @@ class TrainConfig:
             raise TrainingError(
                 f"t_max ({self.t_max}) must equal total_iters ({self.total_iters})"
             )
+        for name in ("alpha", "beta", "w_max", "lr", "lr_decay_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainingError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0 or self.beta < 0 or self.w_max < 0:
             raise TrainingError("loss weights must be nonnegative")
         if self.lr <= 0 or not (0 < self.lr_decay_factor <= 1):
@@ -220,7 +230,9 @@ def _prediction_row(
         # a list of one cache is shared by every network
         slot = z % len(caches)
         logits, caches[slot] = forward(params, image, caches[slot])
-        probs = ProbMap(
+        # a softmax of the model's logits passes every ProbMap check
+        probs = _unchecked(
+            ProbMap,
             width=image.width,
             height=image.height,
             num_classes=params.arch.num_classes,

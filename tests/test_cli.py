@@ -195,6 +195,35 @@ def test_train_rejects_invalid_combination(dataset_dir, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        (["--lr", "nan"], ""),
+        (["--lr", "inf"], ""),
+        (["--w-max", "nan"], ""),
+        ([], "alpha = nan\n"),
+        ([], "beta = -inf\n"),
+        ([], "lr_decay_factor = nan\n"),
+    ],
+)
+def test_train_rejects_non_finite_values_as_usage(
+    flags, config, dataset_dir, tmp_path, capsys
+):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o"
+    code = entry([
+        "train", "--data", str(dataset_dir), "--out", str(out),
+        "--config", str(cfg), "--total-iters", "5", "--validation-every", "5",
+        *flags,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("usage error:") and "must be finite" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_train_matches_library_run(dataset_dir, run_dir, tmp_path):
     from ambiseg.training import TrainConfig, run_training
 

@@ -169,6 +169,35 @@ def test_bit_equal_to_sparse_index_reference():
         assert np.array_equal(grad.view(np.uint64), ref_grad.view(np.uint64))
 
 
+def test_bit_equal_to_sparse_index_reference_for_any_probs_layout():
+    rng = np.random.default_rng(9)
+    w, h, c = 7, 5, 3
+    base = softmax(rng.normal(scale=3.0, size=(w * h, c)))
+    wide = np.zeros((w * h, 2 * c))
+    wide[:, ::2] = base
+    layouts = {
+        "fortran": np.asfortranarray(base),
+        "transposed view": np.ascontiguousarray(base.T).T,
+        "strided columns": wide[:, ::2],
+    }
+    mask = LabelMask(width=w, height=h, num_classes=c, labels=rng.integers(0, c, size=w * h))
+    for density in (0.0, 0.5, 1.0):
+        targets = PixelLabels(PixelSet(rng.random(w * h) < density), mask)
+        ref_loss, ref_grad = sparse_index_cross_entropy(
+            ProbMap(width=w, height=h, num_classes=c, probs=base), targets
+        )
+        for name, probs in layouts.items():
+            assert not probs.flags.c_contiguous, name
+            p = ProbMap(width=w, height=h, num_classes=c, probs=probs)
+            loss, grad = masked_cross_entropy(p, targets)
+            assert np.float64(loss).view(np.uint64) == np.float64(ref_loss).view(np.uint64)
+            # the -1 at each target entry must reach the returned gradient,
+            # not a copy made to index it
+            assert np.array_equal(
+                np.ascontiguousarray(grad).view(np.uint64), ref_grad.view(np.uint64)
+            ), (name, density)
+
+
 def test_loss_bounded_by_probability_floor():
     probs = np.zeros((4, 2))
     probs[:, 0] = 1.0

@@ -12,6 +12,7 @@ from ambiseg.model import (
     Architecture,
     ImageTensor,
     ModelParams,
+    _conv3_input_grad,
     adam_step,
     backward,
     forward,
@@ -234,6 +235,50 @@ def test_backward_only_reads_its_cache():
     assert np.array_equal(second, first)
     for name in CACHE_FIELDS:
         assert np.array_equal(getattr(cache, name), before[name]), name
+
+
+def relu_masked_gout(rng, channels, height, width):
+    """An output gradient after a ReLU mask: +0.0 where a positive gradient
+    was cut, -0.0 where a negative one was."""
+    g = rng.normal(size=(channels, height, width))
+    return g * (rng.normal(size=g.shape) > 0.0)
+
+
+# (in_channels, out_channels, height, width): 1xN, Nx1, 2x2, 1x1, odd
+# non-square grids, in != out, and 16 or more out channels, where BLAS
+# sums a column differently when the GEMM's column count changes
+INPUT_GRAD_CASES = [
+    (8, 8, 1, 9),
+    (8, 8, 9, 1),
+    (8, 8, 2, 2),
+    (8, 8, 1, 1),
+    (5, 5, 7, 11),
+    (3, 8, 11, 6),
+    (8, 3, 5, 9),
+    (8, 16, 2, 2),
+    (16, 16, 3, 5),
+    (4, 20, 12, 11),
+]
+
+
+@pytest.mark.parametrize("cin,cout,height,width", INPUT_GRAD_CASES)
+def test_conv3_input_grad_bitwise_equal_to_reference(cin, cout, height, width):
+    rng = np.random.default_rng(cin * 1000 + cout * 100 + height * 10 + width)
+    w = rng.normal(size=(cout, cin, 3, 3))
+    # the scratch of two grids in turn: the second call at each shape
+    # finds its scratch holding the first call's values
+    other = (height + 1, width + 2)
+    scratch = {
+        shape: (np.empty((cin, *shape)), np.empty((cin, (shape[0] + 2) * shape[1] + 2)))
+        for shape in ((height, width), other)
+    }
+    for shape in ((height, width), other, (height, width), other):
+        gout = relu_masked_gout(rng, cout, *shape)
+        assert np.any(np.signbit(gout) & (gout == 0.0))
+        out = np.full((cin, *shape), np.nan)
+        _conv3_input_grad(w, gout, out, *scratch[shape])
+        want = ref_conv3_input_grad(w, gout)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), shape
 
 
 def test_zero_params_give_uniform_softmax():

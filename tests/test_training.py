@@ -27,7 +27,13 @@ from ambiseg.losses import (
     softmax,
     total_network_loss,
 )
-from ambiseg.masks import argmax_mask, consensus_set, restrict, separate_agreement
+from ambiseg.masks import (
+    LabelMask,
+    argmax_mask,
+    consensus_set,
+    restrict,
+    separate_agreement,
+)
 from ambiseg.model import (
     Architecture,
     ModelParams,
@@ -47,6 +53,7 @@ from ambiseg.training import (
     TrainConfig,
     TrainingError,
     _checkpoint,
+    _prediction_rows,
     config_hash,
     pick_comparison,
     run_training,
@@ -322,6 +329,43 @@ def test_config_validation():
         TrainConfig(selection="best-of-breed")
     with pytest.raises(TrainingError):
         TrainConfig(lr=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["alpha", "beta", "w_max", "lr", "lr_decay_factor"])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(TrainingError, match=f"{name} must be finite"):
+        TrainConfig(**{name: value})
+
+
+def test_row_values_equal_validated_constructors():
+    snapshot = make_nets(2, seed0=40)
+    image = make_sample(41).image
+    (row,) = _prediction_rows(snapshot, [image], masks=True)
+    for params, probs, mask in zip(snapshot, row.probs, row.masks):
+        logits, _ = forward(params, image)
+        checked = ProbMap(width=16, height=16, num_classes=2,
+                          probs=softmax(logits), logits=logits)
+        checked_mask = LabelMask(width=16, height=16, num_classes=2,
+                                 labels=np.argmax(checked.probs, axis=1))
+        for built, want in ((probs, checked), (mask, checked_mask)):
+            assert type(built) is type(want)
+            assert vars(built).keys() == vars(want).keys()
+            for name, value in vars(want).items():
+                got = getattr(built, name)
+                if isinstance(value, np.ndarray):
+                    assert got.dtype == value.dtype and got.shape == value.shape, name
+                    assert np.array_equal(got, value), name
+                else:
+                    assert got == value, name
+        assert mask.labels.dtype == np.int32
+        assert argmax_mask(checked).labels.dtype == np.int32
+
+
+def test_argmax_mask_still_rejects_a_single_class():
+    one_class = ProbMap(width=2, height=1, num_classes=1, probs=np.ones((2, 1)))
+    with pytest.raises(ValueError, match="num_classes"):
+        argmax_mask(one_class)
 
 
 def test_config_hash_stable_and_sensitive():
