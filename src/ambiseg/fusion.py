@@ -36,12 +36,18 @@ def average_fuse(maps: Sequence[ProbMap]) -> ProbMap:
             first.num_classes,
         ):
             raise ShapeError("probability maps must share dimensions")
-    mean = np.mean([m.probs for m in maps], axis=0)
+    # the class planes added in map order from +0.0, then divided by the
+    # count: bitwise np.mean over the stacked maps, whose reduction along
+    # the outer axis is sequential
+    total = first.probs.T + 0.0
+    for m in maps[1:]:
+        total += m.probs.T
+    total /= len(maps)
     return ProbMap(
         width=first.width,
         height=first.height,
         num_classes=first.num_classes,
-        probs=mean,
+        probs=total.T,
     )
 
 

@@ -9,6 +9,15 @@ A ProbMap built by its constructor is checked (shape, range, row sums);
 the training loop builds the ProbMap of each forward without those checks,
 which a softmax always passes (masks.py says where validation happens).
 masked_cross_entropy checks only that its target set fits the map.
+
+ProbMap.probs is (N, C) in shape whatever its layout. The maps the
+package builds are class-major: the transpose of a contiguous (C, N)
+array, one plane per class, as model.forward returns its logits.
+softmax, masked_cross_entropy, argmax_mask and average_fuse read class
+planes and give the row-major results bit for bit. For C < 8 softmax
+adds the planes in class order, which is how numpy sums a row shorter
+than 8; from 8 classes numpy sums a row pairwise, so softmax sums a
+row-major copy instead.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ W_MAX_DEFAULT = 0.1
 
 @dataclass
 class ProbMap:
-    """Per-pixel class probabilities, shape (width*height, num_classes).
+    """Per-pixel class probabilities, shape (width*height, num_classes),
+    in any memory layout (class-major when the package builds them).
 
     When produced from a model, `logits` holds the matching pre-softmax
     scores so gradients can be routed back through the same forward pass.
@@ -53,7 +63,8 @@ class ProbMap:
             raise ShapeError(
                 f"probs shape {self.probs.shape} != ({n}, {self.num_classes})"
             )
-        if self.probs.min() < -1e-9 or self.probs.max() > 1.0 + 1e-9:
+        # written so that NaN fails: every comparison with NaN is False
+        if not (self.probs.min() >= -1e-9 and self.probs.max() <= 1.0 + 1e-9):
             raise ValueError("probabilities must lie in [0, 1]")
         sums = self.probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-6):
@@ -108,13 +119,23 @@ class LossBreakdown:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, numerically stable; rows are pixels."""
-    # the row max taken column by column: a max is exact in any order, and
-    # a few whole-column ufunc calls beat a reduction along short rows
-    row_max = functools.reduce(np.maximum, logits.T)
-    z = logits - row_max[:, None]
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, numerically stable; rows are pixels.
+
+    Returns the (N, C) probabilities as the transpose of a (C, N) array:
+    class-major, contiguous planes, when the logits are.
+    """
+    planes = logits.T
+    # the max taken plane by plane: a max is exact in any order
+    e = planes - functools.reduce(np.maximum, planes)
+    np.exp(e, out=e)
+    if e.shape[0] < 8:
+        # numpy adds a row shorter than 8 left to right
+        total = functools.reduce(np.add, e)
+    else:
+        # and a longer one pairwise, which only row-major rows reproduce
+        total = np.ascontiguousarray(e.T).sum(axis=1)
+    e /= total
+    return e.T
 
 
 def masked_cross_entropy(
@@ -141,15 +162,16 @@ def masked_cross_entropy(
     s = idx.size
     if s == 0:
         return 0.0, np.zeros_like(p.probs)
-    # each member's target entry as an index into the row-major probs;
-    # take and put index that order whatever the array's memory layout
-    flat = idx * p.num_classes + targets.mask.labels[idx]
-    picked = np.take(p.probs, flat)
+    # each member's target entry as an index into the class planes; take
+    # and put index their logical order whatever the memory layout
+    planes = p.probs.T
+    flat = targets.mask.labels[idx] * np.intp(n) + idx
+    picked = np.take(planes, flat)
     loss = float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
-    grad = np.where(member[:, None], p.probs, 0.0)
+    grad = np.where(member, planes, 0.0)
     np.put(grad, flat, picked - 1.0)
     grad /= s
-    return loss, grad
+    return loss, grad.T
 
 
 def ramp_lambda(t: int, schedule: RampUp) -> float:

@@ -170,11 +170,21 @@ def separate_agreement(a: LabelMask, b: LabelMask) -> tuple[PixelLabels, PixelSe
 def argmax_mask(p: "ProbMap") -> LabelMask:
     """Hard mask from a probability map; ties go to the lowest class index.
 
-    An argmax over the map's rows gives one label in [0, num_classes) per
-    pixel, so of LabelMask's checks only the class count can fail here.
+    The classes are compared plane by plane, and a class takes a pixel
+    only when it is strictly above every lower class there: the labels of
+    np.argmax over the rows on any map without NaN, which a checked
+    ProbMap or a softmax of finite logits never holds. Each label lies in
+    [0, num_classes), so of LabelMask's checks only the class count can
+    fail here.
     """
     _check_num_classes(p.num_classes)
-    labels = np.argmax(p.probs, axis=1).astype(LABEL_DTYPE)
+    planes = p.probs.T
+    labels = np.zeros(p.width * p.height, dtype=LABEL_DTYPE)
+    best = planes[0]
+    for c in range(1, p.num_classes):
+        above = planes[c] > best
+        np.copyto(labels, c, where=above)
+        best = np.maximum(best, planes[c])
     return _unchecked(
         LabelMask, width=p.width, height=p.height, num_classes=p.num_classes, labels=labels
     )

@@ -11,10 +11,17 @@ Buffers: forward writes its activations into a ForwardCache, the one it
 is given when that fits the architecture and image shape, else a new one.
 A cache is overwritten by the next forward that receives it. backward
 only reads its activations, so a cache can be backpropagated any number
-of times; it works in the cache's gradient scratch, which it overwrites
-on every call. Logits and gradients are always new arrays. Who owns the
-caches decides how long they live: a training run keeps one cache per
-network, and they die with the run.
+of times; it works in the cache's gradient scratch, which the first
+backward on that cache allocates and every later one overwrites. A cache
+that only serves inference (predict_probs, the eval path) never holds
+scratch. Logits and gradients are always new arrays. Who owns the caches
+decides how long they live: a training run keeps one cache per network,
+and they die with the run.
+
+Layout: the output head is class-major. forward returns its (N, C)
+logits as the transpose of a contiguous (C, N) array, one plane per
+class, and softmax, masked_cross_entropy, argmax_mask and average_fuse
+work on those planes. backward accepts a logit gradient in any layout.
 
 The convolutions are im2col GEMMs (np.dot on reshaped views, written
 into the caller's buffers), with the same operands and memory layouts as
@@ -192,6 +199,16 @@ class ForwardCache:
     - tap: one tap's product in layer 2's input gradient, (hidden, H, W);
     - acc: the flat accumulator of that input gradient (see the module
       docstring), (hidden, (H + 2) * W + 2).
+
+    The scratch is None until the first backward on the cache allocates
+    it (scratch()); later backwards reuse it, so a training run's caches
+    stop allocating after their first backward. Inference never
+    backpropagates, so its caches hold activations only: 3.7 MB at 64x64
+    with hidden 8, against 4.8 MB with the scratch. The eval path
+    allocates a cache per call and frees it afterwards. Measured after a
+    training run in one process (the benchmark's `ensemble-k2` eval unit,
+    two networks, 64x64), that cost about 1 020 minor page faults per test
+    image when allocate also made the scratch, and 27 without it.
     """
 
     arch: Architecture
@@ -203,13 +220,14 @@ class ForwardCache:
     cols2: np.ndarray
     pre2: np.ndarray
     act2: np.ndarray
-    d2: np.ndarray
-    d1: np.ndarray
-    tap: np.ndarray
-    acc: np.ndarray
+    d2: Optional[np.ndarray] = None
+    d1: Optional[np.ndarray] = None
+    tap: Optional[np.ndarray] = None
+    acc: Optional[np.ndarray] = None
 
     @classmethod
     def allocate(cls, arch: Architecture, height: int, width: int) -> "ForwardCache":
+        """Activation buffers for one forward; no backward scratch."""
         act = (arch.hidden, height, width)
         return cls(
             arch=arch,
@@ -221,11 +239,17 @@ class ForwardCache:
             cols2=_zero_bordered_cols(arch.hidden, height, width),
             pre2=np.empty(act),
             act2=np.empty(act),
-            d2=np.empty(act),
-            d1=np.empty(act),
-            tap=np.empty(act),
-            acc=np.empty((arch.hidden, (height + 2) * width + 2)),
         )
+
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """backward's (d2, d1, tap, acc), allocated by the first call."""
+        if self.acc is None:
+            act = (self.arch.hidden, self.height, self.width)
+            self.d2 = np.empty(act)
+            self.d1 = np.empty(act)
+            self.tap = np.empty(act)
+            self.acc = np.empty((self.arch.hidden, (self.height + 2) * self.width + 2))
+        return self.d2, self.d1, self.tap, self.acc
 
 
 def _zero_bordered_cols(channels: int, height: int, width: int) -> np.ndarray:
@@ -274,11 +298,13 @@ def _conv3_from_cols(
 def forward(
     params: ModelParams, image: ImageTensor, cache: Optional[ForwardCache] = None
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Logits for every pixel, shape (width*height, num_classes), row-major.
+    """Logits for every pixel, shape (width*height, num_classes).
 
-    The activations go into `cache` when it fits this architecture and
-    image shape, overwriting what it held, and into a new cache otherwise;
-    the cache used is returned. The logits are always a new array.
+    The logits are always a new array, the transpose of a contiguous
+    (num_classes, width*height) one: each class's logits are one
+    contiguous plane. The activations go into `cache` when it fits this
+    architecture and image shape, overwriting what it held, and into a
+    new cache otherwise; the cache used is returned.
     """
     arch = params.arch
     if image.channels != arch.in_channels:
@@ -297,7 +323,7 @@ def forward(
     np.maximum(cache.pre2, 0.0, out=cache.act2)
     logits_cn = np.dot(p["w3"][:, :, 0, 0], cache.act2.reshape(arch.hidden, -1))
     logits_cn += p["b3"][:, None]
-    return logits_cn.T.copy(), cache
+    return logits_cn.T, cache
 
 
 def _conv3_param_grads(
@@ -344,7 +370,8 @@ def backward(
 ) -> np.ndarray:
     """Flat parameter gradient for the loss whose logit gradient is given.
 
-    The cache's activations are only read, so one forward can be
+    grad_logits is (width*height, num_classes) in any memory layout. The
+    cache's activations are only read, so one forward can be
     backpropagated any number of times; intermediate gradients go into
     the cache's scratch. The returned gradient is always a new array.
     """
@@ -356,20 +383,24 @@ def backward(
         raise ShapeError(
             f"grad_logits shape {grad_logits.shape} != ({n}, {arch.num_classes})"
         )
-    d2, d1 = cache.d2, cache.d1
+    d2, d1, tap, acc = cache.scratch()
     p = params.unpack()
     grad = np.empty(param_count(arch))
     g = _unpack(arch, grad)
-    g_chw = grad_logits.T.reshape(arch.num_classes, cache.height, cache.width)
-    g_cn = g_chw.reshape(arch.num_classes, -1)
+    # the GEMMs take the transpose of row-major rows: with a contiguous
+    # class-major operand OpenBLAS sums w3's gradient in another order
+    g_cn = np.ascontiguousarray(grad_logits).T
 
     np.dot(g_cn, cache.act2.reshape(arch.hidden, -1).T, out=g["w3"][:, :, 0, 0])
-    g["b3"][:] = g_chw.sum(axis=(1, 2))
+    # each class plane summed in pixel order, as numpy's strided sum over
+    # the (C, H, W) view did; that sum starts from +0.0, which only an
+    # all -0.0 plane can tell apart from a cumsum
+    g["b3"][:] = np.cumsum(grad_logits.T, axis=1)[:, -1] + 0.0
     np.dot(p["w3"][:, :, 0, 0].T, g_cn, out=d2.reshape(arch.hidden, -1))
 
     d2 *= cache.pre2 > 0.0  # d_act2 -> d_pre2
     _conv3_param_grads(cache.cols2, d2, g["w2"], g["b2"])
-    _conv3_input_grad(p["w2"], d2, d1, cache.tap, cache.acc)
+    _conv3_input_grad(p["w2"], d2, d1, tap, acc)
 
     # the image is not a parameter, so layer 1's input gradient is never formed
     d1 *= cache.pre1 > 0.0  # d_act1 -> d_pre1

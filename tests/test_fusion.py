@@ -66,6 +66,28 @@ def test_average_fuse_matches_accumulation():
     assert np.abs(fused.probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
+@pytest.mark.parametrize("count", range(1, 10))
+def test_average_fuse_bitwise_equal_to_mean_of_stack(count):
+    rng = np.random.default_rng(30 + count)
+    for width, height, num_classes in ((1, 1, 2), (5, 3, 3), (16, 16, 9)):
+        maps = []
+        for i in range(count):
+            probs = random_prob_map(rng, width, height, num_classes).probs
+            probs[0, 0] = -0.0  # a zero whose sign a sum from +0.0 drops
+            probs[0, 1:] /= probs[0, 1:].sum()
+            # class-major and row-major maps mixed
+            layout = np.ascontiguousarray(probs.T).T if i % 2 else probs
+            maps.append(
+                ProbMap(width=width, height=height, num_classes=num_classes, probs=layout)
+            )
+        want = np.mean(np.stack([np.ascontiguousarray(m.probs) for m in maps]), axis=0)
+        got = average_fuse(maps).probs
+        assert got.shape == want.shape
+        assert np.array_equal(
+            np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64)
+        ), (width, height, num_classes)
+
+
 def test_average_fuse_respects_unanimous_argmax():
     rng = np.random.default_rng(2)
     maps = [random_prob_map(rng, 8, 8, 3) for _ in range(3)]

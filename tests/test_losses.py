@@ -286,3 +286,10 @@ def test_probmap_validation():
         ProbMap(width=2, height=1, num_classes=2, probs=np.array([[0.9, 0.3], [0.5, 0.5]]))
     with pytest.raises(ShapeError):
         ProbMap(width=2, height=1, num_classes=2, probs=np.full((3, 2), 0.5))
+    # NaN fails every comparison, so the range check is written to fail it
+    for nan_at in ((2, 1), 2):
+        probs = np.full((4, 2), 0.5)
+        probs[nan_at] = np.nan
+        for layout in (probs, np.asfortranarray(probs)):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                ProbMap(width=2, height=2, num_classes=2, probs=layout)

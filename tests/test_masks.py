@@ -104,6 +104,22 @@ def test_argmax_mask_vs_bruteforce():
         assert got[i] == best_c
 
 
+@pytest.mark.parametrize("num_classes", [2, 3, 9])
+def test_argmax_mask_equals_numpy_argmax_with_ties_in_any_layout(num_classes):
+    rng = np.random.default_rng(20 + num_classes)
+    # probabilities on a coarse grid, so exact ties are frequent
+    raw = rng.integers(1, 4, size=(300, num_classes)).astype(np.float64)
+    raw[::7] = 1.0  # every class tied
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    want = np.argmax(probs, axis=1)
+    assert (probs == probs.max(axis=1, keepdims=True)).sum(axis=1).max() > 1
+    for layout in (probs, np.asfortranarray(probs), np.ascontiguousarray(probs.T).T):
+        p = ProbMap(width=20, height=15, num_classes=num_classes, probs=layout)
+        got = argmax_mask(p).labels
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+
 def test_consistency_set_full_and_empty():
     rng = np.random.default_rng(4)
     m = random_mask(rng, 6, 6, 2)

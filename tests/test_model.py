@@ -10,6 +10,7 @@ from ambiseg.losses import ProbMap, masked_cross_entropy, softmax
 from ambiseg.masks import ShapeError, full_grid_labels
 from ambiseg.model import (
     Architecture,
+    ForwardCache,
     ImageTensor,
     ModelParams,
     _conv3_input_grad,
@@ -165,7 +166,21 @@ ODD_SHAPES = [
 ]
 
 
-@pytest.mark.parametrize("in_channels,num_classes,height,width", ODD_SHAPES)
+def gradient_layouts(g):
+    """One (N, C) logit gradient in the layouts backward may be given."""
+    wide = np.zeros((g.shape[0], 2 * g.shape[1]))
+    wide[:, ::2] = g
+    return {
+        "row-major": np.ascontiguousarray(g),
+        "fortran": np.asfortranarray(g),
+        "class-major view": np.ascontiguousarray(g.T).T,
+        "strided columns": wide[:, ::2],
+    }
+
+
+@pytest.mark.parametrize(
+    "in_channels,num_classes,height,width", ODD_SHAPES + [(1, 2, 64, 64)]
+)
 def test_forward_backward_bitwise_equal_to_reference_kernels(
     in_channels, num_classes, height, width
 ):
@@ -176,17 +191,33 @@ def test_forward_backward_bitwise_equal_to_reference_kernels(
     for name in CACHE_FIELDS:
         assert np.array_equal(getattr(cache, name), acts[name]), name
     g = rng.normal(size=logits.shape)
-    assert np.array_equal(backward(params, cache, g), ref_backward(params, acts, g))
+    # +0.0 on the pixels outside a loss's set, as masked CE leaves them,
+    # and one class plane all -0.0: the reference's strided b3 sum starts
+    # from +0.0, where a plain cumsum would keep the -0.0
+    zeros = g.copy()
+    zeros[rng.random(height * width) < 0.4] = 0.0
+    zeros[:, -1] = -0.0
+    for grad_logits in (g, zeros):
+        # the reference is the row-major gradient's: BLAS sums w3's
+        # gradient in another order when handed a class-major operand
+        want = ref_backward(params, acts, grad_logits).view(np.uint64)
+        for name, layout in gradient_layouts(grad_logits).items():
+            got = backward(params, cache, layout)
+            assert np.array_equal(got.view(np.uint64), want), name
 
 
-@pytest.mark.parametrize("num_classes", [2, 3, 9])
+@pytest.mark.parametrize("num_classes", [2, 3, 7, 8, 9, 16])
 def test_softmax_bitwise_equal_to_axis_max(num_classes):
     rng = np.random.default_rng(num_classes)
     logits = rng.normal(scale=30.0, size=(77, num_classes))
     logits[::5, -1] = logits[::5, 0]  # ties for the row max
     logits[3] = 0.0
     logits[4, 0] = -0.0
-    assert np.array_equal(softmax(logits), ref_softmax(logits))
+    # the reference sums row-major rows, pairwise from 8 classes on
+    want = ref_softmax(logits).view(np.uint64)
+    for layout in (logits, np.asfortranarray(logits)):
+        got = np.ascontiguousarray(softmax(layout))
+        assert np.array_equal(got.view(np.uint64), want)
 
 
 @pytest.mark.parametrize("in_channels,num_classes,height,width", ODD_SHAPES[:3])
@@ -235,6 +266,55 @@ def test_backward_only_reads_its_cache():
     assert np.array_equal(second, first)
     for name in CACHE_FIELDS:
         assert np.array_equal(getattr(cache, name), before[name]), name
+
+
+def test_forward_returns_class_major_logits():
+    params, image, _ = odd_case(1, 3, 7, 5, seed=13)
+    logits, _ = forward(params, image)
+    assert logits.shape == (35, 3)
+    assert logits.T.flags.c_contiguous
+    probs = predict_probs(params, image).probs
+    assert probs.T.flags.c_contiguous
+
+
+def test_inference_caches_hold_no_backward_scratch(monkeypatch):
+    from ambiseg import training
+
+    allocated = []
+    original = ForwardCache.allocate.__func__
+
+    def recording(cls, arch, height, width):
+        cache = original(cls, arch, height, width)
+        allocated.append(cache)
+        return cache
+
+    monkeypatch.setattr(ForwardCache, "allocate", classmethod(recording))
+    nets = [init_params(Architecture(), seed=s) for s in (1, 2)]
+    image = ImageTensor.from_planes(np.random.default_rng(3).random((1, 9, 7)))
+    predict_probs(nets[0], image)
+    training.fused_probs(nets, image)
+    for _ in training._prediction_rows(nets, [image, image], masks=True):
+        pass
+    # one cache per call: predict_probs, fused_probs, the rows' shared one
+    assert len(allocated) == 3
+    for cache in allocated:
+        assert all(a is None for a in (cache.d2, cache.d1, cache.tap, cache.acc))
+
+
+def test_first_backward_allocates_scratch_and_later_ones_reuse_it():
+    params, image, rng = odd_case(3, 3, 9, 7, seed=14)
+    logits, cache = forward(params, image)
+    assert cache.acc is None
+    backward(params, cache, rng.normal(size=logits.shape))
+    scratch = (cache.d2, cache.d1, cache.tap, cache.acc)
+    assert all(isinstance(a, np.ndarray) for a in scratch)
+    assert scratch[0].shape == (5, 9, 7) and scratch[3].shape == (5, 11 * 7 + 2)
+    forward(params, image, cache)
+    backward(params, cache, rng.normal(size=logits.shape))
+    assert all(
+        now is before
+        for now, before in zip((cache.d2, cache.d1, cache.tap, cache.acc), scratch)
+    )
 
 
 def relu_masked_gout(rng, channels, height, width):
