@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .data import (
     Dataset,
+    GenerationError,
     build_dataset,
     load_dataset,
     load_mask_pgm,
@@ -401,7 +402,7 @@ def entry(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, TrainingError) as exc:
+    except (FileNotFoundError, ValueError, GenerationError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

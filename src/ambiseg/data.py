@@ -6,21 +6,33 @@ threshold the signed distance to the clean boundary at a systematic bias
 plus smooth angular jitter, which confines all disagreement to a band
 around the boundary and leaves far pixels untouched.
 
+Two small filters serve the scenes and annotators, both exact and both
+deterministic to the bit. The Gaussian blur uses the kernel
+exp(-x^2 / (2 sigma^2)) over x = -r..r, r = int(4.0 * sigma + 0.5)
+(truncated at 4 sigma), normalised by its sum; "reflect" (half-sample
+symmetric) extension, periodic when r exceeds the side; it filters axis
+0, then axis 1, and sums each output as x[i] * w0, then adds
+(x[i-j] + x[i+j]) * wj for j = r..1. The distance transform is the exact
+Euclidean distance from each True pixel to the nearest False one; a grid
+with no False pixel gets the distance to the point (-1, 0) instead.
+
 Formats: images are "TNS1" tensor files (magic, u32 rank, u32 dims,
 row-major float64, little-endian); masks are binary PGM (P5) with
-maxval = num_classes - 1; each dataset directory carries a manifest.tsv.
+maxval = num_classes - 1; each dataset directory carries a manifest.tsv;
+a build that fails removes the directories it created.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import shutil
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.ndimage import distance_transform_edt, gaussian_filter
 
 from .masks import LabelMask, ShapeError
 from .model import ImageTensor
@@ -123,6 +135,45 @@ def load_mask_pgm(path: str | Path) -> LabelMask:
 
 
 # ---------------------------------------------------------------------------
+# filters (the module docstring states what each reproduces)
+
+
+def _blur_axis0(img: np.ndarray, phi: np.ndarray, r: int) -> np.ndarray:
+    n = img.shape[0]
+    idx = np.arange(-r, n + r) % (2 * n)
+    ext = img[np.minimum(idx, 2 * n - 1 - idx)]
+    out = ext[r : r + n] * phi[r]
+    for j in range(r, 0, -1):
+        out += (ext[r - j : r - j + n] + ext[r + j : r + j + n]) * phi[r + j]
+    return out
+
+
+def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
+    r = int(4.0 * sigma + 0.5)
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    phi = phi / phi.sum()
+    return np.ascontiguousarray(_blur_axis0(_blur_axis0(img, phi, r).T, phi, r).T)
+
+
+def _distance_transform(fg: np.ndarray) -> np.ndarray:
+    h, w = fg.shape
+    rows = np.arange(h, dtype=np.int32)[:, None]
+    cols = np.arange(w, dtype=np.int32)
+    if fg.all():
+        return np.sqrt((rows + 1.0) ** 2 + cols**2)
+    # rows to the nearest False pixel of the same column; `far` where none
+    far = np.int32(2 * (h + w))
+    above = np.maximum.accumulate(np.where(fg, -far, rows), axis=0)
+    below = np.minimum.accumulate(np.where(fg, far, rows)[::-1], axis=0)[::-1]
+    g = np.minimum(rows - above, below - rows)
+    sq, dx2 = g * g, (cols[:, None] - cols) ** 2
+    step = max(1, (1 << 18) // (w * w))  # rows per pass, to bound the scratch
+    best = [(sq[y : y + step, None, :] + dx2).min(axis=2) for y in range(0, h, step)]
+    return np.sqrt(np.concatenate(best).astype(np.float64))
+
+
+# ---------------------------------------------------------------------------
 # scene generation
 
 
@@ -143,6 +194,12 @@ class SceneSpec:
             raise ValueError(f"unknown shape family {self.shape_family!r}")
         if self.width < 8 or self.height < 8:
             raise ValueError("scenes must be at least 8x8")
+        for name in ("blur_radius", "noise_level"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not math.isfinite(self.contrast):
+            raise ValueError(f"contrast must be finite, got {self.contrast}")
 
 
 def _polar_grid(width: int, height: int, cx: float, cy: float):
@@ -191,7 +248,7 @@ def generate_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
         )
     img = BACKGROUND_LEVEL + spec.contrast * fg.astype(np.float64)
     if spec.blur_radius > 0:
-        img = gaussian_filter(img, sigma=spec.blur_radius)
+        img = _gaussian_blur(img, spec.blur_radius)
     if spec.noise_level > 0:
         img = img + rng.normal(0.0, spec.noise_level, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
@@ -207,7 +264,7 @@ def generate_nested_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
     for _ in range(50):
         candidate = _draw_indicator(spec, rng)
         if 0.05 <= candidate.mean() <= 0.60:
-            depth = distance_transform_edt(candidate)
+            depth = _distance_transform(candidate)
             if depth.max() >= 4.0:
                 fg = candidate
                 break
@@ -215,7 +272,6 @@ def generate_nested_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
         raise GenerationError(
             f"no nestable shape found for seed {spec.seed}"
         )
-    depth = distance_transform_edt(fg)
     core = depth >= 0.45 * depth.max()
     labels = fg.astype(np.int64) + core.astype(np.int64)
     lo, mid, hi = NESTED_LEVELS
@@ -223,7 +279,7 @@ def generate_nested_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
     img[fg] = mid
     img[core] = hi
     if spec.blur_radius > 0:
-        img = gaussian_filter(img, sigma=spec.blur_radius)
+        img = _gaussian_blur(img, spec.blur_radius)
     if spec.noise_level > 0:
         img = img + rng.normal(0.0, spec.noise_level, size=img.shape)
     img = np.clip(img, 0.0, 1.0)
@@ -257,13 +313,6 @@ class AnnotatorProfile:
             raise ValueError("jitter_scale must be >= 1")
 
 
-def _signed_distance(fg: np.ndarray) -> np.ndarray:
-    """Positive outside the object, negative inside; never zero."""
-    outside = distance_transform_edt(~fg)
-    inside = distance_transform_edt(fg)
-    return outside - inside
-
-
 def _angular_jitter(
     theta: np.ndarray, profile: AnnotatorProfile, mean_radius: float
 ) -> np.ndarray:
@@ -284,6 +333,44 @@ def _angular_jitter(
     return profile.jitter_amplitude * signal / peak
 
 
+def _boundary_displacer(fg: np.ndarray):
+    """Profile -> the object `fg` with its boundary displaced.
+
+    The object's geometry (signed distance, positive outside, polar angle
+    about its centroid, mean radius) is computed once and shared by every
+    profile the returned function is called with.
+    """
+    if not fg.any():
+        return lambda profile: fg
+    d = _distance_transform(~fg) - _distance_transform(fg)
+    ys, xs = np.nonzero(fg)
+    _, theta, _, _ = _polar_grid(fg.shape[1], fg.shape[0], xs.mean(), ys.mean())
+    mean_radius = np.sqrt(fg.sum() / np.pi)
+    return lambda profile: d <= profile.bias_radius + _angular_jitter(
+        theta, profile, mean_radius
+    )
+
+
+def _scene_annotator(clean_gt: LabelMask):
+    """Profile -> annotation of one clean binary or three-class nested mask."""
+    grid = clean_gt.grid()
+    if clean_gt.num_classes == 2:
+        displace = _boundary_displacer(grid.astype(bool))
+        return lambda profile: LabelMask.from_grid(
+            displace(profile).astype(np.int64), num_classes=2
+        )
+    outer, inner = _boundary_displacer(grid >= 1), _boundary_displacer(grid == 2)
+
+    def annotate(profile: AnnotatorProfile) -> LabelMask:
+        o = outer(profile)
+        i = inner(replace(profile, seed=profile.seed + 1)) & o
+        return LabelMask.from_grid(
+            o.astype(np.int64) + i.astype(np.int64), num_classes=3
+        )
+
+    return annotate
+
+
 def simulate_annotator(clean_gt: LabelMask, profile: AnnotatorProfile) -> LabelMask:
     """Displace the clean boundary by bias plus smooth angular jitter.
 
@@ -292,17 +379,7 @@ def simulate_annotator(clean_gt: LabelMask, profile: AnnotatorProfile) -> LabelM
     """
     if clean_gt.num_classes != 2:
         raise ValueError("simulate_annotator requires a binary mask")
-    fg = clean_gt.grid().astype(bool)
-    if not fg.any():
-        return LabelMask.from_grid(fg.astype(np.int64), num_classes=2)
-    d = _signed_distance(fg)
-    ys, xs = np.nonzero(fg)
-    cy, cx = ys.mean(), xs.mean()
-    _, theta, _, _ = _polar_grid(clean_gt.width, clean_gt.height, cx, cy)
-    mean_radius = np.sqrt(fg.sum() / np.pi)
-    threshold = profile.bias_radius + _angular_jitter(theta, profile, mean_radius)
-    out = d <= threshold
-    return LabelMask.from_grid(out.astype(np.int64), num_classes=2)
+    return _scene_annotator(clean_gt)(profile)
 
 
 def simulate_annotator_nested(
@@ -311,16 +388,7 @@ def simulate_annotator_nested(
     """Annotate a three-class nested mask: both boundaries get perturbed."""
     if clean_gt.num_classes != 3:
         raise ValueError("nested annotation requires a three-class mask")
-    grid = clean_gt.grid()
-    outer = LabelMask.from_grid((grid >= 1).astype(np.int64), num_classes=2)
-    inner = LabelMask.from_grid((grid == 2).astype(np.int64), num_classes=2)
-    outer_ann = simulate_annotator(outer, profile)
-    inner_ann = simulate_annotator(inner, replace(profile, seed=profile.seed + 1))
-    o = outer_ann.grid().astype(bool)
-    i = inner_ann.grid().astype(bool) & o
-    return LabelMask.from_grid(
-        o.astype(np.int64) + i.astype(np.int64), num_classes=3
-    )
+    return _scene_annotator(clean_gt)(profile)
 
 
 def default_profiles(k: int) -> list[AnnotatorProfile]:
@@ -440,12 +508,13 @@ def build_dataset(
         blur_radius=blur_radius,
     )
     out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "masks").mkdir(exist_ok=True)
-    (out / "gt").mkdir(exist_ok=True)
+    subdirs = [out / "images", out / "masks", out / "gt"]
+    # top-down, so removing the first also removes the ones below it
+    fresh = [p for p in (*reversed(out.parents), out, *subdirs) if not p.exists()]
+    for sub in subdirs:
+        sub.mkdir(parents=True, exist_ok=True)
 
     make_scene = generate_nested_scene if nested else generate_scene
-    annotate = simulate_annotator_nested if nested else simulate_annotator
 
     rows = ["id\tsplit\timage\tgt\tmasks\tk"]
     scene_index = 0
@@ -458,11 +527,11 @@ def build_dataset(
         return image, gt, idx
 
     def annotate_all(gt: LabelMask, idx: int) -> list[LabelMask]:
-        out_masks = []
-        for a, prof in enumerate(profiles):
-            scene_prof = replace(prof, seed=_derive_seed(prof.seed, seed, idx))
-            out_masks.append(annotate(gt, scene_prof))
-        return out_masks
+        annotate = _scene_annotator(gt)
+        return [
+            annotate(replace(prof, seed=_derive_seed(prof.seed, seed, idx)))
+            for prof in profiles
+        ]
 
     def emit(sample_id: str, split: str, with_gt: bool, with_masks: bool) -> None:
         image, gt, idx = next_scene()
@@ -483,16 +552,23 @@ def build_dataset(
             f"{';'.join(mask_rels)}\t{len(mask_rels)}"
         )
 
-    for i in range(n_multi):
-        emit(f"m{i:03d}", "multi", with_gt=True, with_masks=True)
-    for i in range(n_unann):
-        emit(f"u{i:03d}", "unann", with_gt=False, with_masks=False)
-    for i in range(n_val):
-        emit(f"v{i:03d}", "val", with_gt=True, with_masks=True)
-    for i in range(n_test):
-        emit(f"t{i:03d}", "test", with_gt=True, with_masks=False)
-
-    (out / "manifest.tsv").write_text("\n".join(rows) + "\n")
+    staged = out / "manifest.tsv.tmp"
+    try:
+        for i in range(n_multi):
+            emit(f"m{i:03d}", "multi", with_gt=True, with_masks=True)
+        for i in range(n_unann):
+            emit(f"u{i:03d}", "unann", with_gt=False, with_masks=False)
+        for i in range(n_val):
+            emit(f"v{i:03d}", "val", with_gt=True, with_masks=True)
+        for i in range(n_test):
+            emit(f"t{i:03d}", "test", with_gt=True, with_masks=False)
+        staged.write_text("\n".join(rows) + "\n")
+        os.replace(staged, out / "manifest.tsv")
+    except BaseException:
+        staged.unlink(missing_ok=True)
+        for path in fresh:
+            shutil.rmtree(path, ignore_errors=True)
+        raise
     return out
 
 

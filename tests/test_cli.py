@@ -81,6 +81,39 @@ def test_gen_data_rejects_bad_sizes_before_writing(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_unsatisfiable_scene_is_an_error(tmp_path, capsys):
+    out = tmp_path / "X"
+    code = entry(["gen-data", "--out", str(out), "--width", "8", "--height", "300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no shape met the 5-60% area constraint")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gen_data_mid_build_failure_leaves_nothing(tmp_path, monkeypatch, capsys):
+    from ambiseg import data
+
+    real = data.generate_scene
+    calls = []
+
+    def flaky_scene(spec):
+        calls.append(spec.seed)
+        if len(calls) == 3:
+            raise data.GenerationError(f"no shape for seed {spec.seed}")
+        return real(spec)
+
+    monkeypatch.setattr(data, "generate_scene", flaky_scene)
+    out = tmp_path / "nested" / "ds"
+    code = entry([
+        "gen-data", "--out", str(out), "--n-multi", "2", "--n-unann", "2",
+        "--n-val", "1", "--n-test", "1", "--width", "16", "--height", "16",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: no shape for seed")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_dataset(tmp_path):
     code = entry([
         "train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),

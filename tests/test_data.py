@@ -1,15 +1,22 @@
 """Synthetic scenes, annotator simulation, dataset build and file IO."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import ambiseg
+from ambiseg import data
 from ambiseg.data import (
     AnnotatorProfile,
     SceneSpec,
+    _distance_transform,
+    _gaussian_blur,
     build_dataset,
     default_profiles,
     generate_nested_scene,
@@ -244,3 +251,127 @@ def test_build_dataset_nested(tmp_path):
 def test_load_dataset_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_dataset(str(tmp_path / "nope"))
+
+
+ORACLE_SHAPES = [(1, 1), (1, 9), (9, 1), (2, 3), (7, 5), (13, 31), (33, 40), (64, 64)]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_gaussian_blur_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(20)
+    # 20.0 has radius 80, more than every side here
+    for sigma in (0.3, 1.0, 1.5, 2.7, 20.0):
+        for shape in ORACLE_SHAPES:
+            img = rng.normal(size=shape)
+            got = _gaussian_blur(img, sigma)
+            assert same_bits(got, ndimage.gaussian_filter(img, sigma)), (sigma, shape)
+            assert got.flags.c_contiguous
+    for _ in range(200):
+        shape = tuple(int(n) for n in rng.integers(1, 65, size=2))
+        img = rng.uniform(0.0, 1.0, size=shape)
+        sigma = float(rng.uniform(0.1, 12.0))
+        assert same_bits(_gaussian_blur(img, sigma), ndimage.gaussian_filter(img, sigma))
+
+
+def test_distance_transform_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for shape in ORACLE_SHAPES:
+        for density in (0.0, 0.02, 0.3, 0.5, 0.7, 0.98, 1.0):
+            fg = rng.random(shape) < density
+            got = _distance_transform(fg)
+            assert same_bits(got, ndimage.distance_transform_edt(fg)), (shape, density)
+    for _ in range(300):
+        shape = tuple(int(n) for n in rng.integers(1, 65, size=2))
+        fg = rng.random(shape) < rng.uniform(0.0, 1.0)
+        assert same_bits(_distance_transform(fg), ndimage.distance_transform_edt(fg))
+    # no False pixel: the distance to the point (-1, 0)
+    got = _distance_transform(np.ones((3, 5), dtype=bool))
+    assert got[0, 0] == 1.0 and got[2, 0] == 3.0 and got[2, 4] == 5.0
+
+
+# sha256 of each dataset tree as built before the filters left scipy;
+# any change to a scene, annotation or file format moves these
+K2_BENCH_PROFILES = [
+    AnnotatorProfile(bias_radius=2.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=1000),
+    AnnotatorProfile(bias_radius=0.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=1007),
+]
+SPLITS = dict(n_multi=3, n_unann=2, n_val=1, n_test=2)
+PINNED_DATASETS = [
+    (dict(k=2, profiles=K2_BENCH_PROFILES, seed=5, noise_level=0.08),
+     "418eb6537fa877418bcda497ed3217db28c144eeb02df49a3503363fe0d84b79"),
+    (dict(k=2, profiles=K2_BENCH_PROFILES, seed=5, width=32, height=32, noise_level=0.08),
+     "024a155269e95680726ebbb9e1f9ad6269af60db663a35c32e502aeb75a79048"),
+    (dict(k=4, seed=7, width=32, height=32),
+     "a97b7d97123d6755da4e439f9769eeef40ca668f51f69d4d797fd2e0427bcfa8"),
+    (dict(k=3, seed=11, width=40, height=33, nested=True),
+     "0367a6794c5c2ba0797243e482d6a480228017aacf5c7e419e6119788f5d5fd6"),
+]
+
+
+@pytest.mark.parametrize("kwargs,pinned", PINNED_DATASETS)
+def test_build_dataset_pinned_digest(kwargs, pinned, tmp_path):
+    root = build_dataset(tmp_path / "ds", **SPLITS, **kwargs)
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    assert h.hexdigest() == pinned
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(ambiseg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ambiseg, ambiseg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("name,value", [
+    ("blur_radius", -0.5), ("blur_radius", float("nan")), ("blur_radius", float("inf")),
+    ("noise_level", -0.01), ("noise_level", float("nan")), ("noise_level", float("inf")),
+    ("contrast", float("nan")), ("contrast", float("-inf")),
+])
+def test_scene_settings_rejected(name, value, tmp_path):
+    with pytest.raises(ValueError, match=name):
+        SceneSpec(**{name: value})
+    out = tmp_path / "ds"
+    with pytest.raises(ValueError, match=name):
+        build_dataset(out, n_multi=1, n_unann=0, n_val=0, n_test=0, **{name: value})
+    assert not out.exists()
+
+
+def test_failed_build_removes_what_it_created(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_save(path, mask):
+        calls.append(path)
+        if len(calls) == 4:
+            raise OSError("disk full")
+        save_mask_pgm(path, mask)
+
+    monkeypatch.setattr(data, "save_mask_pgm", failing_save)
+    kwargs = dict(n_multi=3, n_unann=1, n_val=1, n_test=1, width=16, height=16)
+    fresh = tmp_path / "a" / "b" / "ds"
+    with pytest.raises(OSError, match="disk full"):
+        build_dataset(fresh, **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+    # into an existing directory: only the subdirectories made here go
+    calls.clear()
+    existing = tmp_path / "existing"
+    (existing / "gt").mkdir(parents=True)
+    (existing / "notes.txt").write_text("keep")
+    with pytest.raises(OSError, match="disk full"):
+        build_dataset(existing, **kwargs)
+    assert sorted(p.name for p in existing.iterdir()) == ["gt", "notes.txt"]
+
+    monkeypatch.undo()
+    build_dataset(existing, **kwargs)
+    assert not (existing / "manifest.tsv.tmp").exists()
+    assert len(load_dataset(existing).multi) == 3
