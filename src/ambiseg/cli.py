@@ -1,9 +1,10 @@
 """Command-line surface: dataset generation, training, evaluation,
 annotation fusion, and gradient self-verification.
 
-Exit codes: 0 success, 1 runtime or data failure, 2 usage error. Every
-training/evaluation run writes its fully-resolved configuration next to
-its outputs so the run directory is self-describing.
+Exit codes: 0 success, 1 runtime or data failure (Ctrl-C included), 2
+usage error. Every training run writes its fully-resolved configuration
+next to its outputs so the run directory is self-describing; a run whose
+training fails writes nothing.
 """
 
 from __future__ import annotations
@@ -75,9 +76,8 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def write_resolved_config(
-    out: Path, config: TrainConfig, data: Path, extras: dict
-) -> None:
+def resolved_config(config: TrainConfig, data: Path, extras: dict) -> str:
+    """The text of a run's config.txt."""
     lines = [f"version = {__version__}"]
     for f in fields(config):
         lines.append(f"{f.name} = {getattr(config, f.name)}")
@@ -89,7 +89,7 @@ def write_resolved_config(
     lines.append(f"config_hash = {config_hash(config)}")
     for key, value in extras.items():
         lines.append(f"{key} = {value}")
-    (out / "config.txt").write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_gen_data(ns: argparse.Namespace) -> int:
@@ -154,14 +154,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
     except (TypeError, TrainingError) as exc:
         raise UsageError(str(exc)) from exc
 
-    out_path.mkdir(parents=True, exist_ok=True)
     extras = {
         "ablate_pc": ns.ablate_pc,
         "ablate_ps": ns.ablate_ps,
         "no_unannotated": ns.no_unannotated,
         "single_annotator": ns.single_annotator,
     }
-    write_resolved_config(out_path, config, data_path, extras)
+    # resolved now, against the dataset as loaded, and written only after
+    # the run's own outputs, so a run that fails leaves nothing in --out
+    config_text = resolved_config(config, data_path, extras)
 
     if ns.single_annotator is not None:
         result = train_single_annotator(
@@ -169,6 +170,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         )
     else:
         result = run_training(dataset, config, out_dir=out_path)
+    (out_path / "config.txt").write_text(config_text)
     print(
         f"trained {config.total_iters} iterations; best checkpoint at "
         f"iteration {result.best.iteration} with validation score "
@@ -402,8 +404,11 @@ def entry(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError, GenerationError, TrainingError) as exc:
+    except (OSError, ValueError, GenerationError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

@@ -487,7 +487,8 @@ def build_dataset(
     clean ground truth, `test` carries the clean ground truth only, and
     `unann` carries just the image. Everything is a pure function of
     `seed`, so rebuilding with the same arguments reproduces the tree
-    byte for byte.
+    byte for byte. A build that fails once it has begun writing leaves
+    no manifest.tsv, so a directory it left half written does not load.
     """
     counts = {"n_multi": n_multi, "n_unann": n_unann, "n_val": n_val, "n_test": n_test}
     for name, count in counts.items():
@@ -554,6 +555,9 @@ def build_dataset(
 
     staged = out / "manifest.tsv.tmp"
     try:
+        # a rebuild overwrites files one by one: without its old manifest,
+        # a directory left half rebuilt no longer loads as a dataset
+        (out / "manifest.tsv").unlink(missing_ok=True)
         for i in range(n_multi):
             emit(f"m{i:03d}", "multi", with_gt=True, with_masks=True)
         for i in range(n_unann):

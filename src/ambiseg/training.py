@@ -27,9 +27,43 @@ of rows over the training images, the probe's unannotated images and the
 validation split, with no backward pass; fused prediction uses the same
 rows.
 
-Buffers: a training run owns one forward cache per network (a list,
-network z's cache at index z, None until its first forward), and every
-forward of the run (training and checkpoint rows) writes network z's
+Executors: networks share nothing but hard predictions (a peer's argmax
+mask in the consistency term, the peers' consensus in pseudo-supervision)
+and no gradient crosses networks, so an iteration splits into per-network
+steps that run on W = min(K, usable cores) executors. The calling process
+is executor 0; W - 1 workers are forked (start method "fork", named
+explicitly) once per run. Executor w owns the networks z = w (mod W):
+their parameters, Adam state and forward caches. The rng stays in the
+calling process, which draws the batch indices and the comparison
+networks in the serial order and sends each worker the indices; workers
+read the images from the dataset they inherited. Per row, every executor
+- publishes: forwards its own networks, takes softmax and (when a peer
+  reads them) argmax, and writes each mask into that row's slot of the
+  slab, one anonymous shared mapping of int32 labels per row and network;
+- waits until every executor has published: each worker reports to the
+  calling process through its pipe, which answers when all have;
+- learns: takes its peers' masks from the slab, computes its networks'
+  loss terms from its own probabilities and backpropagates each network
+  once into its own cache.
+After the batch each executor takes its networks' Adam steps, and each
+worker sends its networks' loss means, parameters and Adam state back,
+so the calling process holds the complete EnsembleState between
+iterations and runs every checkpoint alone. Each network runs the same
+operations in the same order as in the serial loop and only exact
+integer masks cross processes, so results are bit-identical for every W.
+While the workers run, numpy's OpenBLAS is held to one thread (the
+workers inherit the setting), and restored afterwards. The serial loop is
+the case W = 1, where the calling process owns every network and nothing
+is exchanged; it is what runs for a lone network, on one core, where the
+platform cannot fork or report its cores, and where no OpenBLAS thread
+control is found. A worker that raises (its message travels to the
+calling process), dies or is interrupted ends the run with TrainingError,
+and every worker is stopped before the run returns or raises.
+
+Buffers, per executor: an executor holds one forward cache per network
+it owns (a list indexed by network, None until that network's first
+forward), and every forward it makes for network z (training rows, and
+in the calling process checkpoint rows for every network) writes z's
 activations into cache z. A cache is overwritten by the next forward
 that receives it, so a row's activations are valid only until the next
 row is built; backward only reads them. The run's caches die with the
@@ -43,9 +77,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -64,6 +100,7 @@ from .losses import (
     total_network_loss,
 )
 from .masks import (
+    LABEL_DTYPE,
     LabelMask,
     _unchecked,
     argmax_mask,
@@ -211,12 +248,14 @@ class _PredictionRow:
     Holds each network's probabilities and, when the caller asked for
     masks, its hard argmax mask. Every loss term of every learner on that
     image reads from one row, so each network forwards each image once.
+    An executor's row holds probabilities of its own networks only (None
+    for the others), and its peers' masks once the slab has filled them.
     The row holds no activations: network z's stay in the cache the row
     was built with until the next row overwrites them.
     """
 
-    probs: list[ProbMap]
-    masks: list[LabelMask]
+    probs: list[Optional[ProbMap]]
+    masks: list[Optional[LabelMask]]
 
 
 def _prediction_row(
@@ -224,9 +263,13 @@ def _prediction_row(
     image: ImageTensor,
     masks: bool,
     caches: list[Optional[ForwardCache]],
+    nets: Optional[Iterable[int]] = None,
 ) -> _PredictionRow:
-    row = _PredictionRow(probs=[], masks=[])
-    for z, params in enumerate(snapshot):
+    """The row of the networks `nets` (default: all) on one image."""
+    num_nets = len(snapshot)
+    row = _PredictionRow(probs=[None] * num_nets, masks=[None] * num_nets if masks else [])
+    for z in range(num_nets) if nets is None else nets:
+        params = snapshot[z]
         # a list of one cache is shared by every network
         slot = z % len(caches)
         logits, caches[slot] = forward(params, image, caches[slot])
@@ -239,9 +282,9 @@ def _prediction_row(
             probs=softmax(logits),
             logits=logits,
         )
-        row.probs.append(probs)
+        row.probs[z] = probs
         if masks:
-            row.masks.append(argmax_mask(probs))
+            row.masks[z] = argmax_mask(probs)
     return row
 
 
@@ -312,19 +355,98 @@ def _ramp_weight(config: TrainConfig, t: int, num_nets: int) -> float:
     return config.lambda_at(t) if num_nets > 1 else 0.0
 
 
+def _network_steps(
+    snapshot: Sequence[ModelParams],
+    nets: Iterable[int],
+    annotated: Sequence[MultiAnnotatedSample],
+    unannotated: Sequence[UnannotatedSample],
+    peers: Sequence[int],
+    config: TrainConfig,
+    lam: float,
+    caches: list[Optional[ForwardCache]],
+    share: Optional[Callable[[int, _PredictionRow], None]],
+) -> dict[int, tuple[tuple[float, float, float], np.ndarray]]:
+    """One executor's share of an iteration: the networks `nets`.
+
+    Per batch row r: publish (forward, softmax and, when a peer reads
+    them, argmax of each network in `nets`), share(r, row) to fill the
+    other networks' masks (None when `nets` is every network), then learn
+    (each network's loss terms and one backward into its cache). Returns
+    each network's mean l_ma, l_pc and l_ps and its gradient. Each
+    network's sums run over the images in batch order, exactly as a
+    learner-major loop would add them, so the results are bit-identical.
+    """
+    nets = list(nets)
+    grads = {k: np.zeros_like(snapshot[k].flat) for k in nets}
+    sums = {k: [0.0, 0.0, 0.0] for k in nets}  # l_ma, l_pc, l_ps
+    masks = _needs_masks(config, len(snapshot))
+    for r, sample in enumerate(annotated):
+        row = _prediction_row(snapshot, sample.image, masks, caches, nets)
+        if masks and share is not None:
+            share(r, row)
+        for k in nets:
+            l_ma, l_pc, grad_logits = _npce_terms(
+                row, sample, k, peers[k], config.alpha, config.beta
+            )
+            sums[k][0] += l_ma
+            sums[k][1] += l_pc
+            grads[k] += backward(snapshot[k], caches[k], grad_logits)
+    for grad in grads.values():
+        grad /= len(annotated)
+
+    use_ps = config.w_max > 0 and len(unannotated) > 0
+    if use_ps:
+        ps_grads = {k: np.zeros_like(snapshot[k].flat) for k in nets}
+        for r, sample in enumerate(unannotated, start=len(annotated)):
+            row = _prediction_row(snapshot, sample.image, True, caches, nets)
+            if share is not None:
+                share(r, row)
+            for k in nets:
+                l_ps, grad_logits = _mnps_terms(row, k)
+                sums[k][2] += l_ps
+                ps_grads[k] += backward(snapshot[k], caches[k], grad_logits)
+        for k in nets:
+            grads[k] += lam * ps_grads[k] / len(unannotated)
+
+    n_ann, n_unann = len(annotated), len(unannotated)
+    return {
+        k: ((l_ma / n_ann, l_pc / n_ann, l_ps / n_unann if use_ps else 0.0), grads[k])
+        for k, (l_ma, l_pc, l_ps) in sums.items()
+    }
+
+
+def _step_if_finite(
+    slots: Sequence[NetworkSlot],
+    own: dict[int, tuple[tuple[float, float, float], np.ndarray]],
+    lr: float,
+) -> None:
+    """Adam steps for an executor's networks, taken only when all of their
+    losses are finite: a non-finite loss ends the run (train_iteration
+    names the lowest such network), and its step would fail first."""
+    if all(math.isfinite(v) for means, _ in own.values() for v in means):
+        for k, (_, grad) in own.items():
+            slot = slots[k]
+            slot.opt = replace(slot.opt, lr=lr)
+            slot.params, slot.opt = adam_step(slot.params, slot.opt, grad)
+
+
 def train_iteration(
     state: EnsembleState,
     annotated: Sequence[MultiAnnotatedSample],
     unannotated: Sequence[UnannotatedSample],
     config: TrainConfig,
     caches: Optional[list[Optional[ForwardCache]]] = None,
+    _crew: Optional[_Crew] = None,
 ) -> list[LossBreakdown]:
     """One optimizer step for every network against a shared snapshot.
 
     rng consumption order is fixed: one comparison draw per network in
     ascending k, and none for a lone network, which compares with itself.
     Batches are sampled by the caller. Forwards go into `caches` (see
-    the module docstring).
+    the module docstring). The training loop passes its workers as
+    `_crew`; this process then steps only the networks it owns, and the
+    workers' networks come back stepped. A non-finite loss raises
+    TrainingError naming the lowest such network.
     """
     if state.t >= config.total_iters:
         raise TrainingError(f"iteration {state.t} exceeds total_iters")
@@ -334,66 +456,294 @@ def train_iteration(
         # backward reads every network's activations of the current row
         caches = [None] * num_nets
     lam = _ramp_weight(config, state.t, num_nets)
-    lr = config.lr_at(state.t)
-    use_ps = config.w_max > 0 and len(unannotated) > 0
-    nets = range(num_nets)
     if num_nets == 1:
         peers = [0]
     else:
-        peers = [pick_comparison(k, num_nets, state.rng) for k in nets]
+        peers = [pick_comparison(k, num_nets, state.rng) for k in range(num_nets)]
 
-    # Each network's sums run over the images in batch order, exactly as a
-    # learner-major loop would add them, so the results are bit-identical.
-    grads = [np.zeros_like(p.flat) for p in snapshot]
-    l_ma_sums = [0.0] * num_nets
-    l_pc_sums = [0.0] * num_nets
-    rows = _prediction_rows(
-        snapshot, [s.image for s in annotated], _needs_masks(config, num_nets), caches
+    if _crew is None:
+        nets, share = range(num_nets), None
+    else:
+        _crew.start(state.t, annotated, unannotated, peers)
+        nets, share = _crew.nets, _crew.share
+    own = _network_steps(
+        snapshot, nets, annotated, unannotated, peers, config, lam, caches, share
     )
-    for sample, row in zip(annotated, rows):
-        for k, j in enumerate(peers):
-            l_ma, l_pc, grad_logits = _npce_terms(
-                row, sample, k, j, config.alpha, config.beta
-            )
-            l_ma_sums[k] += l_ma
-            l_pc_sums[k] += l_pc
-            grads[k] += backward(snapshot[k], caches[k], grad_logits)
-    for grad in grads:
-        grad /= len(annotated)
-
-    l_ps_sums = [0.0] * num_nets
-    if use_ps:
-        ps_grads = [np.zeros_like(p.flat) for p in snapshot]
-        rows = _prediction_rows(snapshot, [s.image for s in unannotated], True, caches)
-        for row in rows:
-            for k in nets:
-                l_ps, grad_logits = _mnps_terms(row, k)
-                l_ps_sums[k] += l_ps
-                ps_grads[k] += backward(snapshot[k], caches[k], grad_logits)
-        for grad, ps_grad in zip(grads, ps_grads):
-            grad += lam * ps_grad / len(unannotated)
+    # this process steps its networks while the workers step theirs
+    _step_if_finite(state.nets, own, config.lr_at(state.t))
+    means = {k: m for k, (m, _) in own.items()}
+    if _crew is not None:
+        for k, (m, slot) in _crew.finish().items():
+            means[k] = m
+            state.nets[k].params, state.nets[k].opt = slot.params, slot.opt
 
     breakdowns = []
-    for k in nets:
-        l_ma_mean = l_ma_sums[k] / len(annotated)
-        l_pc_mean = l_pc_sums[k] / len(annotated)
-        l_ps_mean = l_ps_sums[k] / len(unannotated) if use_ps else 0.0
-        if not all(map(math.isfinite, (l_ma_mean, l_pc_mean, l_ps_mean))):
+    for k in range(num_nets):
+        l_ma, l_pc, l_ps = means[k]
+        if not all(map(math.isfinite, means[k])):
             raise TrainingError(
                 f"non-finite loss for network {k} at iteration {state.t}: "
-                f"l_ma={l_ma_mean}, l_pc={l_pc_mean}, l_ps={l_ps_mean}"
+                f"l_ma={l_ma}, l_pc={l_pc}, l_ps={l_ps}"
             )
         breakdowns.append(
-            total_network_loss(
-                l_ma_mean, l_pc_mean, l_ps_mean, config.alpha, config.beta, lam
-            )
+            total_network_loss(l_ma, l_pc, l_ps, config.alpha, config.beta, lam)
         )
-
-    for k, slot in enumerate(state.nets):
-        slot.opt = replace(slot.opt, lr=lr)
-        slot.params, slot.opt = adam_step(slot.params, slot.opt, grads[k])
     state.t += 1
     return breakdowns
+
+
+# ---------------------------------------------------------------------------
+# executors: the calling process and its forked workers
+
+
+def _executor_count(num_nets: int) -> int:
+    """W for a run of num_nets networks: one executor per usable core and
+    at most one per network; 1 where the platform cannot fork or report
+    its cores, or where no OpenBLAS thread control is found."""
+    if num_nets < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if not _openblas_thread_controls():
+        return 1
+    return min(num_nets, len(os.sched_getaffinity(0)))
+
+
+def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into
+    this process, found by path in /proc/self/maps.
+
+    Executors hold BLAS to one thread each: a second BLAS thread buys
+    nothing on these small GEMMs, and with processes on every core, idle
+    BLAS threads spinning for work made a 2-core run ten times slower.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+    return controls
+
+
+class _MaskSlab:
+    """Argmax masks crossing executors: an anonymous shared mapping, made
+    before the fork, with one int32 label slot per (batch row, network).
+
+    Row r of an iteration uses slot r. The calling process sends the next
+    iteration only when every worker has finished this one, so no slot is
+    rewritten while someone reads it, and masks read from the slab are
+    used only inside their row.
+    """
+
+    def __init__(self, rows: int, num_nets: int, pixels: int):
+        import mmap
+
+        size = rows * num_nets * pixels * np.dtype(LABEL_DTYPE).itemsize
+        self.labels = np.frombuffer(mmap.mmap(-1, size), dtype=LABEL_DTYPE).reshape(
+            rows, num_nets, pixels
+        )
+
+    def publish(self, r: int, row: _PredictionRow, nets: Iterable[int]) -> None:
+        for z in nets:
+            mask = row.masks[z]
+            self.labels[r, z, : mask.size] = mask.labels
+
+    def gather(self, r: int, row: _PredictionRow) -> None:
+        like = next(m for m in row.masks if m is not None)
+        for z, mask in enumerate(row.masks):
+            if mask is None:
+                row.masks[z] = _unchecked(
+                    LabelMask,
+                    width=like.width,
+                    height=like.height,
+                    num_classes=like.num_classes,
+                    labels=self.labels[r, z, : like.size],
+                )
+
+
+# messages a worker sends: (tag, body)
+_READY, _DONE, _FAILED = "ready", "done", "failed"
+
+
+class _Crew:
+    """Executors 1..W-1 of a run, forked on entry and stopped on exit, and
+    the slab they share with the calling process (executor 0).
+
+    Each worker talks to the calling process over its own pipe. The
+    calling process sends one job per iteration (the iteration, the batch
+    indices and the comparison networks), a go-ahead per shared row once
+    every executor has published it, and None to stop; a worker answers
+    each shared row with _READY and the iteration with _DONE and its
+    stepped networks, or with _FAILED and its error's message. A worker
+    that dies closes its pipe, so the calling process reads EOF instead
+    of waiting for it.
+    """
+
+    def __init__(self, dataset: Dataset, config: TrainConfig, state: EnsembleState,
+                 executors: int):
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        num_nets = len(state.nets)
+        self.nets = range(0, num_nets, executors)
+        images = [s.image for s in dataset.multi] + [u.image for u in dataset.unannotated]
+        self._slab = _MaskSlab(
+            config.annotated_per_iter + config.unannotated_batch,
+            num_nets,
+            max(image.width * image.height for image in images),
+        )
+        self._multi = {id(s): i for i, s in enumerate(dataset.multi)}
+        self._unannotated = {id(u): i for i, u in enumerate(dataset.unannotated)}
+        self._workers: list = []  # (executor number, process, pipe end)
+        # one BLAS thread here and, through the fork, in every worker
+        self._blas_threads = [(set_, get()) for get, set_ in _openblas_thread_controls()]
+        for set_, _ in self._blas_threads:
+            set_(1)
+        try:
+            for w in range(1, executors):
+                ours, theirs = context.Pipe()
+                inherited = [conn for _, _, conn in self._workers] + [ours]
+                proc = context.Process(
+                    target=_worker,
+                    args=(theirs, inherited, dataset, config, state.nets,
+                          range(w, num_nets, executors), self._slab),
+                    name=f"ambiseg-executor-{w}",
+                    daemon=True,
+                )
+                self._workers.append((w, proc, ours))
+                proc.start()
+                theirs.close()
+        except BaseException:
+            self.close(finished=False)
+            raise
+
+    def __enter__(self) -> _Crew:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(finished=exc_type is None)
+
+    def close(self, finished: bool) -> None:
+        """Stop every worker: a stop message after a finished run, else at once."""
+        if finished:
+            for _, _, conn in self._workers:
+                with suppress(OSError):
+                    conn.send(None)
+        for _, proc, conn in self._workers:
+            if proc.pid is not None:
+                if finished:
+                    proc.join(timeout=5.0)
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
+                proc.close()
+            conn.close()
+        self._workers = []
+        for set_, threads in self._blas_threads:
+            set_(threads)
+
+    @staticmethod
+    def _lost(worker) -> TrainingError:
+        w, proc, _ = worker
+        proc.join(timeout=1.0)
+        return TrainingError(
+            f"training worker {w} stopped unexpectedly (exit code {proc.exitcode})"
+        )
+
+    def _send(self, worker, message) -> None:
+        try:
+            worker[2].send(message)
+        except OSError:
+            raise self._lost(worker) from None
+
+    def _receive(self, worker):
+        try:
+            tag, body = worker[2].recv()
+        except (EOFError, OSError):
+            raise self._lost(worker) from None
+        if tag == _FAILED:
+            raise TrainingError(f"training worker {worker[0]} failed: {body}")
+        return body
+
+    def start(self, t: int, annotated: Sequence[MultiAnnotatedSample],
+              unannotated: Sequence[UnannotatedSample], peers: Sequence[int]) -> None:
+        job = (
+            t,
+            [self._multi[id(s)] for s in annotated],
+            [self._unannotated[id(u)] for u in unannotated],
+            list(peers),
+        )
+        for worker in self._workers:
+            self._send(worker, job)
+
+    def share(self, r: int, row: _PredictionRow) -> None:
+        self._slab.publish(r, row, self.nets)
+        for worker in self._workers:
+            self._receive(worker)
+        for worker in self._workers:
+            self._send(worker, True)
+        self._slab.gather(r, row)
+
+    def finish(self) -> dict[int, tuple[tuple[float, float, float], NetworkSlot]]:
+        stepped = {}
+        for worker in self._workers:
+            stepped.update(self._receive(worker))
+        return stepped
+
+
+def _worker(conn, inherited, dataset: Dataset, config: TrainConfig,
+            slots: list[NetworkSlot], nets: range, slab: _MaskSlab) -> None:
+    """A forked executor: one job per iteration until told to stop.
+
+    Ctrl-C is the calling process's to handle, so the worker ignores
+    SIGINT. It closes the pipe ends it inherited from the calling
+    process, so that either side sees EOF when the other dies, and it
+    catches its own exceptions and sends their message to the calling
+    process instead of printing a traceback.
+    """
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for other in inherited:
+        other.close()
+    caches: list[Optional[ForwardCache]] = [None] * len(slots)
+
+    def share(r: int, row: _PredictionRow) -> None:
+        slab.publish(r, row, nets)
+        conn.send((_READY, None))
+        conn.recv()
+        slab.gather(r, row)
+
+    try:
+        while (job := conn.recv()) is not None:
+            t, ann_idx, un_idx, peers = job
+            own = _network_steps(
+                [slot.params for slot in slots], nets,
+                [dataset.multi[i] for i in ann_idx],
+                [dataset.unannotated[i] for i in un_idx],
+                peers, config, _ramp_weight(config, t, len(slots)), caches, share,
+            )
+            _step_if_finite(slots, own, config.lr_at(t))
+            conn.send((_DONE, {k: (means, slots[k]) for k, (means, _) in own.items()}))
+    except EOFError:
+        pass  # the calling process is gone
+    except Exception as exc:
+        with suppress(OSError):
+            conn.send((_FAILED, f"{type(exc).__name__}: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +869,9 @@ def _checkpoint(
     per_net: list[list[float]] = [[] for _ in nets]
     rows = _prediction_rows(snapshot, [s.image for s in dataset.validation], True, caches)
     for row, ref in zip(rows, val_refs):
-        fused.append(_foreground_jaccard(argmax_mask(average_fuse(row.probs)), ref))
+        # a lone network's average is its own map, whose mask the row holds
+        fused_mask = row.masks[0] if num_nets == 1 else argmax_mask(average_fuse(row.probs))
+        fused.append(_foreground_jaccard(fused_mask, ref))
         for scores, mask in zip(per_net, row.masks):
             scores.append(_foreground_jaccard(mask, ref))
 
@@ -596,7 +948,10 @@ def _train(
 ) -> TrainResult:
     """The training loop, with one network per annotation of a training sample.
 
-    Every forward of the run goes through one list of caches, which is
+    Iterations run on the run's executors (see the module docstring),
+    forked after the networks are initialized and stopped before this
+    returns or raises; Ctrl-C ends the run with TrainingError. Every
+    forward this process makes goes through one list of caches, which is
     freed when this returns: the result references none of them.
     """
     if not dataset.multi:
@@ -651,19 +1006,27 @@ def _train(
         state.best = BestRecord(iteration=0, score=float("nan"), params=state.snapshot())
         result = TrainResult(state=state, best=state.best, trace=[], config=config)
     else:
-        record_checkpoint()
-        while state.t < config.total_iters:
-            ann_idx = rng.integers(len(dataset.multi), size=config.annotated_per_iter)
-            annotated = [dataset.multi[int(i)] for i in ann_idx]
-            unannotated: list[UnannotatedSample] = []
-            if config.w_max > 0 and dataset.unannotated:
-                un_idx = rng.integers(
-                    len(dataset.unannotated), size=config.unannotated_batch
-                )
-                unannotated = [dataset.unannotated[int(i)] for i in un_idx]
-            train_iteration(state, annotated, unannotated, config, caches)
-            if state.t % config.validation_every == 0:
+        executors = _executor_count(num_nets)
+        try:
+            crew = _Crew(dataset, config, state, executors) if executors > 1 else None
+            with crew or nullcontext():
                 record_checkpoint()
+                while state.t < config.total_iters:
+                    ann_idx = rng.integers(
+                        len(dataset.multi), size=config.annotated_per_iter
+                    )
+                    annotated = [dataset.multi[int(i)] for i in ann_idx]
+                    unannotated: list[UnannotatedSample] = []
+                    if config.w_max > 0 and dataset.unannotated:
+                        un_idx = rng.integers(
+                            len(dataset.unannotated), size=config.unannotated_batch
+                        )
+                        unannotated = [dataset.unannotated[int(i)] for i in un_idx]
+                    train_iteration(state, annotated, unannotated, config, caches, crew)
+                    if state.t % config.validation_every == 0:
+                        record_checkpoint()
+        except KeyboardInterrupt:
+            raise TrainingError(f"training interrupted at iteration {state.t}") from None
         if per_network:
             state.best = BestRecord(
                 iteration=-1,

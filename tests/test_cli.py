@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
 import hashlib
+import multiprocessing
+import os
 import shutil
+import signal
+import threading
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -536,3 +541,89 @@ def test_malformed_dataset_manifest_names_file_and_line(
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {manifest}{message}")
     assert not out.exists()
+
+
+def train_args(dataset_dir, out, iters="20"):
+    return ["train", "--data", str(dataset_dir), "--out", str(out),
+            "--total-iters", iters, "--validation-every", "10", "--lr", "0.01"]
+
+
+def test_train_without_validation_split_leaves_nothing(tmp_path, capsys):
+    data = tmp_path / "ds"
+    assert entry([
+        "gen-data", "--out", str(data), "--n-multi", "2", "--n-unann", "1",
+        "--n-val", "0", "--n-test", "1", "--width", "16", "--height", "16",
+    ]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert entry(train_args(data, out)) == 1
+    assert capsys.readouterr().err == "error: training requires a validation split\n"
+    assert not out.exists()
+
+
+def two_executors_with_failing_worker(monkeypatch, hook):
+    """Train on two executors; hook() runs before each backward in the worker."""
+    from ambiseg import training
+
+    parent = os.getpid()
+    original = training.backward
+
+    def wrapped(*args):
+        if os.getpid() != parent:
+            hook()
+        return original(*args)
+
+    monkeypatch.setattr(training, "_executor_count", lambda num_nets: min(num_nets, 2))
+    monkeypatch.setattr(training, "backward", wrapped)
+
+
+def fail():
+    raise RuntimeError("boom in worker")
+
+
+def test_train_worker_failure_is_one_error_line(dataset_dir, tmp_path, monkeypatch, capfd):
+    two_executors_with_failing_worker(monkeypatch, fail)
+    out = tmp_path / "run"
+    assert entry(train_args(dataset_dir, out)) == 1
+    err = capfd.readouterr().err
+    assert err == "error: training worker 1 failed: RuntimeError: boom in worker\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_train_ctrl_c_is_one_error_line(dataset_dir, tmp_path, monkeypatch, capfd):
+    two_executors_with_failing_worker(monkeypatch, lambda: time.sleep(0.2))
+    out = tmp_path / "run"
+    main = threading.main_thread().ident
+    timer = threading.Timer(0.5, signal.pthread_kill, (main, signal.SIGINT))
+    timer.start()
+    try:
+        code = entry(train_args(dataset_dir, out, iters="200"))
+    finally:
+        timer.cancel()
+    assert code == 1
+    err = capfd.readouterr().err
+    assert err.startswith("error: training interrupted at iteration ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_ctrl_c_outside_training_is_an_error(tmp_path, monkeypatch, capsys):
+    from ambiseg import cli
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_dataset", interrupted)
+    assert entry(["gen-data", "--out", str(tmp_path / "ds")]) == 1
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
+def test_train_out_is_a_file_is_an_error(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.write_text("not a directory")
+    assert entry(train_args(dataset_dir, out, iters="10")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.read_text() == "not a directory"

@@ -375,3 +375,27 @@ def test_failed_build_removes_what_it_created(tmp_path, monkeypatch):
     build_dataset(existing, **kwargs)
     assert not (existing / "manifest.tsv.tmp").exists()
     assert len(load_dataset(existing).multi) == 3
+
+
+def test_failed_rebuild_does_not_load(tmp_path, monkeypatch):
+    kwargs = dict(n_multi=3, n_unann=1, n_val=1, n_test=1, width=16, height=16)
+    root = tmp_path / "ds"
+    build_dataset(root, seed=0, **kwargs)
+    calls = []
+
+    def failing_save(path, mask):
+        calls.append(path)
+        if len(calls) == 4:
+            raise OSError("disk full")
+        save_mask_pgm(path, mask)
+
+    monkeypatch.setattr(data, "save_mask_pgm", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        build_dataset(root, seed=1, **kwargs)
+    # files of both seeds are left, but no manifest vouches for them
+    assert not (root / "manifest.tsv").exists()
+    with pytest.raises(FileNotFoundError, match="no manifest.tsv"):
+        load_dataset(root)
+    monkeypatch.undo()
+    build_dataset(root, seed=1, **kwargs)
+    assert len(load_dataset(root).multi) == 3

@@ -2,6 +2,13 @@
 
 import gc
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import weakref
 from dataclasses import replace
 from functools import partial
@@ -491,15 +498,30 @@ def test_train_iteration_equals_learner_major_reference(k):
             assert np.array_equal(a.opt.v, b.opt.v)
 
 
+class SharedCount:
+    """A call count that forked training workers add to as well."""
+
+    def __init__(self):
+        self._value = multiprocessing.get_context("fork").Value("q", 0)
+
+    def add(self):
+        with self._value.get_lock():
+            self._value.value += 1
+
+    def __len__(self):
+        return self._value.value
+
+
 def count_calls(monkeypatch, name):
-    """Count calls of model.<name> under both of its bindings."""
+    """Count calls of model.<name> under both of its bindings, in this
+    process and in the training workers it forks."""
     from ambiseg import model, training
 
-    calls = []
+    calls = SharedCount()
     original = getattr(model, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.add()
         return original(*args, **kwargs)
 
     # training imports the function by name; model's own callers
@@ -507,6 +529,13 @@ def count_calls(monkeypatch, name):
     for module in (model, training):
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def use_executors(monkeypatch, w):
+    """Train on min(K, w) executors, whatever the machine's core count."""
+    from ambiseg import training
+
+    monkeypatch.setattr(training, "_executor_count", lambda num_nets: min(num_nets, w))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -520,19 +549,23 @@ def test_one_forward_and_backward_per_network_and_image(k, monkeypatch):
     assert len(forwards) == len(backwards) == k * (2 + 3)
 
 
-def test_checkpoints_run_no_backward(tiny_dataset, monkeypatch):
+@pytest.mark.parametrize("w", [1, 2])
+def test_checkpoints_run_no_backward(w, tiny_dataset, monkeypatch):
     config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
                          annotated_per_iter=2, unannotated_batch=3,
                          selection="per-network")
+    use_executors(monkeypatch, w)
     backwards = count_calls(monkeypatch, "backward")
     result = run_training(tiny_dataset, config)
     assert len(result.trace) == 3  # checkpoints at iterations 0, 2 and 4
     assert len(backwards) == config.total_iters * config.k * (2 + 3)
 
 
-def test_checkpoint_forwards_each_image_once_per_network(tiny_dataset, monkeypatch):
+@pytest.mark.parametrize("w", [1, 2])
+def test_checkpoint_forwards_each_image_once_per_network(w, tiny_dataset, monkeypatch):
     config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
                          annotated_per_iter=2, unannotated_batch=3)
+    use_executors(monkeypatch, w)
     forwards = count_calls(monkeypatch, "forward")
     result = run_training(tiny_dataset, config)
     checkpoints = len(result.trace)
@@ -547,11 +580,15 @@ def test_checkpoint_forwards_each_image_once_per_network(tiny_dataset, monkeypat
     )
 
 
-def test_run_reuses_one_cache_per_network_and_frees_them(tiny_dataset, monkeypatch):
+@pytest.mark.parametrize("w", [1, 2])
+def test_run_reuses_one_cache_per_network_and_frees_them(w, tiny_dataset, monkeypatch):
     from ambiseg import model, training
 
     config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
                          annotated_per_iter=2, unannotated_batch=3)
+    # the recorder sees this process's forwards: with a worker, network
+    # 1's training rows run in the worker, and its checkpoint rows here
+    use_executors(monkeypatch, w)
     original = model.forward
     caches = []  # weak references to every distinct cache forward returned
     received = []  # per call: index into caches of the cache passed in, or None
@@ -618,10 +655,16 @@ def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
                          annotated_per_iter=2)
     assert config.beta != 0
     result = train_single_annotator(tiny_dataset, config, annotator=1)
-    # only the validation pass takes argmax masks (the network's and the
-    # fused one): a lone network's consistency term never reads a mask
+    # only the validation pass takes argmax masks, one per image: a lone
+    # network's consistency term never reads a mask, and its fused
+    # prediction is its own mask
     n_val = len(tiny_dataset.validation)
-    assert len(calls) == len(result.trace) * n_val * 2
+    assert len(calls) == len(result.trace) * n_val
+    refs = validation_references(tiny_dataset.validation)
+    assert result.best.score == pytest.approx(
+        clean_room_validation_score(result.best.params, tiny_dataset.validation, refs),
+        abs=1e-12,
+    )
 
 
 def test_validation_references_are_majority_votes(tiny_dataset):
@@ -856,3 +899,218 @@ def test_single_annotator_forward_count(tiny_dataset, monkeypatch):
     assert len(forwards) == (
         config.total_iters * config.annotated_per_iter + checkpoints * (1 + n_val)
     )
+
+
+# ---------------------------------------------------------------------------
+# executors: the calling process and its forked workers
+
+
+@pytest.fixture(scope="module")
+def k4_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds") / "k4"
+    build_dataset(
+        str(root), n_multi=3, n_unann=3, n_val=2, n_test=1,
+        k=4, seed=22, width=16, height=16,
+    )
+    return load_dataset(str(root))
+
+
+def count_workers(monkeypatch):
+    """Count the training workers that start, from inside each worker."""
+    from ambiseg import training
+
+    started = SharedCount()
+    original = training._worker
+
+    def counted(*args):
+        started.add()
+        return original(*args)
+
+    monkeypatch.setattr(training, "_worker", counted)
+    return started
+
+
+def run_files(train, dataset, config, out):
+    train(dataset, config, out_dir=str(out))
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+EXECUTOR_VARIANTS = {
+    "fused": {},
+    "per-network": dict(selection="per-network"),
+    "ablate-pc": dict(beta=0.0),  # no annotated row exchanges masks
+    "ablate-ps": dict(w_max=0.0),  # no unannotated rows
+}
+
+
+@pytest.mark.parametrize("variant", sorted(EXECUTOR_VARIANTS))
+@pytest.mark.parametrize("k,ws", [(2, (1, 2)), (4, (1, 2, 3, 4))])
+def test_executors_give_byte_identical_runs(
+    k, ws, variant, tiny_dataset, k4_dataset, tmp_path, monkeypatch
+):
+    dataset = tiny_dataset if k == 2 else k4_dataset
+    config = TrainConfig(k=k, lr=0.02, total_iters=6, validation_every=3, seed=9,
+                         annotated_per_iter=2, unannotated_batch=2,
+                         **EXECUTOR_VARIANTS[variant])
+    runs = []
+    for w in ws:
+        use_executors(monkeypatch, w)
+        started = count_workers(monkeypatch)
+        runs.append(run_files(run_training, dataset, config, tmp_path / f"w{w}"))
+        assert len(started) == w - 1
+    names = ["manifest.tsv", *(f"net{z}.msen" for z in range(k)), "trace.csv"]
+    assert list(runs[0]) == names
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_single_annotator_runs_in_the_calling_process(tiny_dataset, tmp_path, monkeypatch):
+    config = TrainConfig(k=2, lr=0.02, total_iters=6, validation_every=3, seed=9,
+                         annotated_per_iter=2)
+    train = partial(train_single_annotator, annotator=1)
+    serial = run_files(train, tiny_dataset, config, tmp_path / "w1")
+    use_executors(monkeypatch, 2)
+    started = count_workers(monkeypatch)
+    assert run_files(train, tiny_dataset, config, tmp_path / "w2") == serial
+    assert len(started) == 0
+
+
+def test_executor_count_is_usable_cores_capped_by_networks():
+    from ambiseg import training
+
+    cores = len(os.sched_getaffinity(0)) if training._openblas_thread_controls() else 1
+    assert training._executor_count(1) == 1
+    assert training._executor_count(2) == min(2, cores)
+    assert training._executor_count(64) == min(64, cores)
+
+
+def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypatch):
+    from ambiseg import training
+
+    controls = training._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = controls[0]
+    before = get()
+    seen = SharedCount()
+    original = training._network_steps
+
+    def counting_threads(*args):
+        if get() == 1:
+            seen.add()
+        return original(*args)
+
+    use_executors(monkeypatch, 2)
+    monkeypatch.setattr(training, "_network_steps", counting_threads)
+    set_(2)
+    try:
+        config = TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=1)
+        run_training(tiny_dataset, config)
+        # both executors' steps of both iterations saw one BLAS thread
+        assert len(seen) == 4
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_import_leaves_multiprocessing_out():
+    # `import ambiseg` is timed as set-up; training imports these lazily
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["ambiseg"].__file__)))
+    code = ("import sys, ambiseg, ambiseg.cli; "
+            "print([m for m in ('multiprocessing', 'mmap') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def patch_backward(monkeypatch, in_worker, in_parent=None):
+    """Wrap training's backward: in_worker(), or in_parent(), runs before
+    each call in a forked worker, or in this process."""
+    from ambiseg import training
+
+    parent = os.getpid()
+    original = training.backward
+
+    def wrapped(*args):
+        hook = in_parent if os.getpid() == parent else in_worker
+        if hook is not None:
+            hook()
+        return original(*args)
+
+    monkeypatch.setattr(training, "backward", wrapped)
+
+
+FAILURE_CONFIG = TrainConfig(k=2, lr=0.01, total_iters=20, validation_every=10,
+                             annotated_per_iter=2, unannotated_batch=3)
+
+
+def raise_in_worker():
+    raise RuntimeError("boom in worker")
+
+
+def kill_worker():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("hook,message", [
+    (raise_in_worker, "training worker 1 failed: RuntimeError: boom in worker"),
+    (kill_worker, r"training worker 1 stopped unexpectedly \(exit code -9\)"),
+], ids=["raises", "killed"])
+def test_worker_failure_ends_the_run(hook, message, tiny_dataset, monkeypatch, capfd):
+    use_executors(monkeypatch, 2)
+    patch_backward(monkeypatch, hook)
+    start = time.monotonic()
+    with pytest.raises(TrainingError, match=message):
+        run_training(tiny_dataset, FAILURE_CONFIG)
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def interrupt_soon(delay):
+    """Deliver SIGINT to the main thread after `delay` seconds, as Ctrl-C
+    would; returns the timer, which the caller cancels."""
+    main = threading.main_thread().ident
+    timer = threading.Timer(delay, signal.pthread_kill, (main, signal.SIGINT))
+    timer.start()
+    return timer
+
+
+@pytest.mark.parametrize("w", [1, 2])
+def test_ctrl_c_ends_the_run(w, tiny_dataset, monkeypatch):
+    use_executors(monkeypatch, w)
+    # a slow worker: the calling process waits on it when SIGINT lands
+    patch_backward(monkeypatch, lambda: time.sleep(0.2),
+                   in_parent=(lambda: time.sleep(0.2)) if w == 1 else None)
+    timer = interrupt_soon(0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(TrainingError, match="training interrupted at iteration"):
+            run_training(tiny_dataset, FAILURE_CONFIG)
+    finally:
+        timer.cancel()
+    assert time.monotonic() - start < 10
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("bad,named", [((1,), 1), ((0, 1), 0)])
+def test_non_finite_loss_names_the_lowest_network(w, bad, named, tiny_dataset, monkeypatch):
+    from ambiseg import training
+
+    use_executors(monkeypatch, w)
+    original = training._network_steps
+
+    # each executor's step results, in this process and in the worker
+    def poisoned(*args):
+        return {
+            k: (((math.nan, *means[1:]) if k in bad else means), grad)
+            for k, (means, grad) in original(*args).items()
+        }
+
+    monkeypatch.setattr(training, "_network_steps", poisoned)
+    message = f"non-finite loss for network {named} at iteration 0"
+    with pytest.raises(TrainingError, match=message):
+        run_training(tiny_dataset, FAILURE_CONFIG)
+    assert multiprocessing.active_children() == []
