@@ -19,23 +19,17 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .data import (
-    Dataset,
-    GenerationError,
-    build_dataset,
-    load_dataset,
-    load_mask_pgm,
-    save_mask_pgm,
-)
+from .data import GenerationError, build_dataset, load_dataset, write_dataset
 from .fusion import FUSION_STRATEGIES, average_fuse, fuse_annotations
 from .masks import LabelMask, argmax_mask
 from .metrics import evaluate_masks
-from .model import gradient_check_report, load_checkpoint
+from .model import gradient_check_report
 from .training import (
     TrainConfig,
     TrainingError,
     _prediction_rows,
     config_hash,
+    load_run,
     run_training,
     train_single_annotator,
 )
@@ -109,12 +103,6 @@ def cmd_gen_data(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_dataset_or_fail(path: Path) -> Dataset:
-    if not (path / "manifest.tsv").exists():
-        raise FileNotFoundError(f"no dataset at {path} (missing manifest.tsv)")
-    return load_dataset(path)
-
-
 def cmd_train(ns: argparse.Namespace) -> int:
     values: dict = {}
     if ns.config is not None:
@@ -136,11 +124,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         raise UsageError("train requires --data (or data= in the config file)")
     if out_path is None:
         raise UsageError("train requires --out (or out= in the config file)")
-    if not data_path.exists():
-        print(f"error: dataset path does not exist: {data_path}", file=sys.stderr)
-        return 1
 
-    dataset = _load_dataset_or_fail(data_path)
+    dataset = load_dataset(data_path)
     if ns.no_unannotated:
         dataset.unannotated = []
     if "k" not in values:
@@ -179,41 +164,11 @@ def cmd_train(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run_checkpoints(run_dir: Path):
-    manifest = run_dir / "manifest.tsv"
-    if not manifest.exists():
-        raise FileNotFoundError(f"no run manifest at {manifest}")
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
-        if not line:
-            continue
-        key, tab, value = line.partition("\t")
-        if not tab:
-            raise ValueError(f"{manifest}:{lineno}: expected 'key<TAB>value', got {line!r}")
-        if key == "k" and not value.isdecimal():
-            raise ValueError(f"{manifest}:{lineno}: k must be an integer, got {value!r}")
-        entries[key] = value
-    k = int(entries["k"]) if "k" in entries else None
-    params = []
-    i = 0
-    while f"net{i}_file" in entries:
-        path = run_dir / entries[f"net{i}_file"]
-        if not path.exists():
-            raise FileNotFoundError(f"manifest names missing checkpoint {path}")
-        params.append(load_checkpoint(str(path)))
-        i += 1
-    if not params:
-        raise ValueError(f"{manifest} lists no checkpoints")
-    if k is not None and k != len(params):
-        raise ValueError(f"{manifest} says k={k} but lists {len(params)} checkpoints")
-    return params
-
-
 def cmd_eval(ns: argparse.Namespace) -> int:
     run_dir = Path(ns.run)
     data_path = Path(ns.data)
-    params = _load_run_checkpoints(run_dir)
-    dataset = _load_dataset_or_fail(data_path)
+    params = load_run(run_dir)
+    dataset = load_dataset(data_path)
     if not dataset.test:
         raise ValueError(f"dataset at {data_path} has no test split")
 
@@ -255,44 +210,13 @@ def cmd_fuse(ns: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown strategy {ns.strategy!r}; choose from {FUSION_STRATEGIES}"
         )
-    dataset_dir = Path(ns.data)
-    # read every source file before the output exists, so bad input fails
-    # with nothing written
-    _load_dataset_or_fail(dataset_dir)
-    manifest = dataset_dir / "manifest.tsv"
-    out = Path(ns.out)
-    (out / "images").mkdir(parents=True, exist_ok=True)
-    (out / "masks").mkdir(exist_ok=True)
-    (out / "gt").mkdir(exist_ok=True)
+    dataset = load_dataset(ns.data)
     rng = np.random.default_rng(ns.seed)
-
-    rows = []
-    fused_count = 0
-    for lineno, line in enumerate(manifest.read_text().splitlines()):
-        if lineno == 0:
-            rows.append(line)
-            continue
-        if not line.strip():
-            continue
-        sample_id, split, image_rel, gt_rel, mask_field, _ = line.split("\t")
-        src_image = (dataset_dir / image_rel).read_bytes()
-        (out / image_rel).write_bytes(src_image)
-        if gt_rel:
-            (out / gt_rel).write_bytes((dataset_dir / gt_rel).read_bytes())
-        mask_rels = [rel for rel in mask_field.split(";") if rel]
-        if mask_rels:
-            masks = [load_mask_pgm(dataset_dir / rel) for rel in mask_rels]
-            fused = fuse_annotations(ns.strategy, masks, rng=rng)
-            fused_rel = f"masks/{sample_id}_a0.pgm"
-            save_mask_pgm(out / fused_rel, fused)
-            rows.append(
-                f"{sample_id}\t{split}\t{image_rel}\t{gt_rel}\t{fused_rel}\t1"
-            )
-            fused_count += 1
-        else:
-            rows.append(line)
-    (out / "manifest.tsv").write_text("\n".join(rows) + "\n")
-    print(f"fused {fused_count} samples with strategy {ns.strategy} into {out}")
+    annotated = dataset.multi + dataset.validation
+    for sample in annotated:
+        sample.annotations = [fuse_annotations(ns.strategy, sample.annotations, rng=rng)]
+    out = write_dataset(ns.out, dataset)
+    print(f"fused {len(annotated)} samples with strategy {ns.strategy} into {out}")
     return 0
 
 

@@ -18,8 +18,9 @@ with no False pixel gets the distance to the point (-1, 0) instead.
 
 Formats: images are "TNS1" tensor files (magic, u32 rank, u32 dims,
 row-major float64, little-endian); masks are binary PGM (P5) with
-maxval = num_classes - 1; each dataset directory carries a manifest.tsv;
-a build that fails removes the directories it created.
+maxval = num_classes - 1; each dataset directory carries a manifest.tsv.
+write_dataset is the one writer of dataset directories, and a write that
+fails leaves no manifest.tsv and removes the directories it created.
 """
 
 from __future__ import annotations
@@ -372,22 +373,18 @@ def _scene_annotator(clean_gt: LabelMask):
 
 
 def simulate_annotator(clean_gt: LabelMask, profile: AnnotatorProfile) -> LabelMask:
-    """Displace the clean boundary by bias plus smooth angular jitter.
+    """Displace the clean boundaries by bias plus smooth angular jitter.
 
-    Pixels farther than |bias_radius| + jitter_amplitude from the true
-    boundary keep their clean label: the threshold never reaches them.
+    A binary mask has one boundary; a three-class nested mask has two,
+    and its inner boundary draws its jitter from profile.seed + 1. Pixels
+    farther than |bias_radius| + jitter_amplitude from a true boundary
+    keep their clean label: the threshold never reaches them.
     """
-    if clean_gt.num_classes != 2:
-        raise ValueError("simulate_annotator requires a binary mask")
-    return _scene_annotator(clean_gt)(profile)
-
-
-def simulate_annotator_nested(
-    clean_gt: LabelMask, profile: AnnotatorProfile
-) -> LabelMask:
-    """Annotate a three-class nested mask: both boundaries get perturbed."""
-    if clean_gt.num_classes != 3:
-        raise ValueError("nested annotation requires a three-class mask")
+    if clean_gt.num_classes not in (2, 3):
+        raise ValueError(
+            f"simulate_annotator takes binary or three-class nested masks, "
+            f"got {clean_gt.num_classes} classes"
+        )
     return _scene_annotator(clean_gt)(profile)
 
 
@@ -481,14 +478,14 @@ def build_dataset(
     blur_radius: float = 1.5,
     nested: bool = False,
 ) -> Path:
-    """Generate and write a full dataset directory; returns its path.
+    """Generate a full dataset and write it with write_dataset; returns its path.
 
     Splits: `multi` and `val` samples carry K annotator masks plus the
     clean ground truth, `test` carries the clean ground truth only, and
     `unann` carries just the image. Everything is a pure function of
     `seed`, so rebuilding with the same arguments reproduces the tree
-    byte for byte. A build that fails once it has begun writing leaves
-    no manifest.tsv, so a directory it left half written does not load.
+    byte for byte. Every scene is generated before anything is written,
+    so a build that cannot generate one leaves the directory untouched.
     """
     counts = {"n_multi": n_multi, "n_unann": n_unann, "n_val": n_val, "n_test": n_test}
     for name, count in counts.items():
@@ -498,8 +495,7 @@ def build_dataset(
         profiles = default_profiles(k)
     if len(profiles) != k:
         raise ValueError(f"got {len(profiles)} profiles for k={k}")
-    # every scene differs from this one only in its seed; building it
-    # checks the scene settings before anything is written
+    # every scene differs from this one only in its seed
     base_spec = SceneSpec(
         width=width,
         height=height,
@@ -508,6 +504,39 @@ def build_dataset(
         noise_level=noise_level,
         blur_radius=blur_radius,
     )
+    make_scene = generate_nested_scene if nested else generate_scene
+
+    def scene(idx: int) -> tuple[ImageTensor, LabelMask]:
+        return make_scene(replace(base_spec, seed=_derive_seed(seed, idx)))
+
+    def annotated(idx: int) -> MultiAnnotatedSample:
+        image, gt = scene(idx)
+        annotate = _scene_annotator(gt)
+        masks = [
+            annotate(replace(prof, seed=_derive_seed(prof.seed, seed, idx)))
+            for prof in profiles
+        ]
+        return MultiAnnotatedSample(image=image, annotations=masks, clean_gt=gt)
+
+    # scenes are numbered across the splits in manifest order
+    first_val = n_multi + n_unann
+    first_test = first_val + n_val
+    multi = [annotated(i) for i in range(n_multi)]
+    unannotated = [UnannotatedSample(scene(n_multi + i)[0]) for i in range(n_unann)]
+    validation = [annotated(first_val + i) for i in range(n_val)]
+    test = [TestSample(*scene(first_test + i)) for i in range(n_test)]
+    return write_dataset(out_dir, Dataset(multi, unannotated, validation, test))
+
+
+def write_dataset(out_dir: str | Path, dataset: Dataset) -> Path:
+    """Write `dataset` as a directory that load_dataset reads; returns its path.
+
+    Samples are named by their split's initial and their position in it
+    (m000, u000, v000, t000). Rewriting a directory overwrites its files
+    one by one, so the old manifest.tsv goes first and the new one is
+    published whole: a write that fails leaves no manifest, so the
+    directory does not load, and it removes the directories it created.
+    """
     out = Path(out_dir)
     subdirs = [out / "images", out / "masks", out / "gt"]
     # top-down, so removing the first also removes the ones below it
@@ -515,57 +544,29 @@ def build_dataset(
     for sub in subdirs:
         sub.mkdir(parents=True, exist_ok=True)
 
-    make_scene = generate_nested_scene if nested else generate_scene
-
+    splits = [("multi", dataset.multi), ("unann", dataset.unannotated),
+              ("val", dataset.validation), ("test", dataset.test)]
     rows = ["id\tsplit\timage\tgt\tmasks\tk"]
-    scene_index = 0
-
-    def next_scene() -> tuple[ImageTensor, LabelMask, int]:
-        nonlocal scene_index
-        idx = scene_index
-        scene_index += 1
-        image, gt = make_scene(replace(base_spec, seed=_derive_seed(seed, idx)))
-        return image, gt, idx
-
-    def annotate_all(gt: LabelMask, idx: int) -> list[LabelMask]:
-        annotate = _scene_annotator(gt)
-        return [
-            annotate(replace(prof, seed=_derive_seed(prof.seed, seed, idx)))
-            for prof in profiles
-        ]
-
-    def emit(sample_id: str, split: str, with_gt: bool, with_masks: bool) -> None:
-        image, gt, idx = next_scene()
-        image_rel = f"images/{sample_id}.tns"
-        save_image(out / image_rel, image)
-        gt_rel = ""
-        if with_gt:
-            gt_rel = f"gt/{sample_id}.pgm"
-            save_mask_pgm(out / gt_rel, gt)
-        mask_rels = []
-        if with_masks:
-            for a, mask in enumerate(annotate_all(gt, idx)):
-                rel = f"masks/{sample_id}_a{a}.pgm"
-                save_mask_pgm(out / rel, mask)
-                mask_rels.append(rel)
-        rows.append(
-            f"{sample_id}\t{split}\t{image_rel}\t{gt_rel}\t"
-            f"{';'.join(mask_rels)}\t{len(mask_rels)}"
-        )
-
     staged = out / "manifest.tsv.tmp"
     try:
-        # a rebuild overwrites files one by one: without its old manifest,
-        # a directory left half rebuilt no longer loads as a dataset
         (out / "manifest.tsv").unlink(missing_ok=True)
-        for i in range(n_multi):
-            emit(f"m{i:03d}", "multi", with_gt=True, with_masks=True)
-        for i in range(n_unann):
-            emit(f"u{i:03d}", "unann", with_gt=False, with_masks=False)
-        for i in range(n_val):
-            emit(f"v{i:03d}", "val", with_gt=True, with_masks=True)
-        for i in range(n_test):
-            emit(f"t{i:03d}", "test", with_gt=True, with_masks=False)
+        for split, samples in splits:
+            for i, sample in enumerate(samples):
+                sample_id = f"{split[0]}{i:03d}"
+                image_rel = f"images/{sample_id}.tns"
+                save_image(out / image_rel, sample.image)
+                gt = getattr(sample, "clean_gt", None)
+                gt_rel = f"gt/{sample_id}.pgm" if gt is not None else ""
+                if gt is not None:
+                    save_mask_pgm(out / gt_rel, gt)
+                mask_rels = []
+                for a, mask in enumerate(getattr(sample, "annotations", ())):
+                    mask_rels.append(f"masks/{sample_id}_a{a}.pgm")
+                    save_mask_pgm(out / mask_rels[-1], mask)
+                rows.append(
+                    f"{sample_id}\t{split}\t{image_rel}\t{gt_rel}\t"
+                    f"{';'.join(mask_rels)}\t{len(mask_rels)}"
+                )
         staged.write_text("\n".join(rows) + "\n")
         os.replace(staged, out / "manifest.tsv")
     except BaseException:
@@ -577,7 +578,7 @@ def build_dataset(
 
 
 def load_dataset(root: str | Path) -> Dataset:
-    """Read a dataset directory written by build_dataset."""
+    """Read a dataset directory written by write_dataset."""
     root = Path(root)
     manifest = root / "manifest.tsv"
     if not manifest.exists():

@@ -100,40 +100,6 @@ class EvalReport:
         """Mean over non-background classes of the per-class means."""
         return float(self.class_jaccard[1:].mean())
 
-    @property
-    def mean_dice(self) -> float:
-        return float(self.class_dice[1:].mean())
-
-    def to_csv(self, include_samples: bool = False) -> str:
-        lines = ["scope,class,jaccard,dice"]
-        for c in range(self.num_classes):
-            lines.append(
-                f"mean,{c},{self.class_jaccard[c]:.6f},{self.class_dice[c]:.6f}"
-            )
-        lines.append(
-            f"mean,foreground,{self.mean_jaccard:.6f},{self.mean_dice:.6f}"
-        )
-        if include_samples:
-            for s in range(self.sample_count):
-                for c in range(self.num_classes):
-                    lines.append(
-                        f"sample{s},{c},{self.sample_jaccard[s, c]:.6f},"
-                        f"{self.sample_dice[s, c]:.6f}"
-                    )
-        return "\n".join(lines) + "\n"
-
-    def to_table(self) -> str:
-        rows = [f"{'class':>10} {'jaccard':>9} {'dice':>9}"]
-        for c in range(self.num_classes):
-            rows.append(
-                f"{c:>10d} {self.class_jaccard[c]:>9.4f} {self.class_dice[c]:>9.4f}"
-            )
-        rows.append(
-            f"{'foreground':>10} {self.mean_jaccard:>9.4f} {self.mean_dice:>9.4f}"
-        )
-        rows.append(f"samples: {self.sample_count}")
-        return "\n".join(rows)
-
 
 def evaluate_masks(
     preds: Sequence[LabelMask], refs: Sequence[LabelMask]

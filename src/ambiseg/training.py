@@ -120,6 +120,7 @@ from .model import (
     forward,
     init_opt_state,
     init_params,
+    load_checkpoint,
     save_checkpoint,
 )
 
@@ -1066,3 +1067,35 @@ def write_run(
         if result.best.net_iterations is not None:
             lines.append(f"net{k}_best_iteration\t{result.best.net_iterations[k]}")
     (out / "manifest.tsv").write_text("\n".join(lines) + "\n")
+
+
+def load_run(run_dir: str | Path) -> list[ModelParams]:
+    """The checkpoints a run directory's manifest names, in network order."""
+    run_dir = Path(run_dir)
+    manifest = run_dir / "manifest.tsv"
+    if not manifest.exists():
+        raise FileNotFoundError(f"no run manifest at {manifest}")
+    entries: dict[str, str] = {}
+    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+        if not line:
+            continue
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise ValueError(f"{manifest}:{lineno}: expected 'key<TAB>value', got {line!r}")
+        if key == "k" and not value.isdecimal():
+            raise ValueError(f"{manifest}:{lineno}: k must be an integer, got {value!r}")
+        entries[key] = value
+    k = int(entries["k"]) if "k" in entries else None
+    params = []
+    i = 0
+    while f"net{i}_file" in entries:
+        path = run_dir / entries[f"net{i}_file"]
+        if not path.exists():
+            raise FileNotFoundError(f"manifest names missing checkpoint {path}")
+        params.append(load_checkpoint(str(path)))
+        i += 1
+    if not params:
+        raise ValueError(f"{manifest} lists no checkpoints")
+    if k is not None and k != len(params):
+        raise ValueError(f"{manifest} says k={k} but lists {len(params)} checkpoints")
+    return params

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import ast
 import hashlib
 import multiprocessing
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
 from ambiseg.data import load_dataset
 from ambiseg.fusion import majority_vote
@@ -49,6 +51,19 @@ def tree_digest(root: Path) -> dict:
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*")) if p.is_file()
     }
+
+
+def test_cli_imports_no_file_format_helpers():
+    """Dataset and run directories are read and written by data and training."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    helpers = {"load_mask_pgm", "save_mask_pgm", "save_image", "load_checkpoint"}
+    assert imported, "no imports found in cli.py"
+    assert imported & helpers == set()
 
 
 def test_gen_data_requires_out():
@@ -119,12 +134,20 @@ def test_gen_data_mid_build_failure_leaves_nothing(tmp_path, monkeypatch, capsys
     assert list(tmp_path.iterdir()) == []
 
 
-def test_train_missing_dataset(tmp_path):
-    code = entry([
-        "train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o"),
-        "--total-iters", "5", "--validation-every", "5",
-    ])
-    assert code == 1
+@pytest.mark.parametrize("command", ["train", "eval", "fuse"])
+def test_train_missing_dataset(command, run_dir, tmp_path, capsys):
+    missing = tmp_path / "nope"
+    args = {
+        "train": ["--out", str(tmp_path / "o"), "--total-iters", "5",
+                  "--validation-every", "5"],
+        "eval": ["--run", str(run_dir)],
+        "fuse": ["--out", str(tmp_path / "o"), "--strategy", "random"],
+    }
+    assert entry([command, "--data", str(missing), *args[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(missing) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_artifacts(run_dir):

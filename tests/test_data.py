@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy import ndimage
 
 import ambiseg
 from ambiseg import data
+from ambiseg.cli import cmd_fuse, entry
 from ambiseg.data import (
     AnnotatorProfile,
     SceneSpec,
@@ -29,8 +31,9 @@ from ambiseg.data import (
     save_mask_pgm,
     save_tensor,
     simulate_annotator,
-    simulate_annotator_nested,
+    write_dataset,
 )
+from ambiseg.fusion import FUSION_STRATEGIES
 from ambiseg.masks import LabelMask
 from ambiseg.metrics import jaccard
 
@@ -184,10 +187,13 @@ def test_nested_scene_and_annotator():
     # the core sits strictly inside the outer region
     assert ((labels == 2) <= (labels >= 1)).all()
     profile = AnnotatorProfile(bias_radius=1.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=3)
-    ann = simulate_annotator_nested(gt, profile)
+    ann = simulate_annotator(gt, profile)
     assert ann.num_classes == 3
     ann_grid = ann.labels.reshape(gt.height, gt.width)
     assert ((ann_grid == 2) <= (ann_grid >= 1)).all()
+    four = LabelMask.from_grid(labels, num_classes=4)
+    with pytest.raises(ValueError, match="got 4 classes"):
+        simulate_annotator(four, profile)
 
 
 def test_build_dataset_layout(tmp_path):
@@ -322,6 +328,53 @@ def test_build_dataset_pinned_digest(kwargs, pinned, tmp_path):
     assert h.hexdigest() == pinned
 
 
+def tree_sha256(root: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kwargs,pinned", PINNED_DATASETS, ids=["k2-64", "k2-32", "k4-32", "k3-nested"]
+)
+def test_write_dataset_round_trip(kwargs, pinned, tmp_path):
+    source = build_dataset(tmp_path / "ds", **SPLITS, **kwargs)
+    assert tree_sha256(write_dataset(tmp_path / "copy", load_dataset(source))) == pinned
+
+
+# sha256 of each `fuse --seed 9` tree as written when fuse copied its
+# source files and wrote its own manifest. Seed 9 makes `random` pick
+# different raters across samples, multi before val; these raters' masks
+# nest, so STAPLE agrees with the majority vote
+PINNED_FUSES = [
+    (PINNED_DATASETS[1][0], {
+        "average-vote": "2571fef99b69a8a8b420b63f4b4a366e9acac5ec076d89f9c8613bece46bc805",
+        "random": "979dfe52fdc0e863599cc36c920d0a082108a0ac1a973a57cb503bb753053b04",
+        "staple": "2571fef99b69a8a8b420b63f4b4a366e9acac5ec076d89f9c8613bece46bc805",
+    }),
+    (PINNED_DATASETS[3][0], {
+        "average-vote": "97d93ecd4843312f334243eacbfea660416ab61a9478257c3f9a8b76345192dd",
+        "random": "3d89ee35e6c68adfe63aa92edfa0d828cddd057420b72a2b2aa9dbde6a77fec5",
+        "staple": "97d93ecd4843312f334243eacbfea660416ab61a9478257c3f9a8b76345192dd",
+    }),
+]
+
+
+@pytest.mark.parametrize("strategy", FUSION_STRATEGIES)
+@pytest.mark.parametrize("kwargs,pinned", PINNED_FUSES, ids=["k2", "k3-nested"])
+def test_fuse_pinned_digest(kwargs, pinned, strategy, tmp_path):
+    source = build_dataset(tmp_path / "ds", **SPLITS, **kwargs)
+    out = tmp_path / "fused"
+    assert entry([
+        "fuse", "--data", str(source), "--out", str(out),
+        "--strategy", strategy, "--seed", "9",
+    ]) == 0
+    assert tree_sha256(out) == pinned[strategy]
+
+
 def test_import_leaves_scipy_out():
     src = str(Path(ambiseg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -346,7 +399,21 @@ def test_scene_settings_rejected(name, value, tmp_path):
     assert not out.exists()
 
 
-def test_failed_build_removes_what_it_created(tmp_path, monkeypatch):
+SMALL = dict(n_multi=3, n_unann=1, n_val=1, n_test=1, width=16, height=16)
+
+
+@pytest.fixture(params=["gen-data", "fuse"])
+def write(request, tmp_path_factory):
+    """(out, seed=0) -> writes a small dataset into `out` as one command does."""
+    if request.param == "gen-data":
+        return lambda out, seed=0: build_dataset(out, seed=seed, **SMALL)
+    source = build_dataset(tmp_path_factory.mktemp("source") / "ds", **SMALL)
+    return lambda out, seed=0: cmd_fuse(
+        Namespace(data=source, out=out, strategy="random", seed=seed)
+    )
+
+
+def test_failed_build_removes_what_it_created(write, tmp_path, monkeypatch):
     calls = []
 
     def failing_save(path, mask):
@@ -356,10 +423,9 @@ def test_failed_build_removes_what_it_created(tmp_path, monkeypatch):
         save_mask_pgm(path, mask)
 
     monkeypatch.setattr(data, "save_mask_pgm", failing_save)
-    kwargs = dict(n_multi=3, n_unann=1, n_val=1, n_test=1, width=16, height=16)
     fresh = tmp_path / "a" / "b" / "ds"
     with pytest.raises(OSError, match="disk full"):
-        build_dataset(fresh, **kwargs)
+        write(fresh)
     assert list(tmp_path.iterdir()) == []
 
     # into an existing directory: only the subdirectories made here go
@@ -368,19 +434,18 @@ def test_failed_build_removes_what_it_created(tmp_path, monkeypatch):
     (existing / "gt").mkdir(parents=True)
     (existing / "notes.txt").write_text("keep")
     with pytest.raises(OSError, match="disk full"):
-        build_dataset(existing, **kwargs)
+        write(existing)
     assert sorted(p.name for p in existing.iterdir()) == ["gt", "notes.txt"]
 
     monkeypatch.undo()
-    build_dataset(existing, **kwargs)
+    write(existing)
     assert not (existing / "manifest.tsv.tmp").exists()
     assert len(load_dataset(existing).multi) == 3
 
 
-def test_failed_rebuild_does_not_load(tmp_path, monkeypatch):
-    kwargs = dict(n_multi=3, n_unann=1, n_val=1, n_test=1, width=16, height=16)
+def test_failed_rebuild_does_not_load(write, tmp_path, monkeypatch):
     root = tmp_path / "ds"
-    build_dataset(root, seed=0, **kwargs)
+    write(root)
     calls = []
 
     def failing_save(path, mask):
@@ -391,11 +456,11 @@ def test_failed_rebuild_does_not_load(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data, "save_mask_pgm", failing_save)
     with pytest.raises(OSError, match="disk full"):
-        build_dataset(root, seed=1, **kwargs)
+        write(root, seed=1)
     # files of both seeds are left, but no manifest vouches for them
     assert not (root / "manifest.tsv").exists()
     with pytest.raises(FileNotFoundError, match="no manifest.tsv"):
         load_dataset(root)
     monkeypatch.undo()
-    build_dataset(root, seed=1, **kwargs)
+    write(root, seed=1)
     assert len(load_dataset(root).multi) == 3

@@ -102,22 +102,6 @@ def test_report_rejects_inconsistent_tables():
         )
 
 
-def test_report_csv_and_table():
-    pred = mask([1, 1, 0, 0], 4, 1)
-    ref = mask([1, 1, 1, 0], 4, 1)
-    report = evaluate_masks([pred], [ref])
-    csv = report.to_csv()
-    lines = csv.strip().splitlines()
-    assert lines[0] == "scope,class,jaccard,dice"
-    # one mean row per class plus the foreground aggregate
-    assert len(lines) == 1 + 2 + 1
-    assert lines[-1].startswith("mean,foreground,")
-    with_samples = report.to_csv(include_samples=True).strip().splitlines()
-    assert len(with_samples) == 1 + 3 + 2
-    table = report.to_table()
-    assert "jaccard" in table and "dice" in table
-
-
 def test_evaluate_masks_validates_lengths():
     a = mask([1, 0], 2, 1)
     with pytest.raises(ValueError):
