@@ -2,9 +2,11 @@
 annotation fusion, and gradient self-verification.
 
 Exit codes: 0 success, 1 runtime or data failure (Ctrl-C included), 2
-usage error. Every training run writes its fully-resolved configuration
-next to its outputs so the run directory is self-describing; a run whose
-training fails writes nothing.
+usage error. Training writes no files: `train` persists the result with
+training.write_run, plus its fully-resolved config.txt so the run
+directory is self-describing. Every dataset, run directory and report
+is published whole through data.publish, so a command that fails leaves
+its --out as it was, or absent.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .data import GenerationError, build_dataset, load_dataset, write_dataset
+from .data import GenerationError, build_dataset, load_dataset, publish, write_dataset
 from .fusion import FUSION_STRATEGIES, average_fuse, fuse_annotations
 from .masks import LabelMask, argmax_mask
 from .metrics import evaluate_masks
@@ -32,6 +34,7 @@ from .training import (
     load_run,
     run_training,
     train_single_annotator,
+    write_run,
 )
 
 # each TrainConfig field parses as its type; Optional[int] parses as int
@@ -39,7 +42,7 @@ CONFIG_TYPES = {
     name: next((t for t in get_args(hint) if t is not type(None)), hint)
     for name, hint in get_type_hints(TrainConfig).items()
 }
-EXTRA_KEYS = ("data", "out", "strategy")
+EXTRA_KEYS = ("data", "out")
 
 
 class UsageError(Exception):
@@ -76,10 +79,8 @@ def resolved_config(config: TrainConfig, data: Path, extras: dict) -> str:
     for f in fields(config):
         lines.append(f"{f.name} = {getattr(config, f.name)}")
     lines.append(f"data = {data}")
-    manifest = data / "manifest.tsv"
-    if manifest.exists():
-        digest = hashlib.sha256(manifest.read_bytes()).hexdigest()
-        lines.append(f"data_manifest_sha256 = {digest}")
+    digest = hashlib.sha256((data / "manifest.tsv").read_bytes()).hexdigest()
+    lines.append(f"data_manifest_sha256 = {digest}")
     lines.append(f"config_hash = {config_hash(config)}")
     for key, value in extras.items():
         lines.append(f"{key} = {value}")
@@ -119,11 +120,14 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
     data_path = Path(values.pop("data", "")) if values.get("data") else None
     out_path = Path(values.pop("out", "")) if values.get("out") else None
-    values.pop("strategy", None)
     if data_path is None:
         raise UsageError("train requires --data (or data= in the config file)")
     if out_path is None:
         raise UsageError("train requires --out (or out= in the config file)")
+    if out_path.resolve() == data_path.resolve():
+        raise UsageError(
+            f"--out {out_path} is the --data directory; the run would replace it"
+        )
 
     dataset = load_dataset(data_path)
     if ns.no_unannotated:
@@ -145,17 +149,14 @@ def cmd_train(ns: argparse.Namespace) -> int:
         "no_unannotated": ns.no_unannotated,
         "single_annotator": ns.single_annotator,
     }
-    # resolved now, against the dataset as loaded, and written only after
-    # the run's own outputs, so a run that fails leaves nothing in --out
-    config_text = resolved_config(config, data_path, extras)
-
+    config_text = resolved_config(config, data_path, extras)  # the dataset as loaded
     if ns.single_annotator is not None:
-        result = train_single_annotator(
-            dataset, config, ns.single_annotator, out_dir=out_path
-        )
+        result = train_single_annotator(dataset, config, ns.single_annotator)
     else:
-        result = run_training(dataset, config, out_dir=out_path)
-    (out_path / "config.txt").write_text(config_text)
+        result = run_training(dataset, config)
+    with publish(out_path) as staged:
+        write_run(result, staged)
+        (staged / "config.txt").write_text(config_text)
     print(
         f"trained {config.total_iters} iterations; best checkpoint at "
         f"iteration {result.best.iteration} with validation score "
@@ -196,7 +197,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         summary.append(f"{name}: foreground jaccard {report.mean_jaccard:.4f}")
     csv_text = "\n".join(lines) + "\n"
     if ns.out:
-        Path(ns.out).write_text(csv_text)
+        with publish(ns.out) as staged:
+            staged.write_text(csv_text)
         print(f"report written to {ns.out}")
     else:
         print(csv_text, end="")

@@ -19,8 +19,11 @@ with no False pixel gets the distance to the point (-1, 0) instead.
 Formats: images are "TNS1" tensor files (magic, u32 rank, u32 dims,
 row-major float64, little-endian); masks are binary PGM (P5) with
 maxval = num_classes - 1; each dataset directory carries a manifest.tsv.
-write_dataset is the one writer of dataset directories, and a write that
-fails leaves no manifest.tsv and removes the directories it created.
+
+publish is the one way the package creates, replaces or removes a
+top-level artifact (a dataset directory from write_dataset, a run
+directory that training.write_run persists a result into, an eval
+report), so each one appears whole or not at all.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ import math
 import os
 import shutil
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import ContextManager, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -484,8 +488,7 @@ def build_dataset(
     clean ground truth, `test` carries the clean ground truth only, and
     `unann` carries just the image. Everything is a pure function of
     `seed`, so rebuilding with the same arguments reproduces the tree
-    byte for byte. Every scene is generated before anything is written,
-    so a build that cannot generate one leaves the directory untouched.
+    byte for byte.
     """
     counts = {"n_multi": n_multi, "n_unann": n_unann, "n_val": n_val, "n_test": n_test}
     for name, count in counts.items():
@@ -528,53 +531,69 @@ def build_dataset(
     return write_dataset(out_dir, Dataset(multi, unannotated, validation, test))
 
 
-def write_dataset(out_dir: str | Path, dataset: Dataset) -> Path:
-    """Write `dataset` as a directory that load_dataset reads; returns its path.
-
-    Samples are named by their split's initial and their position in it
-    (m000, u000, v000, t000). Rewriting a directory overwrites its files
-    one by one, so the old manifest.tsv goes first and the new one is
-    published whole: a write that fails leaves no manifest, so the
-    directory does not load, and it removes the directories it created.
+def publish(target: str | Path) -> ContextManager[Path]:
+    """Yield the sibling `<name>.partial`, where the caller writes one file or
+    directory that one os.replace then makes `target`. A directory replaces an
+    empty one, or one with manifest.tsv (moved aside to `<name>.old`, then
+    removed); a file only a file. Any failure, KeyboardInterrupt included,
+    removes what this call created. A leftover `.partial` or `.old` is refused.
     """
-    out = Path(out_dir)
-    subdirs = [out / "images", out / "masks", out / "gt"]
-    # top-down, so removing the first also removes the ones below it
-    fresh = [p for p in (*reversed(out.parents), out, *subdirs) if not p.exists()]
-    for sub in subdirs:
-        sub.mkdir(parents=True, exist_ok=True)
+    # its own code object for bench/tracer.py (a @contextmanager's is contextlib's)
+    return _publish(Path(os.path.abspath(target)))  # `--out .` has a name too
 
+
+@contextmanager
+def _publish(target: Path) -> Iterator[Path]:
+    staged, aside = (target.with_name(target.name + tag) for tag in (".partial", ".old"))
+    for sibling in (p for p in (staged, aside) if p.exists()):
+        raise FileExistsError(f"{sibling} is in the way of {target}; remove it")
+    created = next((p for p in reversed(target.parents) if not p.exists()), None)
+    try:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        yield staged
+        if staged.is_dir() and (target / "manifest.tsv").exists():
+            os.replace(target, aside)
+        # rename(2) refuses unlike kinds and a non-empty target directory
+        os.replace(staged, target)
+    except BaseException:
+        if aside.exists() and not target.exists():
+            os.replace(aside, target)
+        shutil.rmtree(created or staged, ignore_errors=True)
+        staged.unlink(missing_ok=True)  # a file, which rmtree leaves
+        raise
+    shutil.rmtree(aside, ignore_errors=True)
+
+
+def write_dataset(out_dir: str | Path, dataset: Dataset) -> Path:
+    """Publish `dataset` as a directory that load_dataset reads; returns its path.
+
+    Samples are named by split initial and position (m000, u000, v000, t000).
+    """
     splits = [("multi", dataset.multi), ("unann", dataset.unannotated),
               ("val", dataset.validation), ("test", dataset.test)]
     rows = ["id\tsplit\timage\tgt\tmasks\tk"]
-    staged = out / "manifest.tsv.tmp"
-    try:
-        (out / "manifest.tsv").unlink(missing_ok=True)
+    with publish(out_dir) as staged:
+        for sub in ("images", "masks", "gt"):
+            (staged / sub).mkdir(parents=True)
         for split, samples in splits:
             for i, sample in enumerate(samples):
                 sample_id = f"{split[0]}{i:03d}"
                 image_rel = f"images/{sample_id}.tns"
-                save_image(out / image_rel, sample.image)
+                save_image(staged / image_rel, sample.image)
                 gt = getattr(sample, "clean_gt", None)
                 gt_rel = f"gt/{sample_id}.pgm" if gt is not None else ""
                 if gt is not None:
-                    save_mask_pgm(out / gt_rel, gt)
+                    save_mask_pgm(staged / gt_rel, gt)
                 mask_rels = []
                 for a, mask in enumerate(getattr(sample, "annotations", ())):
                     mask_rels.append(f"masks/{sample_id}_a{a}.pgm")
-                    save_mask_pgm(out / mask_rels[-1], mask)
+                    save_mask_pgm(staged / mask_rels[-1], mask)
                 rows.append(
                     f"{sample_id}\t{split}\t{image_rel}\t{gt_rel}\t"
                     f"{';'.join(mask_rels)}\t{len(mask_rels)}"
                 )
-        staged.write_text("\n".join(rows) + "\n")
-        os.replace(staged, out / "manifest.tsv")
-    except BaseException:
-        staged.unlink(missing_ok=True)
-        for path in fresh:
-            shutil.rmtree(path, ignore_errors=True)
-        raise
-    return out
+        (staged / "manifest.tsv").write_text("\n".join(rows) + "\n")
+    return Path(out_dir)
 
 
 def load_dataset(root: str | Path) -> Dataset:
@@ -593,36 +612,34 @@ def load_dataset(root: str | Path) -> Dataset:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
+        where = f"{manifest}:{lineno}"
         fields = line.split("\t")
         if len(fields) != len(expect):
             raise ValueError(
-                f"{manifest}:{lineno}: expected {len(expect)} tab-separated "
-                f"fields, got {len(fields)}"
+                f"{where}: expected {len(expect)} tab-separated fields, got {len(fields)}"
             )
         sample_id, split, image_rel, gt_rel, mask_field, k_str = fields
+        if split not in ("multi", "unann", "val", "test"):
+            raise ValueError(f"{where}: unknown split {split!r}")
         if not k_str.isdecimal():
-            raise ValueError(f"{manifest}:{lineno}: k must be an integer, got {k_str!r}")
+            raise ValueError(f"{where}: k must be an integer, got {k_str!r}")
         image = load_image(root / image_rel)
         gt = load_mask_pgm(root / gt_rel) if gt_rel else None
         masks = [
             load_mask_pgm(root / rel) for rel in mask_field.split(";") if rel
         ]
         if len(masks) != int(k_str):
-            raise ValueError(f"{manifest}: row {sample_id} mask count mismatch")
-        if split == "multi":
-            ds.multi.append(
-                MultiAnnotatedSample(image=image, annotations=masks, clean_gt=gt)
-            )
-        elif split == "unann":
-            ds.unannotated.append(UnannotatedSample(image=image))
-        elif split == "val":
-            ds.validation.append(
-                MultiAnnotatedSample(image=image, annotations=masks, clean_gt=gt)
-            )
-        elif split == "test":
-            if gt is None:
-                raise ValueError(f"{manifest}: test row {sample_id} lacks gt")
-            ds.test.append(TestSample(image=image, clean_gt=gt))
-        else:
-            raise ValueError(f"{manifest}: unknown split {split!r}")
+            raise ValueError(f"{where}: row {sample_id} mask count mismatch")
+        if split == "test" and gt is None:
+            raise ValueError(f"{where}: test row {sample_id} lacks gt")
+        try:
+            if split == "unann":
+                ds.unannotated.append(UnannotatedSample(image=image))
+            elif split == "test":
+                ds.test.append(TestSample(image=image, clean_gt=gt))
+            else:
+                sample = MultiAnnotatedSample(image=image, annotations=masks, clean_gt=gt)
+                (ds.multi if split == "multi" else ds.validation).append(sample)
+        except ValueError as exc:  # a sample's own checks, ShapeError included
+            raise ValueError(f"{where}: row {sample_id}: {exc}") from None
     return ds

@@ -899,9 +899,7 @@ def _checkpoint(
     return trace_row, [float(np.mean(scores)) for scores in per_net]
 
 
-def run_training(
-    dataset: Dataset, config: TrainConfig, out_dir: Optional[str | Path] = None
-) -> TrainResult:
+def run_training(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Train the ensemble, tracking the best validation checkpoint.
 
     Every validation_every iterations (and at iteration 0) the trainer
@@ -909,22 +907,19 @@ def run_training(
     the ramp weight, mean pairwise prediction agreement on the training
     images, and the fused validation Jaccard against majority-vote
     references. The kept checkpoint maximizes the validation score under
-    the configured selection mode. With out_dir set, trace.csv, one
-    checkpoint per network, and a manifest are written there.
+    the configured selection mode. Training writes no files: write_run
+    persists the result.
     """
     for s in dataset.multi + dataset.validation:
         if len(s.annotations) != config.k:
             raise TrainingError(
                 f"sample has {len(s.annotations)} annotations, config.k={config.k}"
             )
-    return _train(dataset, config, out_dir)
+    return _train(dataset, config)
 
 
 def train_single_annotator(
-    dataset: Dataset,
-    config: TrainConfig,
-    annotator: int,
-    out_dir: Optional[str | Path] = None,
+    dataset: Dataset, config: TrainConfig, annotator: int
 ) -> TrainResult:
     """Supervised baseline: the ensemble loop with one network, trained on
     one annotator's masks and no unannotated images.
@@ -941,12 +936,10 @@ def train_single_annotator(
         multi=[replace(s, annotations=[s.annotations[annotator]]) for s in dataset.multi],
         unannotated=[],
     )
-    return _train(view, config, out_dir)
+    return _train(view, config)
 
 
-def _train(
-    dataset: Dataset, config: TrainConfig, out_dir: Optional[str | Path]
-) -> TrainResult:
+def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """The training loop, with one network per annotation of a training sample.
 
     Iterations run on the run's executors (see the module docstring),
@@ -970,12 +963,11 @@ def _train(
 
     ss = np.random.SeedSequence(config.seed)
     net_ss, train_ss = ss.spawn(2)
-    net_seeds = [int(s.generate_state(1)[0]) for s in net_ss.spawn(num_nets)]
     rng = np.random.default_rng(train_ss)
 
     nets = []
-    for seed in net_seeds:
-        params = init_params(arch, seed)
+    for child in net_ss.spawn(num_nets):
+        params = init_params(arch, int(child.generate_state(1)[0]))
         nets.append(NetworkSlot(params=params, opt=init_opt_state(params, config.lr)))
     state = EnsembleState(nets=nets, t=0, rng=rng)
     caches: list[Optional[ForwardCache]] = [None] * num_nets
@@ -1005,48 +997,41 @@ def _train(
 
     if config.total_iters == 0:
         state.best = BestRecord(iteration=0, score=float("nan"), params=state.snapshot())
-        result = TrainResult(state=state, best=state.best, trace=[], config=config)
-    else:
-        executors = _executor_count(num_nets)
-        try:
-            crew = _Crew(dataset, config, state, executors) if executors > 1 else None
-            with crew or nullcontext():
-                record_checkpoint()
-                while state.t < config.total_iters:
-                    ann_idx = rng.integers(
-                        len(dataset.multi), size=config.annotated_per_iter
+        return TrainResult(state=state, best=state.best, trace=[], config=config)
+    executors = _executor_count(num_nets)
+    try:
+        crew = _Crew(dataset, config, state, executors) if executors > 1 else None
+        with crew or nullcontext():
+            record_checkpoint()
+            while state.t < config.total_iters:
+                ann_idx = rng.integers(
+                    len(dataset.multi), size=config.annotated_per_iter
+                )
+                annotated = [dataset.multi[int(i)] for i in ann_idx]
+                unannotated: list[UnannotatedSample] = []
+                if config.w_max > 0 and dataset.unannotated:
+                    un_idx = rng.integers(
+                        len(dataset.unannotated), size=config.unannotated_batch
                     )
-                    annotated = [dataset.multi[int(i)] for i in ann_idx]
-                    unannotated: list[UnannotatedSample] = []
-                    if config.w_max > 0 and dataset.unannotated:
-                        un_idx = rng.integers(
-                            len(dataset.unannotated), size=config.unannotated_batch
-                        )
-                        unannotated = [dataset.unannotated[int(i)] for i in un_idx]
-                    train_iteration(state, annotated, unannotated, config, caches, crew)
-                    if state.t % config.validation_every == 0:
-                        record_checkpoint()
-        except KeyboardInterrupt:
-            raise TrainingError(f"training interrupted at iteration {state.t}") from None
-        if per_network:
-            state.best = BestRecord(
-                iteration=-1,
-                score=float(np.mean([b[0] for b in net_best])),
-                params=[b[1] for b in net_best],
-                net_iterations=[b[2] for b in net_best],
-            )
-        result = TrainResult(state=state, best=state.best, trace=trace, config=config)
-
-    if out_dir is not None:
-        write_run(result, out_dir, net_seeds)
-    return result
+                    unannotated = [dataset.unannotated[int(i)] for i in un_idx]
+                train_iteration(state, annotated, unannotated, config, caches, crew)
+                if state.t % config.validation_every == 0:
+                    record_checkpoint()
+    except KeyboardInterrupt:
+        raise TrainingError(f"training interrupted at iteration {state.t}") from None
+    if per_network:
+        state.best = BestRecord(
+            iteration=-1,
+            score=float(np.mean([b[0] for b in net_best])),
+            params=[b[1] for b in net_best],
+            net_iterations=[b[2] for b in net_best],
+        )
+    return TrainResult(state=state, best=state.best, trace=trace, config=config)
 
 
-def write_run(
-    result: TrainResult, out_dir: str | Path, net_seeds: Sequence[int]
-) -> None:
+def write_run(result: TrainResult, out: str | Path) -> None:
     """Persist trace, per-network best checkpoints, and the run manifest."""
-    out = Path(out_dir)
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "trace.csv").write_text(result.trace_csv())
     lines = [
@@ -1063,7 +1048,7 @@ def write_run(
         name = f"net{k}.msen"
         save_checkpoint(params, str(out / name))
         lines.append(f"net{k}_file\t{name}")
-        lines.append(f"net{k}_seed\t{net_seeds[k]}")
+        lines.append(f"net{k}_seed\t{params.seed}")
         if result.best.net_iterations is not None:
             lines.append(f"net{k}_best_iteration\t{result.best.net_iterations[k]}")
     (out / "manifest.tsv").write_text("\n".join(lines) + "\n")

@@ -31,6 +31,7 @@ from ambiseg.training import (
     fused_probs,
     run_training,
     train_single_annotator,
+    write_run,
 )
 
 
@@ -314,7 +315,7 @@ def test_criterion_6_determinism(capsys, bench_dataset, tmp_path):
     )
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
-        run_training(bench_dataset, config, out_dir=str(d))
+        write_run(run_training(bench_dataset, config), d)
     same = all(
         (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
         for name in ("trace.csv", "net0.msen", "net1.msen", "manifest.tsv")

@@ -222,7 +222,6 @@ CONFIG_VALUES = {
     "selection": ("per-network", "per-network"),
     "data": ("some/ds", "some/ds"),
     "out": ("some/run", "some/run"),
-    "strategy": ("staple", "staple"),
 }
 
 
@@ -238,14 +237,16 @@ def test_config_file_parses_each_key_by_type(key, tmp_path):
     assert type(parsed[key]) is type(value)
 
 
-def test_train_rejects_unknown_config_key(dataset_dir, tmp_path):
+def test_train_rejects_unknown_config_key(dataset_dir, tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("momentum = 0.9\n")
-    code = entry([
-        "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
-        "--config", str(cfg),
-    ])
-    assert code == 2
+    for key in ("momentum = 0.9", "strategy = staple"):  # fuse's, not train's
+        cfg.write_text(key + "\n")
+        code = entry([
+            "train", "--data", str(dataset_dir), "--out", str(tmp_path / "o"),
+            "--config", str(cfg),
+        ])
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_train_rejects_invalid_combination(dataset_dir, tmp_path):
@@ -550,7 +551,16 @@ def test_fuse_truncated_source_is_an_error(rel, dataset_dir, tmp_path, capsys):
      ":2: expected 6 tab-separated fields, got 5"),
     (lambda text: text.replace("\t2\n", "\ttwo\n", 1), ":2: k must be an integer"),
     (lambda text: "", ": unexpected columns []"),
-], ids=["five-fields", "k-not-integer", "empty"])
+    (lambda text: text.replace("\tmulti\t", "\tmult\t", 1), ":2: unknown split 'mult'"),
+    (lambda text: text.replace(";masks/m000_a1.pgm\t2\n", "\t2\n"),
+     ":2: row m000 mask count mismatch"),
+    (lambda text: text.replace("\tmasks/m000_a0.pgm;masks/m000_a1.pgm\t2\n", "\t\t0\n"),
+     ":2: row m000: multi-annotated samples need at least one mask"),
+    (lambda text: text.replace("\tmasks/v000_a0.pgm;masks/v000_a1.pgm\t2\n", "\t\t0\n"),
+     ":8: row v000: multi-annotated samples need at least one mask"),
+    (lambda text: text.replace("\tgt/t000.pgm\t", "\t\t"), ":10: test row t000 lacks gt"),
+], ids=["five-fields", "k-not-integer", "empty", "unknown-split", "mask-count",
+        "multi-no-masks", "val-no-masks", "test-no-gt"])
 def test_malformed_dataset_manifest_names_file_and_line(
     command, edit, message, dataset_dir, tmp_path, capsys
 ):
@@ -650,3 +660,91 @@ def test_train_out_is_a_file_is_an_error(dataset_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert out.read_text() == "not a directory"
+
+
+def test_train_out_is_the_data_directory_is_a_usage_error(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    before = tree_digest(data)
+    same = tmp_path / "elsewhere" / ".." / "ds"
+    assert entry(train_args(data, same, iters="10")) == 2
+    assert capsys.readouterr().err.startswith("usage error: --out")
+    assert tree_digest(data) == before
+
+
+# the arguments of each command that publishes its --out
+PUBLISHERS = {
+    "gen-data": lambda data, run, out: [
+        "gen-data", "--out", out, "--n-multi", "2", "--n-unann", "1", "--n-val", "1",
+        "--n-test", "1", "--width", "16", "--height", "16"],
+    "fuse": lambda data, run, out: [
+        "fuse", "--data", data, "--out", out, "--strategy", "random"],
+    "train": lambda data, run, out: [
+        "train", "--data", data, "--out", out, "--total-iters", "2",
+        "--validation-every", "1", "--lr", "0.01"],
+    "eval": lambda data, run, out: [
+        "eval", "--run", run, "--data", data, "--out", out, "--per-network"],
+}
+
+
+def artifact(path: Path):
+    return tree_digest(path) if path.is_dir() else path.read_bytes()
+
+
+@pytest.mark.parametrize("command", PUBLISHERS)
+def test_failed_write_leaves_the_old_artifact_or_nothing(
+    command, dataset_dir, run_dir, tmp_path, writes, capsys
+):
+    def args(out):
+        return [str(a) for a in PUBLISHERS[command](dataset_dir, run_dir, out)]
+
+    old, fresh = tmp_path / "old", tmp_path / "new" / "out"
+    writes.arm(None, None)
+    assert entry(args(old)) == 0
+    total, before = writes.count, artifact(old)
+    # train: trace, each checkpoint, the run manifest, config.txt
+    assert total == {"train": 5, "eval": 1}.get(command, total)
+    for n in range(1, total + 1):
+        for out in (old, fresh):
+            writes.arm(n, OSError(f"disk full at write {n}"))
+            assert entry(args(out)) == 1
+            assert capsys.readouterr().err == f"error: disk full at write {n}\n"
+            assert artifact(old) == before
+            assert sorted(tmp_path.iterdir()) == [old]
+    writes.arm(total, KeyboardInterrupt())
+    assert entry(args(old)) == 1
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert artifact(old) == before
+    assert sorted(tmp_path.iterdir()) == [old]
+    # the same command into missing parents writes the same bytes
+    writes.arm(None, None)
+    assert entry(args(fresh)) == 0
+    assert artifact(fresh) == before
+
+
+@pytest.mark.parametrize("command", PUBLISHERS)
+def test_out_over_a_foreign_directory_is_an_error(
+    command, dataset_dir, run_dir, tmp_path, capsys
+):
+    foreign = tmp_path / "mine"
+    (foreign / "sub").mkdir(parents=True)
+    (foreign / "notes.txt").write_text("keep")
+    before = tree_digest(foreign)
+    args = [str(a) for a in PUBLISHERS[command](dataset_dir, run_dir, foreign)]
+    assert entry(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(foreign) in err
+    assert "Directory not empty" in err or "Is a directory" in err  # eval's report
+    assert tree_digest(foreign) == before and (foreign / "sub").is_dir()
+
+
+def test_eval_out_over_a_dataset_is_an_error(dataset_dir, run_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    before = tree_digest(data)
+    args = [str(a) for a in PUBLISHERS["eval"](dataset_dir, run_dir, data)]
+    assert entry(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+    assert str(data) in err
+    assert tree_digest(data) == before

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 from argparse import Namespace
@@ -413,54 +414,133 @@ def write(request, tmp_path_factory):
     )
 
 
-def test_failed_build_removes_what_it_created(write, tmp_path, monkeypatch):
-    calls = []
+def test_failed_build_removes_what_it_created(write, tmp_path, writes):
+    writes.arm(None, None)
+    write(tmp_path / "counted")
+    total = writes.count
+    assert total > 10  # every image, mask and gt file, then the manifest
+    shutil.rmtree(tmp_path / "counted")
 
-    def failing_save(path, mask):
-        calls.append(path)
-        if len(calls) == 4:
-            raise OSError("disk full")
-        save_mask_pgm(path, mask)
-
-    monkeypatch.setattr(data, "save_mask_pgm", failing_save)
     fresh = tmp_path / "a" / "b" / "ds"
-    with pytest.raises(OSError, match="disk full"):
+    for n in range(1, total + 1):
+        writes.arm(n, OSError(f"disk full at write {n}"))
+        with pytest.raises(OSError, match="disk full"):
+            write(fresh)
+        assert list(tmp_path.iterdir()) == []
+    writes.arm(total // 2, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
         write(fresh)
     assert list(tmp_path.iterdir()) == []
 
-    # into an existing directory: only the subdirectories made here go
-    calls.clear()
-    existing = tmp_path / "existing"
-    (existing / "gt").mkdir(parents=True)
-    (existing / "notes.txt").write_text("keep")
+    # an empty directory stays empty until a write succeeds
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    writes.arm(total, OSError("disk full"))
     with pytest.raises(OSError, match="disk full"):
-        write(existing)
-    assert sorted(p.name for p in existing.iterdir()) == ["gt", "notes.txt"]
-
-    monkeypatch.undo()
-    write(existing)
-    assert not (existing / "manifest.tsv.tmp").exists()
-    assert len(load_dataset(existing).multi) == 3
+        write(empty)
+    assert list(empty.iterdir()) == []
+    writes.arm(None, None)
+    write(empty)
+    assert len(load_dataset(empty).multi) == 3
 
 
-def test_failed_rebuild_does_not_load(write, tmp_path, monkeypatch):
+def test_failed_rebuild_keeps_the_old_dataset(write, tmp_path, writes):
     root = tmp_path / "ds"
+    writes.arm(None, None)
     write(root)
-    calls = []
-
-    def failing_save(path, mask):
-        calls.append(path)
-        if len(calls) == 4:
-            raise OSError("disk full")
-        save_mask_pgm(path, mask)
-
-    monkeypatch.setattr(data, "save_mask_pgm", failing_save)
-    with pytest.raises(OSError, match="disk full"):
+    total, before = writes.count, tree_sha256(root)
+    for n in range(1, total + 1):
+        writes.arm(n, OSError(f"disk full at write {n}"))
+        with pytest.raises(OSError, match="disk full"):
+            write(root, seed=1)
+        assert tree_sha256(root) == before
+    writes.arm(1, KeyboardInterrupt())
+    with pytest.raises(KeyboardInterrupt):
         write(root, seed=1)
-    # files of both seeds are left, but no manifest vouches for them
-    assert not (root / "manifest.tsv").exists()
-    with pytest.raises(FileNotFoundError, match="no manifest.tsv"):
-        load_dataset(root)
-    monkeypatch.undo()
+    assert tree_sha256(root) == before
+    assert list(tmp_path.iterdir()) == [root]
+
+    writes.arm(None, None)
     write(root, seed=1)
-    assert len(load_dataset(root).multi) == 3
+    write(tmp_path / "fresh", seed=1)
+    assert tree_sha256(root) == tree_sha256(tmp_path / "fresh") != before
+
+
+def test_interrupted_swap_restores_the_old_directory(tmp_path, monkeypatch):
+    root = build_dataset(tmp_path / "ds", **SMALL)
+    before = tree_sha256(root)
+    real = os.replace
+
+    def replace(src, dst):
+        if Path(src).name == "ds.partial":  # the old tree is already aside
+            raise KeyboardInterrupt
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(KeyboardInterrupt):
+        build_dataset(root, seed=1, **SMALL)
+    assert tree_sha256(root) == before
+    assert list(tmp_path.iterdir()) == [root]
+
+
+def test_rewrite_with_fewer_samples_equals_a_fresh_build(tmp_path):
+    root = tmp_path / "ds"
+    build_dataset(root, **dict(SMALL, n_multi=4))
+    build_dataset(root, **SMALL)
+    assert tree_sha256(root) == tree_sha256(build_dataset(tmp_path / "fresh", **SMALL))
+    assert not (root / "images" / "m003.tns").exists()
+
+
+def test_write_dataset_refuses_a_foreign_directory(tmp_path):
+    foreign = tmp_path / "notes"
+    (foreign / "gt").mkdir(parents=True)
+    (foreign / "notes.txt").write_text("keep")
+    with pytest.raises(OSError, match="Directory not empty"):
+        build_dataset(foreign, **SMALL)
+    assert sorted(p.name for p in foreign.rglob("*")) == ["gt", "notes.txt"]
+
+
+def test_publish_replaces_like_with_like(tmp_path):
+    report = tmp_path / "report.csv"
+    for text in ("old\n", "new\n"):
+        with data.publish(report) as staged:
+            staged.write_text(text)
+        assert report.read_text() == text
+
+    run = tmp_path / "run"
+    for text in ("first", "second"):
+        with data.publish(run) as staged:
+            staged.mkdir()
+            (staged / "manifest.tsv").write_text(text)
+        assert (run / "manifest.tsv").read_text() == text
+    assert sorted(tmp_path.iterdir()) == [report, run]
+
+    # a file never replaces a directory, nor a directory a file
+    with pytest.raises(IsADirectoryError):
+        with data.publish(run) as staged:
+            staged.write_text("csv")
+    with pytest.raises(NotADirectoryError):
+        with data.publish(report) as staged:
+            staged.mkdir()
+    assert report.read_text() == "new\n" and (run / "manifest.tsv").exists()
+    assert sorted(tmp_path.iterdir()) == [report, run]
+
+
+def test_publish_refuses_a_leftover_sibling(tmp_path):
+    target = tmp_path / "ds"
+    for tag in (".partial", ".old"):
+        leftover = tmp_path / f"ds{tag}"
+        leftover.mkdir()
+        with pytest.raises(FileExistsError, match="in the way"):
+            with data.publish(target):
+                pass
+        assert leftover.is_dir() and not target.exists()
+        leftover.rmdir()
+
+
+def test_publish_keeps_mkdir_modes(tmp_path):
+    with data.publish(tmp_path / "a" / "ds") as staged:
+        (staged / "images").mkdir(parents=True)
+    (tmp_path / "b" / "ds" / "images").mkdir(parents=True)
+    for rel in ("", "ds", "ds/images"):
+        assert (tmp_path / "a" / rel).stat().st_mode == (tmp_path / "b" / rel).stat().st_mode

@@ -67,6 +67,7 @@ from ambiseg.training import (
     train_iteration,
     train_single_annotator,
     validation_references,
+    write_run,
 )
 
 
@@ -713,7 +714,8 @@ def test_run_training_trace_contract(tiny_dataset, tmp_path):
         k=2, lr=0.01, total_iters=20, validation_every=5, seed=7,
     )
     out = tmp_path / "run"
-    result = run_training(tiny_dataset, config, out_dir=str(out))
+    result = run_training(tiny_dataset, config)
+    write_run(result, out)
     csv = result.trace_csv()
     lines = csv.strip().splitlines()
     assert lines[0] == TRACE_HEADER
@@ -744,10 +746,9 @@ def test_run_training_trace_contract(tiny_dataset, tmp_path):
     "train", [run_training, partial(train_single_annotator, annotator=1)],
     ids=["ensemble", "baseline"],
 )
-def test_run_training_zero_iterations(train, tiny_dataset, tmp_path):
+def test_run_training_zero_iterations(train, tiny_dataset):
     config = TrainConfig(k=2, lr=0.01, total_iters=0, validation_every=5, seed=7)
-    out = tmp_path / "zero"
-    result = train(tiny_dataset, config, out_dir=str(out))
+    result = train(tiny_dataset, config)
     assert result.trace == []
     assert result.trace_csv().strip() == TRACE_HEADER
     assert math.isnan(result.best.score)
@@ -755,6 +756,17 @@ def test_run_training_zero_iterations(train, tiny_dataset, tmp_path):
     # kept checkpoints equal the untouched initialization
     for slot, best in zip(result.state.nets, result.best.params):
         assert np.array_equal(slot.params.flat, best.flat)
+
+
+@pytest.mark.parametrize(
+    "train", [run_training, partial(train_single_annotator, annotator=1)],
+    ids=["ensemble", "baseline"],
+)
+def test_training_writes_no_files(train, tiny_dataset, writes):
+    config = TrainConfig(k=2, lr=0.01, total_iters=10, validation_every=5, seed=7)
+    writes.arm(None, None)
+    train(tiny_dataset, config)
+    assert writes.count == 0
 
 
 def test_run_training_best_matches_trace_peak(tiny_dataset):
@@ -778,7 +790,8 @@ def test_run_training_per_network_selection(tiny_dataset, tmp_path):
         selection="per-network",
     )
     out = tmp_path / "pernet"
-    result = run_training(tiny_dataset, config, out_dir=str(out))
+    result = run_training(tiny_dataset, config)
+    write_run(result, out)
     assert result.best.iteration == -1
     assert result.best.net_iterations is not None
     assert len(result.best.net_iterations) == 2
@@ -805,8 +818,8 @@ def test_run_training_rejects_annotation_mismatch(tiny_dataset):
 def test_single_annotator_baseline(tiny_dataset, tmp_path):
     config = TrainConfig(k=2, lr=0.01, total_iters=10, validation_every=5, seed=17)
     out = tmp_path / "single"
-    result = train_single_annotator(tiny_dataset, config, annotator=0,
-                                    out_dir=str(out))
+    result = train_single_annotator(tiny_dataset, config, annotator=0)
+    write_run(result, out)
     assert len(result.state.nets) == 1
     lines = result.trace_csv().strip().splitlines()
     assert lines[0] == TRACE_HEADER
@@ -931,7 +944,7 @@ def count_workers(monkeypatch):
 
 
 def run_files(train, dataset, config, out):
-    train(dataset, config, out_dir=str(out))
+    write_run(train(dataset, config), out)
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
 
