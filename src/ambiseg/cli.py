@@ -87,7 +87,14 @@ def resolved_config(config: TrainConfig, data: Path, extras: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_seed(ns: argparse.Namespace) -> None:
+    """numpy seeds are non-negative integers."""
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {ns.seed}")
+
+
 def cmd_gen_data(ns: argparse.Namespace) -> int:
+    check_seed(ns)
     out = build_dataset(
         out_dir=ns.out,
         n_multi=ns.n_multi,
@@ -150,11 +157,12 @@ def cmd_train(ns: argparse.Namespace) -> int:
         "single_annotator": ns.single_annotator,
     }
     config_text = resolved_config(config, data_path, extras)  # the dataset as loaded
-    if ns.single_annotator is not None:
-        result = train_single_annotator(dataset, config, ns.single_annotator)
-    else:
-        result = run_training(dataset, config)
+    # publish refuses an unusable --out before training, not after
     with publish(out_path) as staged:
+        if ns.single_annotator is not None:
+            result = train_single_annotator(dataset, config, ns.single_annotator)
+        else:
+            result = run_training(dataset, config)
         write_run(result, staged)
         (staged / "config.txt").write_text(config_text)
     print(
@@ -212,6 +220,7 @@ def cmd_fuse(ns: argparse.Namespace) -> int:
         raise UsageError(
             f"unknown strategy {ns.strategy!r}; choose from {FUSION_STRATEGIES}"
         )
+    check_seed(ns)
     dataset = load_dataset(ns.data)
     rng = np.random.default_rng(ns.seed)
     annotated = dataset.multi + dataset.validation
@@ -227,6 +236,7 @@ def cmd_grad_check(ns: argparse.Namespace) -> int:
         raise UsageError(f"--instances must be >= 1, got {ns.instances}")
     if ns.size < 1:
         raise UsageError(f"--size must be >= 1, got {ns.size}")
+    check_seed(ns)
     report = gradient_check_report(
         seed=ns.seed,
         instances=ns.instances,

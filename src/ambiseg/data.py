@@ -28,6 +28,7 @@ report), so each one appears whole or not at all.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import shutil
@@ -536,7 +537,9 @@ def publish(target: str | Path) -> ContextManager[Path]:
     directory that one os.replace then makes `target`. A directory replaces an
     empty one, or one with manifest.tsv (moved aside to `<name>.old`, then
     removed); a file only a file. Any failure, KeyboardInterrupt included,
-    removes what this call created. A leftover `.partial` or `.old` is refused.
+    removes what this call created. A leftover `.partial` or `.old`, and a
+    non-empty directory without manifest.tsv, are refused on entry, before
+    the caller does any work.
     """
     # its own code object for bench/tracer.py (a @contextmanager's is contextlib's)
     return _publish(Path(os.path.abspath(target)))  # `--out .` has a name too
@@ -547,6 +550,9 @@ def _publish(target: Path) -> Iterator[Path]:
     staged, aside = (target.with_name(target.name + tag) for tag in (".partial", ".old"))
     for sibling in (p for p in (staged, aside) if p.exists()):
         raise FileExistsError(f"{sibling} is in the way of {target}; remove it")
+    # rename(2) would refuse it whatever is staged
+    if target.is_dir() and not (target / "manifest.tsv").exists() and any(target.iterdir()):
+        raise OSError(errno.ENOTEMPTY, os.strerror(errno.ENOTEMPTY), str(target))
     created = next((p for p in reversed(target.parents) if not p.exists()), None)
     try:
         target.parent.mkdir(parents=True, exist_ok=True)

@@ -27,50 +27,44 @@ of rows over the training images, the probe's unannotated images and the
 validation split, with no backward pass; fused prediction uses the same
 rows.
 
-Executors: networks share nothing but hard predictions (a peer's argmax
-mask in the consistency term, the peers' consensus in pseudo-supervision)
-and no gradient crosses networks, so an iteration splits into per-network
-steps that run on W = min(K, usable cores) executors. The calling process
-is executor 0; W - 1 workers are forked (start method "fork", named
-explicitly) once per run. Executor w owns the networks z = w (mod W):
-their parameters, Adam state and forward caches. The rng stays in the
-calling process, which draws the batch indices and the comparison
-networks in the serial order and sends each worker the indices; workers
-read the images from the dataset they inherited. Per row, every executor
-- publishes: forwards its own networks, takes softmax and (when a peer
-  reads them) argmax, and writes each mask into that row's slot of the
-  slab, one anonymous shared mapping of int32 labels per row and network;
-- waits until every executor has published: each worker reports to the
-  calling process through its pipe, which answers when all have;
-- learns: takes its peers' masks from the slab, computes its networks'
-  loss terms from its own probabilities and backpropagates each network
-  once into its own cache.
-After the batch each executor takes its networks' Adam steps, and each
-worker sends its networks' loss means, parameters and Adam state back,
-so the calling process holds the complete EnsembleState between
-iterations and runs every checkpoint alone. Each network runs the same
-operations in the same order as in the serial loop and only exact
-integer masks cross processes, so results are bit-identical for every W.
-While the workers run, numpy's OpenBLAS is held to one thread (the
-workers inherit the setting), and restored afterwards. The serial loop is
-the case W = 1, where the calling process owns every network and nothing
-is exchanged; it is what runs for a lone network, on one core, where the
-platform cannot fork or report its cores, and where no OpenBLAS thread
-control is found. A worker that raises (its message travels to the
-calling process), dies or is interrupted ends the run with TrainingError,
-and every worker is stopped before the run returns or raises.
+Executors: networks share nothing but hard predictions on the same image
+(a peer's argmax mask in the consistency term, the peers' consensus in
+pseudo-supervision), so once an iteration's parameter snapshot is fixed,
+each batch image is an independent unit of work: its row, every
+network's loss terms on it and every network's gradient from it. An
+iteration's rows run on W = min(images per iteration, usable cores)
+executors, row r on executor r mod W. The calling process is executor 0;
+W - 1 workers are forked (start method "fork", named explicitly) once per
+run and inherit the dataset and the config. Per iteration the calling
+process draws the batch and the comparison networks in the serial order,
+sends each worker one job (the snapshot, the dataset indices of its rows
+and the comparison networks), builds its own rows meanwhile and reads one
+reply per worker (its rows' loss terms and gradients). It then adds each
+network's terms and gradients in batch order and takes every Adam step
+itself, so the rng, the parameters and the Adam state never leave it,
+and it runs every checkpoint alone. Every row is computed by the same
+operations wherever it runs and its float64 results cross processes
+exactly, so results are bit-identical for every W. While the workers
+run, numpy's OpenBLAS is held to one thread (the workers inherit the
+setting), and restored afterwards. The serial loop is the case W = 1,
+where nothing is exchanged; it is what runs for a one-image batch, on one
+core, where the platform cannot fork or report its cores, and where no
+OpenBLAS thread control is found. A worker that raises (its message
+travels to the calling process), dies or is interrupted ends the run
+with TrainingError, and every worker is stopped before the run returns
+or raises.
 
 Buffers, per executor: an executor holds one forward cache per network
-it owns (a list indexed by network, None until that network's first
-forward), and every forward it makes for network z (training rows, and
-in the calling process checkpoint rows for every network) writes z's
-activations into cache z. A cache is overwritten by the next forward
-that receives it, so a row's activations are valid only until the next
-row is built; backward only reads them. The run's caches die with the
-run: no returned object references them. Rows built without caches share
-one cache of their own across the networks, since nothing backpropagates
-through them; train_iteration called without caches uses one per network
-for that call.
+(a list indexed by network, None until that network's first forward),
+and every forward it makes for network z (training rows, and in the
+calling process checkpoint rows) writes z's activations into cache z. A
+cache is overwritten by the next forward that receives it, so a row's
+activations are valid only until the next row is built; backward only
+reads them. The run's caches die with the run: no returned object
+references them. Rows built without caches share one cache of their own
+across the networks, since nothing backpropagates through them;
+train_iteration called without caches uses one per network for that
+call.
 """
 
 from __future__ import annotations
@@ -100,7 +94,6 @@ from .losses import (
     total_network_loss,
 )
 from .masks import (
-    LABEL_DTYPE,
     LabelMask,
     _unchecked,
     argmax_mask,
@@ -178,6 +171,8 @@ class TrainConfig:
                 raise TrainingError(f"{name} must be positive")
         if self.total_iters < 0:
             raise TrainingError("total_iters must be >= 0")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if self.total_iters % self.validation_every != 0:
             raise TrainingError(
                 "total_iters must be a multiple of validation_every so the "
@@ -249,14 +244,12 @@ class _PredictionRow:
     Holds each network's probabilities and, when the caller asked for
     masks, its hard argmax mask. Every loss term of every learner on that
     image reads from one row, so each network forwards each image once.
-    An executor's row holds probabilities of its own networks only (None
-    for the others), and its peers' masks once the slab has filled them.
     The row holds no activations: network z's stay in the cache the row
     was built with until the next row overwrites them.
     """
 
-    probs: list[Optional[ProbMap]]
-    masks: list[Optional[LabelMask]]
+    probs: list[ProbMap]
+    masks: list[LabelMask]
 
 
 def _prediction_row(
@@ -264,13 +257,9 @@ def _prediction_row(
     image: ImageTensor,
     masks: bool,
     caches: list[Optional[ForwardCache]],
-    nets: Optional[Iterable[int]] = None,
 ) -> _PredictionRow:
-    """The row of the networks `nets` (default: all) on one image."""
-    num_nets = len(snapshot)
-    row = _PredictionRow(probs=[None] * num_nets, masks=[None] * num_nets if masks else [])
-    for z in range(num_nets) if nets is None else nets:
-        params = snapshot[z]
+    row = _PredictionRow(probs=[], masks=[])
+    for z, params in enumerate(snapshot):
         # a list of one cache is shared by every network
         slot = z % len(caches)
         logits, caches[slot] = forward(params, image, caches[slot])
@@ -283,9 +272,9 @@ def _prediction_row(
             probs=softmax(logits),
             logits=logits,
         )
-        row.probs[z] = probs
+        row.probs.append(probs)
         if masks:
-            row.masks[z] = argmax_mask(probs)
+            row.masks.append(argmax_mask(probs))
     return row
 
 
@@ -356,79 +345,36 @@ def _ramp_weight(config: TrainConfig, t: int, num_nets: int) -> float:
     return config.lambda_at(t) if num_nets > 1 else 0.0
 
 
-def _network_steps(
+def _row_steps(
     snapshot: Sequence[ModelParams],
-    nets: Iterable[int],
-    annotated: Sequence[MultiAnnotatedSample],
-    unannotated: Sequence[UnannotatedSample],
+    sample: MultiAnnotatedSample | UnannotatedSample,
     peers: Sequence[int],
     config: TrainConfig,
-    lam: float,
     caches: list[Optional[ForwardCache]],
-    share: Optional[Callable[[int, _PredictionRow], None]],
-) -> dict[int, tuple[tuple[float, float, float], np.ndarray]]:
-    """One executor's share of an iteration: the networks `nets`.
+) -> list[tuple[tuple[float, float, float], np.ndarray]]:
+    """One batch image's share of an iteration, indexed by network: its
+    (l_ma, l_pc, l_ps) on `sample` and the parameter gradient of their
+    weighted logit terms, before batch means and the ramp weight.
 
-    Per batch row r: publish (forward, softmax and, when a peer reads
-    them, argmax of each network in `nets`), share(r, row) to fill the
-    other networks' masks (None when `nets` is every network), then learn
-    (each network's loss terms and one backward into its cache). Returns
-    each network's mean l_ma, l_pc and l_ps and its gradient. Each
-    network's sums run over the images in batch order, exactly as a
-    learner-major loop would add them, so the results are bit-identical.
+    An annotated sample gives each network's agreement and consistency
+    terms against its comparison network peers[k], an unannotated one its
+    pseudo-supervision term. Each network backpropagates once into its cache.
     """
-    nets = list(nets)
-    grads = {k: np.zeros_like(snapshot[k].flat) for k in nets}
-    sums = {k: [0.0, 0.0, 0.0] for k in nets}  # l_ma, l_pc, l_ps
-    masks = _needs_masks(config, len(snapshot))
-    for r, sample in enumerate(annotated):
-        row = _prediction_row(snapshot, sample.image, masks, caches, nets)
-        if masks and share is not None:
-            share(r, row)
-        for k in nets:
+    annotated = isinstance(sample, MultiAnnotatedSample)
+    masks = _needs_masks(config, len(snapshot)) if annotated else True
+    row = _prediction_row(snapshot, sample.image, masks, caches)
+    steps = []
+    for k, params in enumerate(snapshot):
+        if annotated:
             l_ma, l_pc, grad_logits = _npce_terms(
                 row, sample, k, peers[k], config.alpha, config.beta
             )
-            sums[k][0] += l_ma
-            sums[k][1] += l_pc
-            grads[k] += backward(snapshot[k], caches[k], grad_logits)
-    for grad in grads.values():
-        grad /= len(annotated)
-
-    use_ps = config.w_max > 0 and len(unannotated) > 0
-    if use_ps:
-        ps_grads = {k: np.zeros_like(snapshot[k].flat) for k in nets}
-        for r, sample in enumerate(unannotated, start=len(annotated)):
-            row = _prediction_row(snapshot, sample.image, True, caches, nets)
-            if share is not None:
-                share(r, row)
-            for k in nets:
-                l_ps, grad_logits = _mnps_terms(row, k)
-                sums[k][2] += l_ps
-                ps_grads[k] += backward(snapshot[k], caches[k], grad_logits)
-        for k in nets:
-            grads[k] += lam * ps_grads[k] / len(unannotated)
-
-    n_ann, n_unann = len(annotated), len(unannotated)
-    return {
-        k: ((l_ma / n_ann, l_pc / n_ann, l_ps / n_unann if use_ps else 0.0), grads[k])
-        for k, (l_ma, l_pc, l_ps) in sums.items()
-    }
-
-
-def _step_if_finite(
-    slots: Sequence[NetworkSlot],
-    own: dict[int, tuple[tuple[float, float, float], np.ndarray]],
-    lr: float,
-) -> None:
-    """Adam steps for an executor's networks, taken only when all of their
-    losses are finite: a non-finite loss ends the run (train_iteration
-    names the lowest such network), and its step would fail first."""
-    if all(math.isfinite(v) for means, _ in own.values() for v in means):
-        for k, (_, grad) in own.items():
-            slot = slots[k]
-            slot.opt = replace(slot.opt, lr=lr)
-            slot.params, slot.opt = adam_step(slot.params, slot.opt, grad)
+            terms = (l_ma, l_pc, 0.0)
+        else:
+            l_ps, grad_logits = _mnps_terms(row, k)
+            terms = (0.0, 0.0, l_ps)
+        steps.append((terms, backward(params, caches[k], grad_logits)))
+    return steps
 
 
 def train_iteration(
@@ -445,9 +391,10 @@ def train_iteration(
     ascending k, and none for a lone network, which compares with itself.
     Batches are sampled by the caller. Forwards go into `caches` (see
     the module docstring). The training loop passes its workers as
-    `_crew`; this process then steps only the networks it owns, and the
-    workers' networks come back stepped. A non-finite loss raises
-    TrainingError naming the lowest such network.
+    `_crew`, which build their share of the batch's rows. Each network's
+    terms and gradients add up in batch order, annotated samples then
+    unannotated ones. A non-finite loss raises TrainingError naming the
+    lowest such network, before any network steps.
     """
     if state.t >= config.total_iters:
         raise TrainingError(f"iteration {state.t} exceeds total_iters")
@@ -461,51 +408,60 @@ def train_iteration(
         peers = [0]
     else:
         peers = [pick_comparison(k, num_nets, state.rng) for k in range(num_nets)]
-
+    if config.w_max == 0:
+        unannotated = []  # no pseudo-supervision term to learn
+    batch = [*annotated, *unannotated]
     if _crew is None:
-        nets, share = range(num_nets), None
+        rows = [_row_steps(snapshot, sample, peers, config, caches) for sample in batch]
     else:
-        _crew.start(state.t, annotated, unannotated, peers)
-        nets, share = _crew.nets, _crew.share
-    own = _network_steps(
-        snapshot, nets, annotated, unannotated, peers, config, lam, caches, share
-    )
-    # this process steps its networks while the workers step theirs
-    _step_if_finite(state.nets, own, config.lr_at(state.t))
-    means = {k: m for k, (m, _) in own.items()}
-    if _crew is not None:
-        for k, (m, slot) in _crew.finish().items():
-            means[k] = m
-            state.nets[k].params, state.nets[k].opt = slot.params, slot.opt
+        rows = _crew.run(snapshot, batch, peers, config, caches)
 
-    breakdowns = []
+    n_ann, n_unann = len(annotated), len(unannotated)
+    means, grads = [], []
     for k in range(num_nets):
-        l_ma, l_pc, l_ps = means[k]
-        if not all(map(math.isfinite, means[k])):
+        l_ma = l_pc = l_ps = 0.0
+        grad = np.zeros_like(snapshot[k].flat)
+        for (ma, pc, _), row_grad in (row[k] for row in rows[:n_ann]):
+            l_ma += ma
+            l_pc += pc
+            grad += row_grad
+        grad /= n_ann
+        if n_unann:
+            ps_grad = np.zeros_like(grad)
+            for (_, _, ps), row_grad in (row[k] for row in rows[n_ann:]):
+                l_ps += ps
+                ps_grad += row_grad
+            grad += lam * ps_grad / n_unann
+        means.append((l_ma / n_ann, l_pc / n_ann, l_ps / n_unann if n_unann else 0.0))
+        grads.append(grad)
+
+    for k, (l_ma, l_pc, l_ps) in enumerate(means):
+        if not all(map(math.isfinite, (l_ma, l_pc, l_ps))):
             raise TrainingError(
                 f"non-finite loss for network {k} at iteration {state.t}: "
                 f"l_ma={l_ma}, l_pc={l_pc}, l_ps={l_ps}"
             )
-        breakdowns.append(
-            total_network_loss(l_ma, l_pc, l_ps, config.alpha, config.beta, lam)
-        )
+    lr = config.lr_at(state.t)
+    for slot, grad in zip(state.nets, grads):
+        slot.opt = replace(slot.opt, lr=lr)
+        slot.params, slot.opt = adam_step(slot.params, slot.opt, grad)
     state.t += 1
-    return breakdowns
+    return [total_network_loss(*m, config.alpha, config.beta, lam) for m in means]
 
 
 # ---------------------------------------------------------------------------
 # executors: the calling process and its forked workers
 
 
-def _executor_count(num_nets: int) -> int:
-    """W for a run of num_nets networks: one executor per usable core and
-    at most one per network; 1 where the platform cannot fork or report
-    its cores, or where no OpenBLAS thread control is found."""
-    if num_nets < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+def _executor_count(images: int) -> int:
+    """W for a run with `images` batch images per iteration: one executor
+    per usable core and at most one per image; 1 where the platform cannot
+    fork or report its cores, or where no OpenBLAS thread control is found."""
+    if images < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if not _openblas_thread_controls():
         return 1
-    return min(num_nets, len(os.sched_getaffinity(0)))
+    return min(images, len(os.sched_getaffinity(0)))
 
 
 def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -540,75 +496,28 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
     return controls
 
 
-class _MaskSlab:
-    """Argmax masks crossing executors: an anonymous shared mapping, made
-    before the fork, with one int32 label slot per (batch row, network).
-
-    Row r of an iteration uses slot r. The calling process sends the next
-    iteration only when every worker has finished this one, so no slot is
-    rewritten while someone reads it, and masks read from the slab are
-    used only inside their row.
-    """
-
-    def __init__(self, rows: int, num_nets: int, pixels: int):
-        import mmap
-
-        size = rows * num_nets * pixels * np.dtype(LABEL_DTYPE).itemsize
-        self.labels = np.frombuffer(mmap.mmap(-1, size), dtype=LABEL_DTYPE).reshape(
-            rows, num_nets, pixels
-        )
-
-    def publish(self, r: int, row: _PredictionRow, nets: Iterable[int]) -> None:
-        for z in nets:
-            mask = row.masks[z]
-            self.labels[r, z, : mask.size] = mask.labels
-
-    def gather(self, r: int, row: _PredictionRow) -> None:
-        like = next(m for m in row.masks if m is not None)
-        for z, mask in enumerate(row.masks):
-            if mask is None:
-                row.masks[z] = _unchecked(
-                    LabelMask,
-                    width=like.width,
-                    height=like.height,
-                    num_classes=like.num_classes,
-                    labels=self.labels[r, z, : like.size],
-                )
-
-
 # messages a worker sends: (tag, body)
-_READY, _DONE, _FAILED = "ready", "done", "failed"
+_DONE, _FAILED = "done", "failed"
 
 
 class _Crew:
-    """Executors 1..W-1 of a run, forked on entry and stopped on exit, and
-    the slab they share with the calling process (executor 0).
+    """Executors 1..W-1 of a run, forked on entry and stopped on exit.
 
     Each worker talks to the calling process over its own pipe. The
-    calling process sends one job per iteration (the iteration, the batch
-    indices and the comparison networks), a go-ahead per shared row once
-    every executor has published it, and None to stop; a worker answers
-    each shared row with _READY and the iteration with _DONE and its
-    stepped networks, or with _FAILED and its error's message. A worker
-    that dies closes its pipe, so the calling process reads EOF instead
-    of waiting for it.
+    calling process sends one job per iteration (the snapshot, the
+    dataset indices of the worker's rows and the comparison networks) and
+    None to stop; a worker answers each job with _DONE and its rows'
+    steps, or with _FAILED and its error's message. A worker that dies
+    closes its pipe, so the calling process reads EOF instead of waiting
+    for it.
     """
 
-    def __init__(self, dataset: Dataset, config: TrainConfig, state: EnsembleState,
-                 executors: int):
+    def __init__(self, dataset: Dataset, config: TrainConfig, executors: int):
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        num_nets = len(state.nets)
-        self.nets = range(0, num_nets, executors)
-        images = [s.image for s in dataset.multi] + [u.image for u in dataset.unannotated]
-        self._slab = _MaskSlab(
-            config.annotated_per_iter + config.unannotated_batch,
-            num_nets,
-            max(image.width * image.height for image in images),
-        )
-        self._multi = {id(s): i for i, s in enumerate(dataset.multi)}
-        self._unannotated = {id(u): i for i, u in enumerate(dataset.unannotated)}
+        # a worker finds sample i at _samples(dataset)[i]
+        self._index = {id(s): i for i, s in enumerate(_samples(dataset))}
         self._workers: list = []  # (executor number, process, pipe end)
         # one BLAS thread here and, through the fork, in every worker
         self._blas_threads = [(set_, get()) for get, set_ in _openblas_thread_controls()]
@@ -620,8 +529,7 @@ class _Crew:
                 inherited = [conn for _, _, conn in self._workers] + [ours]
                 proc = context.Process(
                     target=_worker,
-                    args=(theirs, inherited, dataset, config, state.nets,
-                          range(w, num_nets, executors), self._slab),
+                    args=(theirs, inherited, dataset, config),
                     name=f"ambiseg-executor-{w}",
                     daemon=True,
                 )
@@ -680,34 +588,36 @@ class _Crew:
             raise TrainingError(f"training worker {worker[0]} failed: {body}")
         return body
 
-    def start(self, t: int, annotated: Sequence[MultiAnnotatedSample],
-              unannotated: Sequence[UnannotatedSample], peers: Sequence[int]) -> None:
-        job = (
-            t,
-            [self._multi[id(s)] for s in annotated],
-            [self._unannotated[id(u)] for u in unannotated],
-            list(peers),
-        )
-        for worker in self._workers:
-            self._send(worker, job)
-
-    def share(self, r: int, row: _PredictionRow) -> None:
-        self._slab.publish(r, row, self.nets)
-        for worker in self._workers:
-            self._receive(worker)
-        for worker in self._workers:
-            self._send(worker, True)
-        self._slab.gather(r, row)
-
-    def finish(self) -> dict[int, tuple[tuple[float, float, float], NetworkSlot]]:
-        stepped = {}
-        for worker in self._workers:
-            stepped.update(self._receive(worker))
-        return stepped
+    def run(
+        self,
+        snapshot: Sequence[ModelParams],
+        batch: Sequence[MultiAnnotatedSample | UnannotatedSample],
+        peers: Sequence[int],
+        config: TrainConfig,
+        caches: list[Optional[ForwardCache]],
+    ) -> list[list[tuple[tuple[float, float, float], np.ndarray]]]:
+        """Every batch row's _row_steps, in batch order: row r is built
+        by executor r mod W, executor 0's while the workers build theirs."""
+        executors = len(self._workers) + 1
+        for w, worker in enumerate(self._workers, start=1):
+            indices = [self._index[id(s)] for s in batch[w::executors]]
+            self._send(worker, (snapshot, indices, peers))
+        steps: list = [None] * len(batch)
+        steps[::executors] = [
+            _row_steps(snapshot, sample, peers, config, caches)
+            for sample in batch[::executors]
+        ]
+        for w, worker in enumerate(self._workers, start=1):
+            steps[w::executors] = self._receive(worker)
+        return steps
 
 
-def _worker(conn, inherited, dataset: Dataset, config: TrainConfig,
-            slots: list[NetworkSlot], nets: range, slab: _MaskSlab) -> None:
+def _samples(dataset: Dataset) -> list[MultiAnnotatedSample | UnannotatedSample]:
+    """The samples a batch draws from, in the order jobs index them."""
+    return dataset.multi + dataset.unannotated
+
+
+def _worker(conn, inherited, dataset: Dataset, config: TrainConfig) -> None:
     """A forked executor: one job per iteration until told to stop.
 
     Ctrl-C is the calling process's to handle, so the worker ignores
@@ -721,25 +631,13 @@ def _worker(conn, inherited, dataset: Dataset, config: TrainConfig,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    caches: list[Optional[ForwardCache]] = [None] * len(slots)
-
-    def share(r: int, row: _PredictionRow) -> None:
-        slab.publish(r, row, nets)
-        conn.send((_READY, None))
-        conn.recv()
-        slab.gather(r, row)
-
+    samples = _samples(dataset)
+    caches: list[Optional[ForwardCache]] = [None] * dataset.k
     try:
         while (job := conn.recv()) is not None:
-            t, ann_idx, un_idx, peers = job
-            own = _network_steps(
-                [slot.params for slot in slots], nets,
-                [dataset.multi[i] for i in ann_idx],
-                [dataset.unannotated[i] for i in un_idx],
-                peers, config, _ramp_weight(config, t, len(slots)), caches, share,
-            )
-            _step_if_finite(slots, own, config.lr_at(t))
-            conn.send((_DONE, {k: (means, slots[k]) for k, (means, _) in own.items()}))
+            snapshot, indices, peers = job
+            steps = [_row_steps(snapshot, samples[i], peers, config, caches) for i in indices]
+            conn.send((_DONE, steps))
     except EOFError:
         pass  # the calling process is gone
     except Exception as exc:
@@ -998,9 +896,12 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     if config.total_iters == 0:
         state.best = BestRecord(iteration=0, score=float("nan"), params=state.snapshot())
         return TrainResult(state=state, best=state.best, trace=[], config=config)
-    executors = _executor_count(num_nets)
+    use_unannotated = config.w_max > 0 and bool(dataset.unannotated)
+    executors = _executor_count(
+        config.annotated_per_iter + (config.unannotated_batch if use_unannotated else 0)
+    )
     try:
-        crew = _Crew(dataset, config, state, executors) if executors > 1 else None
+        crew = _Crew(dataset, config, executors) if executors > 1 else None
         with crew or nullcontext():
             record_checkpoint()
             while state.t < config.total_iters:
@@ -1009,7 +910,7 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 )
                 annotated = [dataset.multi[int(i)] for i in ann_idx]
                 unannotated: list[UnannotatedSample] = []
-                if config.w_max > 0 and dataset.unannotated:
+                if use_unannotated:
                     un_idx = rng.integers(
                         len(dataset.unannotated), size=config.unannotated_batch
                     )

@@ -286,6 +286,28 @@ def test_train_rejects_non_finite_values_as_usage(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,config", [
+    ("gen-data", ""), ("fuse", ""), ("train", ""), ("train", "seed = -1\n"),
+], ids=["gen-data", "fuse", "train", "train-config"])
+def test_negative_seed_is_a_usage_error(command, config, dataset_dir, tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    args = {
+        "gen-data": ["--out", out],
+        "fuse": ["--data", dataset_dir, "--out", out, "--strategy", "random"],
+        "train": ["--data", dataset_dir, "--out", out, "--config", cfg,
+                  "--total-iters", "5", "--validation-every", "5"],
+    }[command]
+    seed = [] if config else ["--seed", "-1"]
+    assert entry([command, *map(str, args), *seed]) == 2
+    err = capsys.readouterr().err
+    # a flag is named as given; a config file's key as written there
+    named = "seed" if config or command == "train" else "--seed"
+    assert err == f"usage error: {named} must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_train_matches_library_run(dataset_dir, run_dir, tmp_path):
     from ambiseg.training import TrainConfig, run_training
 
@@ -474,7 +496,8 @@ def test_grad_check_detects_corruption():
 
 
 @pytest.mark.parametrize(
-    "args", [["--instances", "0"], ["--instances", "-3"], ["--size", "0"]]
+    "args",
+    [["--instances", "0"], ["--instances", "-3"], ["--size", "0"], ["--seed", "-1"]],
 )
 def test_grad_check_rejects_empty_checks(args, capsys):
     assert entry(["grad-check", *args]) == 2
@@ -606,7 +629,7 @@ def two_executors_with_failing_worker(monkeypatch, hook):
             hook()
         return original(*args)
 
-    monkeypatch.setattr(training, "_executor_count", lambda num_nets: min(num_nets, 2))
+    monkeypatch.setattr(training, "_executor_count", lambda images: min(images, 2))
     monkeypatch.setattr(training, "backward", wrapped)
 
 
@@ -722,20 +745,48 @@ def test_failed_write_leaves_the_old_artifact_or_nothing(
     assert artifact(fresh) == before
 
 
+def no_training(monkeypatch):
+    """Make any training run fail the test: --out is checked before training."""
+    from ambiseg import training
+
+    def trained(*args):
+        pytest.fail("trained before --out was checked")
+
+    monkeypatch.setattr(training, "_train", trained)
+
+
 @pytest.mark.parametrize("command", PUBLISHERS)
 def test_out_over_a_foreign_directory_is_an_error(
-    command, dataset_dir, run_dir, tmp_path, capsys
+    command, dataset_dir, run_dir, tmp_path, monkeypatch, capsys
 ):
     foreign = tmp_path / "mine"
     (foreign / "sub").mkdir(parents=True)
     (foreign / "notes.txt").write_text("keep")
     before = tree_digest(foreign)
     args = [str(a) for a in PUBLISHERS[command](dataset_dir, run_dir, foreign)]
+    no_training(monkeypatch)
     assert entry(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(foreign) in err
     assert "Directory not empty" in err or "Is a directory" in err  # eval's report
     assert tree_digest(foreign) == before and (foreign / "sub").is_dir()
+
+
+@pytest.mark.parametrize("tag", [".partial", ".old"])
+def test_train_refuses_a_leftover_sibling_before_training(
+    tag, dataset_dir, tmp_path, monkeypatch, capsys
+):
+    out = tmp_path / "run"
+    leftover = tmp_path / f"run{tag}"
+    leftover.mkdir()
+    no_training(monkeypatch)
+    try:
+        assert entry(train_args(dataset_dir, out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {leftover} is in the way of {out}; remove it\n"
+        assert leftover.is_dir() and not out.exists()
+    finally:
+        leftover.rmdir()
 
 
 def test_eval_out_over_a_dataset_is_an_error(dataset_dir, run_dir, tmp_path, capsys):

@@ -538,6 +538,19 @@ def test_publish_refuses_a_leftover_sibling(tmp_path):
         leftover.rmdir()
 
 
+def test_publish_refuses_a_foreign_directory_on_entry(tmp_path):
+    foreign = tmp_path / "notes"
+    foreign.mkdir()
+    (foreign / "notes.txt").write_text("keep")
+    for stage in (Path.mkdir, Path.touch):  # whatever the caller would stage
+        with pytest.raises(OSError, match="Directory not empty") as refused:
+            with data.publish(foreign) as staged:
+                stage(staged)
+                pytest.fail("publish let the caller stage over a foreign directory")
+        assert refused.value.filename == str(foreign)
+    assert sorted(tmp_path.iterdir()) == [foreign]
+
+
 def test_publish_keeps_mkdir_modes(tmp_path):
     with data.publish(tmp_path / "a" / "ds") as staged:
         (staged / "images").mkdir(parents=True)

@@ -337,6 +337,8 @@ def test_config_validation():
         TrainConfig(selection="best-of-breed")
     with pytest.raises(TrainingError):
         TrainConfig(lr=0.0)
+    with pytest.raises(TrainingError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -533,10 +535,11 @@ def count_calls(monkeypatch, name):
 
 
 def use_executors(monkeypatch, w):
-    """Train on min(K, w) executors, whatever the machine's core count."""
+    """Train on min(images per iteration, w) executors, whatever the
+    machine's core count."""
     from ambiseg import training
 
-    monkeypatch.setattr(training, "_executor_count", lambda num_nets: min(num_nets, w))
+    monkeypatch.setattr(training, "_executor_count", lambda images: min(images, w))
 
 
 @pytest.mark.parametrize("k", [2, 4])
@@ -951,8 +954,8 @@ def run_files(train, dataset, config, out):
 EXECUTOR_VARIANTS = {
     "fused": {},
     "per-network": dict(selection="per-network"),
-    "ablate-pc": dict(beta=0.0),  # no annotated row exchanges masks
-    "ablate-ps": dict(w_max=0.0),  # no unannotated rows
+    "ablate-pc": dict(beta=0.0),  # annotated rows build no masks
+    "ablate-ps": dict(w_max=0.0),  # no unannotated rows: two images per iteration
 }
 
 
@@ -965,18 +968,32 @@ def test_executors_give_byte_identical_runs(
     config = TrainConfig(k=k, lr=0.02, total_iters=6, validation_every=3, seed=9,
                          annotated_per_iter=2, unannotated_batch=2,
                          **EXECUTOR_VARIANTS[variant])
+    images = config.annotated_per_iter + (config.unannotated_batch if config.w_max else 0)
     runs = []
     for w in ws:
         use_executors(monkeypatch, w)
         started = count_workers(monkeypatch)
         runs.append(run_files(run_training, dataset, config, tmp_path / f"w{w}"))
-        assert len(started) == w - 1
+        assert len(started) == min(w, images) - 1
     names = ["manifest.tsv", *(f"net{z}.msen" for z in range(k)), "trace.csv"]
     assert list(runs[0]) == names
     assert all(run == runs[0] for run in runs[1:])
 
 
-def test_single_annotator_runs_in_the_calling_process(tiny_dataset, tmp_path, monkeypatch):
+def test_single_annotator_runs_in_the_calling_process(tiny_dataset, monkeypatch):
+    # the baseline has no unannotated pool: one image per iteration
+    config = TrainConfig(k=2, lr=0.02, total_iters=6, validation_every=3, seed=9,
+                         annotated_per_iter=1)
+    use_executors(monkeypatch, 2)
+    started = count_workers(monkeypatch)
+    result = train_single_annotator(tiny_dataset, config, annotator=1)
+    assert len(result.trace) == 3
+    assert len(started) == 0
+
+
+def test_single_annotator_splits_its_batch_across_executors(
+    tiny_dataset, tmp_path, monkeypatch
+):
     config = TrainConfig(k=2, lr=0.02, total_iters=6, validation_every=3, seed=9,
                          annotated_per_iter=2)
     train = partial(train_single_annotator, annotator=1)
@@ -984,16 +1001,78 @@ def test_single_annotator_runs_in_the_calling_process(tiny_dataset, tmp_path, mo
     use_executors(monkeypatch, 2)
     started = count_workers(monkeypatch)
     assert run_files(train, tiny_dataset, config, tmp_path / "w2") == serial
-    assert len(started) == 0
+    assert len(started) == 1
 
 
-def test_executor_count_is_usable_cores_capped_by_networks():
+def test_executor_count_is_usable_cores_capped_by_images():
     from ambiseg import training
 
     cores = len(os.sched_getaffinity(0)) if training._openblas_thread_controls() else 1
     assert training._executor_count(1) == 1
     assert training._executor_count(2) == min(2, cores)
     assert training._executor_count(64) == min(64, cores)
+
+
+class SharedLog:
+    """Pairs of integers appended by this process and its forked workers."""
+
+    def __init__(self, capacity):
+        context = multiprocessing.get_context("fork")
+        self._pairs = context.Array("q", 2 * capacity)
+        self._count = context.Value("q", 0)
+
+    def add(self, a, b):
+        with self._count.get_lock():
+            i = self._count.value
+            self._pairs[2 * i : 2 * i + 2] = [a, b]
+            self._count.value += 1
+
+    def pairs(self):
+        with self._count.get_lock():
+            flat = self._pairs[: 2 * self._count.value]
+        return list(zip(flat[::2], flat[1::2]))
+
+
+def test_each_executor_builds_its_rows_of_the_batch(tiny_dataset, monkeypatch):
+    from ambiseg import training
+
+    config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
+                         annotated_per_iter=2, unannotated_batch=2)
+    annotated, unannotated = tiny_dataset.multi[:2], tiny_dataset.unannotated[:2]
+    batch = [*annotated, *unannotated]
+    row_of = {s.image.values.tobytes(): r for r, s in enumerate(batch)}
+    assert len(row_of) == 4  # four distinct images
+    built = SharedLog(capacity=16)
+    original = training._row_steps
+
+    def recording(snapshot, sample, *args):
+        built.add(os.getpid(), row_of[sample.image.values.tobytes()])
+        return original(snapshot, sample, *args)
+
+    def counting(method, calls):
+        def counted(*args):
+            calls.append(args)
+            return method(*args)
+        return counted
+
+    sends, receives = [], []  # the calling process's side of each pipe
+    monkeypatch.setattr(training._Crew, "_send", counting(training._Crew._send, sends))
+    monkeypatch.setattr(training._Crew, "_receive", counting(training._Crew._receive, receives))
+    monkeypatch.setattr(training, "_row_steps", recording)
+
+    state = make_state(config)
+    iterations = 3
+    with training._Crew(tiny_dataset, config, executors=2) as crew:
+        for _ in range(iterations):
+            train_iteration(state, annotated, unannotated, config, [None] * 2, crew)
+    # one job and one reply per worker and iteration
+    assert len(sends) == len(receives) == iterations
+    by_pid = {}
+    for pid, r in built.pairs():
+        by_pid.setdefault(pid, []).append(r)
+    assert by_pid.pop(os.getpid()) == [0, 2] * iterations
+    (worker_rows,) = by_pid.values()
+    assert worker_rows == [1, 3] * iterations
 
 
 def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypatch):
@@ -1005,7 +1084,7 @@ def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypat
     get, set_ = controls[0]
     before = get()
     seen = SharedCount()
-    original = training._network_steps
+    original = training._row_steps
 
     def counting_threads(*args):
         if get() == 1:
@@ -1013,13 +1092,13 @@ def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypat
         return original(*args)
 
     use_executors(monkeypatch, 2)
-    monkeypatch.setattr(training, "_network_steps", counting_threads)
+    monkeypatch.setattr(training, "_row_steps", counting_threads)
     set_(2)
     try:
         config = TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=1)
         run_training(tiny_dataset, config)
-        # both executors' steps of both iterations saw one BLAS thread
-        assert len(seen) == 4
+        # all four rows of both iterations, on both executors, saw one BLAS thread
+        assert len(seen) == 2 * (config.annotated_per_iter + config.unannotated_batch)
         assert get() == 2
     finally:
         set_(before)
@@ -1113,16 +1192,16 @@ def test_non_finite_loss_names_the_lowest_network(w, bad, named, tiny_dataset, m
     from ambiseg import training
 
     use_executors(monkeypatch, w)
-    original = training._network_steps
+    original = training._row_steps
 
-    # each executor's step results, in this process and in the worker
+    # each row's step results, in this process and in the worker
     def poisoned(*args):
-        return {
-            k: (((math.nan, *means[1:]) if k in bad else means), grad)
-            for k, (means, grad) in original(*args).items()
-        }
+        return [
+            (((math.nan, *terms[1:]) if k in bad else terms), grad)
+            for k, (terms, grad) in enumerate(original(*args))
+        ]
 
-    monkeypatch.setattr(training, "_network_steps", poisoned)
+    monkeypatch.setattr(training, "_row_steps", poisoned)
     message = f"non-finite loss for network {named} at iteration 0"
     with pytest.raises(TrainingError, match=message):
         run_training(tiny_dataset, FAILURE_CONFIG)
