@@ -115,11 +115,7 @@ def _staple_log_likelihood(
     return log_a, log_b, ll
 
 
-def staple_binary(
-    masks: Sequence[LabelMask],
-    tol: float = STAPLE_TOL,
-    max_iter: int = STAPLE_MAX_ITER,
-) -> StapleResult:
+def staple_binary(masks: Sequence[LabelMask]) -> StapleResult:
     """EM consensus over binary masks per Warfield-style STAPLE.
 
     The foreground prior is the mean foreground fraction across
@@ -142,7 +138,7 @@ def staple_binary(
     converged = False
     iterations = 0
     w = np.full(n, f1)
-    for _ in range(max_iter):
+    for _ in range(STAPLE_MAX_ITER):
         iterations += 1
         log_a, log_b, ll = _staple_log_likelihood(d, p, q, f1)
         trace.append(ll)
@@ -159,7 +155,7 @@ def staple_binary(
 
         delta = max(np.abs(new_p - p).max(), np.abs(new_q - q).max())
         p, q = new_p, new_q
-        if delta < tol:
+        if delta < STAPLE_TOL:
             converged = True
             break
 
@@ -181,15 +177,11 @@ def staple_binary(
     )
 
 
-def staple_fuse(
-    masks: Sequence[LabelMask],
-    tol: float = STAPLE_TOL,
-    max_iter: int = STAPLE_MAX_ITER,
-) -> LabelMask:
+def staple_fuse(masks: Sequence[LabelMask]) -> LabelMask:
     """STAPLE for any class count: one-vs-rest posteriors, then argmax."""
     first = _check_same_shape(masks)
     if first.num_classes == 2:
-        return staple_binary(masks, tol=tol, max_iter=max_iter).fused
+        return staple_binary(masks).fused
     posteriors = np.empty((first.num_classes, first.size))
     for c in range(first.num_classes):
         binarized = [
@@ -201,7 +193,7 @@ def staple_fuse(
             )
             for m in masks
         ]
-        posteriors[c] = staple_binary(binarized, tol=tol, max_iter=max_iter).weights
+        posteriors[c] = staple_binary(binarized).weights
     winners = np.argmax(posteriors, axis=0)
     return LabelMask(
         width=first.width,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,17 +43,12 @@ W_MAX_DEFAULT = 0.1
 @dataclass
 class ProbMap:
     """Per-pixel class probabilities, shape (width*height, num_classes),
-    in any memory layout (class-major when the package builds them).
-
-    When produced from a model, `logits` holds the matching pre-softmax
-    scores so gradients can be routed back through the same forward pass.
-    """
+    in any memory layout (class-major when the package builds them)."""
 
     width: int
     height: int
     num_classes: int
     probs: np.ndarray
-    logits: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
@@ -69,10 +63,6 @@ class ProbMap:
         sums = self.probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-6):
             raise ValueError("per-pixel probabilities must sum to 1 within 1e-6")
-        if self.logits is not None:
-            self.logits = np.asarray(self.logits, dtype=np.float64)
-            if self.logits.shape != self.probs.shape:
-                raise ShapeError("logits must match probs shape")
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .masks import LabelMask, ShapeError
-
-
-def _check(pred: LabelMask, ref: LabelMask) -> None:
-    if not pred.same_shape(ref):
-        raise ShapeError(
-            f"mask shapes differ: {pred.width}x{pred.height}/C={pred.num_classes} "
-            f"vs {ref.width}x{ref.height}/C={ref.num_classes}"
-        )
+from .masks import LabelMask, ShapeError, _check_pair
 
 
 def jaccard(pred: LabelMask, ref: LabelMask, cls: int) -> float:
     """Intersection over union for one class; both-empty counts as 1.0."""
-    _check(pred, ref)
+    _check_pair(pred, ref)
     if not 0 <= cls < pred.num_classes:
         raise ValueError(f"class {cls} out of range [0, {pred.num_classes})")
     a = pred.labels == cls
@@ -39,7 +31,7 @@ def jaccard(pred: LabelMask, ref: LabelMask, cls: int) -> float:
 
 def dice(pred: LabelMask, ref: LabelMask, cls: int) -> float:
     """2|A∩B| / (|A|+|B|) for one class; both-empty counts as 1.0."""
-    _check(pred, ref)
+    _check_pair(pred, ref)
     if not 0 <= cls < pred.num_classes:
         raise ValueError(f"class {cls} out of range [0, {pred.num_classes})")
     a = pred.labels == cls
@@ -53,7 +45,7 @@ def dice(pred: LabelMask, ref: LabelMask, cls: int) -> float:
 
 def agreement_fraction(a: LabelMask, b: LabelMask) -> float:
     """Fraction of pixels where two masks assign the same label."""
-    _check(a, b)
+    _check_pair(a, b)
     return float(np.count_nonzero(a.labels == b.labels)) / a.size
 
 

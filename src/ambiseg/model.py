@@ -63,6 +63,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.99
 ADAM_EPS = 1e-8
 
+# central-difference step of gradient_check_report
+GRAD_CHECK_STEP = 1e-5
+
 
 @dataclass
 class ImageTensor:
@@ -409,14 +412,13 @@ def backward(
 
 
 def predict_probs(params: ModelParams, image: ImageTensor) -> ProbMap:
-    """Forward pass plus per-pixel softmax, packaged with its logits."""
+    """Forward pass plus per-pixel softmax."""
     logits, _ = forward(params, image)
     return ProbMap(
         width=image.width,
         height=image.height,
         num_classes=params.arch.num_classes,
         probs=softmax(logits),
-        logits=logits,
     )
 
 
@@ -428,9 +430,6 @@ class OptState:
     v: np.ndarray
     step: int
     lr: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    epsilon: float = ADAM_EPS
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
@@ -458,22 +457,13 @@ def adam_step(
     if not np.all(np.isfinite(grads)):
         raise ValueError("non-finite gradient")
     t = opt.step + 1
-    m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grads
-    v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grads**2
-    m_hat = m / (1.0 - opt.beta1**t)
-    v_hat = v / (1.0 - opt.beta2**t)
-    new_flat = params.flat - opt.lr * m_hat / (np.sqrt(v_hat) + opt.epsilon)
+    m = ADAM_BETA1 * opt.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * opt.v + (1.0 - ADAM_BETA2) * grads**2
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_flat = params.flat - opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     new_params = ModelParams(arch=params.arch, flat=new_flat, seed=params.seed)
-    new_opt = OptState(
-        m=m,
-        v=v,
-        step=t,
-        lr=opt.lr,
-        beta1=opt.beta1,
-        beta2=opt.beta2,
-        epsilon=opt.epsilon,
-    )
-    return new_params, new_opt
+    return new_params, OptState(m=m, v=v, step=t, lr=opt.lr)
 
 
 def save_checkpoint(params: ModelParams, path: str) -> None:
@@ -525,25 +515,22 @@ def gradient_check_report(
     seed: int = 0,
     instances: int = 20,
     size: int = 8,
-    arch: Optional[Architecture] = None,
-    step: float = 1e-5,
     corrupt: bool = False,
 ) -> dict:
     """Compare analytic parameter gradients with central finite differences.
 
     Random full-grid masked-CE instances are screened so no ReLU
     pre-activation sits within 1e-4 of its kink. A parameter bump of
-    `step` moves any pre-activation by at most ~1.1x step, so with the
-    default step no finite-difference evaluation ever crosses a kink and
-    the loss is smooth over the probed interval. Returns per-layer and
+    GRAD_CHECK_STEP moves any pre-activation by at most ~1.1x that step,
+    so no finite-difference evaluation ever crosses a kink and the loss
+    is smooth over the probed interval. Returns per-layer and
     overall max relative error; `corrupt` perturbs the analytic gradient
     to prove the check can fail.
     """
     from .losses import masked_cross_entropy
     from .masks import full_grid_labels, LabelMask
 
-    if arch is None:
-        arch = Architecture()
+    arch = Architecture()
     rng = np.random.default_rng(seed)
     slices = layer_slices(arch)
     per_layer = {name: 0.0 for name in slices}
@@ -585,11 +572,11 @@ def gradient_check_report(
         fd = np.empty_like(params.flat)
         for i in range(params.flat.shape[0]):
             bumped = params.flat.copy()
-            bumped[i] += step
+            bumped[i] += GRAD_CHECK_STEP
             hi = loss_at(bumped)
-            bumped[i] -= 2.0 * step
+            bumped[i] -= 2.0 * GRAD_CHECK_STEP
             lo = loss_at(bumped)
-            fd[i] = (hi - lo) / (2.0 * step)
+            fd[i] = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
 
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
         rel = np.abs(analytic - fd) / denom

@@ -31,40 +31,40 @@ Executors: networks share nothing but hard predictions on the same image
 (a peer's argmax mask in the consistency term, the peers' consensus in
 pseudo-supervision), so once an iteration's parameter snapshot is fixed,
 each batch image is an independent unit of work: its row, every
-network's loss terms on it and every network's gradient from it. An
-iteration's rows run on W = min(images per iteration, usable cores)
+network's loss terms on it and every network's gradient from it. A run's
+executors are one crew: W = min(images per iteration, usable cores)
 executors, row r on executor r mod W. The calling process is executor 0;
 W - 1 workers are forked (start method "fork", named explicitly) once per
-run and inherit the dataset and the config. Per iteration the calling
-process draws the batch and the comparison networks in the serial order,
-sends each worker one job (the snapshot, the dataset indices of its rows
-and the comparison networks), builds its own rows meanwhile and reads one
-reply per worker (its rows' loss terms and gradients). It then adds each
-network's terms and gradients in batch order and takes every Adam step
-itself, so the rng, the parameters and the Adam state never leave it,
-and it runs every checkpoint alone. Every row is computed by the same
-operations wherever it runs and its float64 results cross processes
-exactly, so results are bit-identical for every W. While the workers
-run, numpy's OpenBLAS is held to one thread (the workers inherit the
-setting), and restored afterwards. The serial loop is the case W = 1,
-where nothing is exchanged; it is what runs for a one-image batch, on one
-core, where the platform cannot fork or report its cores, and where no
-OpenBLAS thread control is found. A worker that raises (its message
-travels to the calling process), dies or is interrupted ends the run
-with TrainingError, and every worker is stopped before the run returns
-or raises.
+run, and a crew of one forks nothing. A worker knows only its job: per
+iteration the calling process draws the batch and the comparison
+networks in the serial order, sends each worker one job (the snapshot,
+the samples of its rows, the comparison networks and the config), builds
+its own rows meanwhile and reads one reply per worker (its rows' loss
+terms and gradients). It then adds each network's terms and gradients in
+batch order and takes every Adam step itself, so the rng, the parameters
+and the Adam state never leave it, and it runs every checkpoint alone.
+Every row is computed by the same operations wherever it runs and its
+float64 results cross processes exactly, so results are bit-identical
+for every W. While workers run, numpy's OpenBLAS is held to one thread
+(the workers inherit the setting), and restored afterwards. W is 1 for a
+one-image batch, on one core, where the platform cannot fork or report
+its cores, and where no OpenBLAS thread control is found. A worker that
+raises (its message travels to the calling process), dies or is
+interrupted ends the run with TrainingError. Every worker is stopped
+with SIGTERM before the run returns or raises.
 
 Buffers, per executor: an executor holds one forward cache per network
 (a list indexed by network, None until that network's first forward),
 and every forward it makes for network z (training rows, and in the
-calling process checkpoint rows) writes z's activations into cache z. A
+calling process checkpoint rows) writes z's activations into cache z.
+The crew owns executor 0's caches, and each worker keeps its own. A
 cache is overwritten by the next forward that receives it, so a row's
 activations are valid only until the next row is built; backward only
 reads them. The run's caches die with the run: no returned object
 references them. Rows built without caches share one cache of their own
 across the networks, since nothing backpropagates through them;
-train_iteration called without caches uses one per network for that
-call.
+train_iteration called without a crew uses one cache per network for
+that call.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from contextlib import nullcontext, suppress
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -221,7 +221,6 @@ class EnsembleState:
     nets: list[NetworkSlot]
     t: int
     rng: np.random.Generator
-    best: Optional[BestRecord] = None
 
     def snapshot(self) -> list[ModelParams]:
         return [slot.params for slot in self.nets]
@@ -270,7 +269,6 @@ def _prediction_row(
             height=image.height,
             num_classes=params.arch.num_classes,
             probs=softmax(logits),
-            logits=logits,
         )
         row.probs.append(probs)
         if masks:
@@ -296,7 +294,7 @@ def _prediction_rows(
         yield _prediction_row(params_list, image, masks, caches)
 
 
-def _npce_terms(
+def npce_losses(
     row: _PredictionRow,
     sample: MultiAnnotatedSample,
     k: int,
@@ -326,7 +324,7 @@ def _npce_terms(
     return l_ma, l_pc, grad_logits
 
 
-def _mnps_terms(row: _PredictionRow, k: int) -> tuple[float, np.ndarray]:
+def mnps_loss(row: _PredictionRow, k: int) -> tuple[float, np.ndarray]:
     """l_ps and its logit gradient for network k: the pixels where all of
     its peers' hard predictions agree, labeled with that prediction."""
     peer_masks = [mask for z, mask in enumerate(row.masks) if z != k]
@@ -366,12 +364,12 @@ def _row_steps(
     steps = []
     for k, params in enumerate(snapshot):
         if annotated:
-            l_ma, l_pc, grad_logits = _npce_terms(
+            l_ma, l_pc, grad_logits = npce_losses(
                 row, sample, k, peers[k], config.alpha, config.beta
             )
             terms = (l_ma, l_pc, 0.0)
         else:
-            l_ps, grad_logits = _mnps_terms(row, k)
+            l_ps, grad_logits = mnps_loss(row, k)
             terms = (0.0, 0.0, l_ps)
         steps.append((terms, backward(params, caches[k], grad_logits)))
     return steps
@@ -382,27 +380,24 @@ def train_iteration(
     annotated: Sequence[MultiAnnotatedSample],
     unannotated: Sequence[UnannotatedSample],
     config: TrainConfig,
-    caches: Optional[list[Optional[ForwardCache]]] = None,
     _crew: Optional[_Crew] = None,
 ) -> list[LossBreakdown]:
     """One optimizer step for every network against a shared snapshot.
 
     rng consumption order is fixed: one comparison draw per network in
     ascending k, and none for a lone network, which compares with itself.
-    Batches are sampled by the caller. Forwards go into `caches` (see
-    the module docstring). The training loop passes its workers as
-    `_crew`, which build their share of the batch's rows. Each network's
-    terms and gradients add up in batch order, annotated samples then
-    unannotated ones. A non-finite loss raises TrainingError naming the
-    lowest such network, before any network steps.
+    Batches are sampled by the caller. The training loop passes its
+    executors as `_crew`, which build the batch's rows; without one this
+    process builds them, with one cache per network for this call (see
+    the module docstring). Each network's terms and gradients add up in
+    batch order, annotated samples then unannotated ones. A non-finite
+    loss raises TrainingError naming the lowest such network, before any
+    network steps.
     """
     if state.t >= config.total_iters:
         raise TrainingError(f"iteration {state.t} exceeds total_iters")
     snapshot = state.snapshot()
     num_nets = len(snapshot)
-    if caches is None:
-        # backward reads every network's activations of the current row
-        caches = [None] * num_nets
     lam = _ramp_weight(config, state.t, num_nets)
     if num_nets == 1:
         peers = [0]
@@ -411,10 +406,7 @@ def train_iteration(
     if config.w_max == 0:
         unannotated = []  # no pseudo-supervision term to learn
     batch = [*annotated, *unannotated]
-    if _crew is None:
-        rows = [_row_steps(snapshot, sample, peers, config, caches) for sample in batch]
-    else:
-        rows = _crew.run(snapshot, batch, peers, config, caches)
+    rows = (_crew or _Crew(1, num_nets)).run(snapshot, batch, peers, config)
 
     n_ann, n_unann = len(annotated), len(unannotated)
     means, grads = [], []
@@ -501,24 +493,27 @@ _DONE, _FAILED = "done", "failed"
 
 
 class _Crew:
-    """Executors 1..W-1 of a run, forked on entry and stopped on exit.
+    """A run's executors: the calling process and W - 1 workers, forked
+    when the crew is made and stopped by close().
 
-    Each worker talks to the calling process over its own pipe. The
-    calling process sends one job per iteration (the snapshot, the
-    dataset indices of the worker's rows and the comparison networks) and
-    None to stop; a worker answers each job with _DONE and its rows'
-    steps, or with _FAILED and its error's message. A worker that dies
-    closes its pipe, so the calling process reads EOF instead of waiting
-    for it.
+    `caches` are executor 0's, one per network. Each worker talks to the
+    calling process over its own pipe. The calling process sends one job
+    per iteration, (snapshot, samples, peers, config): the worker's rows'
+    samples and everything else they read. A worker answers each job with
+    _DONE and its rows' steps, or with _FAILED and its error's message. A
+    worker that dies closes its pipe, so the calling process reads EOF
+    instead of waiting for it.
     """
 
-    def __init__(self, dataset: Dataset, config: TrainConfig, executors: int):
+    def __init__(self, executors: int, num_nets: int):
+        self.caches: list[Optional[ForwardCache]] = [None] * num_nets
+        self._workers: list = []  # (executor number, process, pipe end)
+        self._blas_threads: list = []  # (set, thread count before the crew)
+        if executors < 2:
+            return
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        # a worker finds sample i at _samples(dataset)[i]
-        self._index = {id(s): i for i, s in enumerate(_samples(dataset))}
-        self._workers: list = []  # (executor number, process, pipe end)
         # one BLAS thread here and, through the fork, in every worker
         self._blas_threads = [(set_, get()) for get, set_ in _openblas_thread_controls()]
         for set_, _ in self._blas_threads:
@@ -529,7 +524,7 @@ class _Crew:
                 inherited = [conn for _, _, conn in self._workers] + [ours]
                 proc = context.Process(
                     target=_worker,
-                    args=(theirs, inherited, dataset, config),
+                    args=(theirs, inherited),
                     name=f"ambiseg-executor-{w}",
                     daemon=True,
                 )
@@ -537,27 +532,20 @@ class _Crew:
                 proc.start()
                 theirs.close()
         except BaseException:
-            self.close(finished=False)
+            self.close()
             raise
 
     def __enter__(self) -> _Crew:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(finished=exc_type is None)
+        self.close()
 
-    def close(self, finished: bool) -> None:
-        """Stop every worker: a stop message after a finished run, else at once."""
-        if finished:
-            for _, _, conn in self._workers:
-                with suppress(OSError):
-                    conn.send(None)
+    def close(self) -> None:
+        """Stop every worker with SIGTERM and restore BLAS's thread count."""
         for _, proc, conn in self._workers:
             if proc.pid is not None:
-                if finished:
-                    proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
+                proc.terminate()
                 proc.join()
                 proc.close()
             conn.close()
@@ -594,17 +582,15 @@ class _Crew:
         batch: Sequence[MultiAnnotatedSample | UnannotatedSample],
         peers: Sequence[int],
         config: TrainConfig,
-        caches: list[Optional[ForwardCache]],
     ) -> list[list[tuple[tuple[float, float, float], np.ndarray]]]:
         """Every batch row's _row_steps, in batch order: row r is built
         by executor r mod W, executor 0's while the workers build theirs."""
         executors = len(self._workers) + 1
         for w, worker in enumerate(self._workers, start=1):
-            indices = [self._index[id(s)] for s in batch[w::executors]]
-            self._send(worker, (snapshot, indices, peers))
+            self._send(worker, (snapshot, batch[w::executors], peers, config))
         steps: list = [None] * len(batch)
         steps[::executors] = [
-            _row_steps(snapshot, sample, peers, config, caches)
+            _row_steps(snapshot, sample, peers, config, self.caches)
             for sample in batch[::executors]
         ]
         for w, worker in enumerate(self._workers, start=1):
@@ -612,13 +598,8 @@ class _Crew:
         return steps
 
 
-def _samples(dataset: Dataset) -> list[MultiAnnotatedSample | UnannotatedSample]:
-    """The samples a batch draws from, in the order jobs index them."""
-    return dataset.multi + dataset.unannotated
-
-
-def _worker(conn, inherited, dataset: Dataset, config: TrainConfig) -> None:
-    """A forked executor: one job per iteration until told to stop.
+def _worker(conn, inherited) -> None:
+    """A forked executor: one job per iteration until it is terminated.
 
     Ctrl-C is the calling process's to handle, so the worker ignores
     SIGINT. It closes the pipe ends it inherited from the calling
@@ -631,12 +612,13 @@ def _worker(conn, inherited, dataset: Dataset, config: TrainConfig) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    samples = _samples(dataset)
-    caches: list[Optional[ForwardCache]] = [None] * dataset.k
+    caches: Optional[list[Optional[ForwardCache]]] = None
     try:
-        while (job := conn.recv()) is not None:
-            snapshot, indices, peers = job
-            steps = [_row_steps(snapshot, samples[i], peers, config, caches) for i in indices]
+        while True:
+            snapshot, samples, peers, config = conn.recv()
+            if caches is None:
+                caches = [None] * len(snapshot)
+            steps = [_row_steps(snapshot, s, peers, config, caches) for s in samples]
             conn.send((_DONE, steps))
     except EOFError:
         pass  # the calling process is gone
@@ -748,7 +730,7 @@ def _checkpoint(
     for i, row in enumerate(rows):
         if i == 0:
             npce = [
-                _npce_terms(row, train[0], k, (k + 1) % num_nets, config.alpha, config.beta)
+                npce_losses(row, train[0], k, (k + 1) % num_nets, config.alpha, config.beta)
                 for k in nets
             ]
         for a in nets:
@@ -762,7 +744,7 @@ def _checkpoint(
     if use_ps:
         for row in _prediction_rows(snapshot, [u.image for u in probe_unann], True, caches):
             for k in nets:
-                l_ps[k] += _mnps_terms(row, k)[0]
+                l_ps[k] += mnps_loss(row, k)[0]
 
     fused: list[float] = []
     per_net: list[list[float]] = [[] for _ in nets]
@@ -843,8 +825,9 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     Iterations run on the run's executors (see the module docstring),
     forked after the networks are initialized and stopped before this
     returns or raises; Ctrl-C ends the run with TrainingError. Every
-    forward this process makes goes through one list of caches, which is
-    freed when this returns: the result references none of them.
+    forward this process makes goes through the crew's caches, one per
+    network, which are freed when this returns: the result references
+    none of them.
     """
     if not dataset.multi:
         raise TrainingError("training requires at least one multi-annotated sample")
@@ -868,19 +851,20 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         params = init_params(arch, int(child.generate_state(1)[0]))
         nets.append(NetworkSlot(params=params, opt=init_opt_state(params, config.lr)))
     state = EnsembleState(nets=nets, t=0, rng=rng)
-    caches: list[Optional[ForwardCache]] = [None] * num_nets
 
     val_refs = validation_references(dataset.validation)
 
     trace: list[TraceRow] = []
 
+    best: Optional[BestRecord] = None
     # per-network selection tracks each network's own best iteration
     per_network = config.selection == "per-network" and num_nets > 1
     net_best: list[tuple[float, ModelParams, int]] = [
         (-1.0, slot.params, 0) for slot in nets
     ]
 
-    def record_checkpoint() -> None:
+    def record_checkpoint(caches: list[Optional[ForwardCache]]) -> None:
+        nonlocal best
         snapshot = state.snapshot()
         row, net_scores = _checkpoint(snapshot, dataset, config, state.t, val_refs, caches)
         trace.append(row)
@@ -888,22 +872,21 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             for k, (params, score) in enumerate(zip(snapshot, net_scores)):
                 if score > net_best[k][0]:
                     net_best[k] = (score, params, state.t)
-        elif state.best is None or row.val_jaccard > state.best.score:
-            state.best = BestRecord(
+        elif best is None or row.val_jaccard > best.score:
+            best = BestRecord(
                 iteration=state.t, score=row.val_jaccard, params=list(snapshot)
             )
 
     if config.total_iters == 0:
-        state.best = BestRecord(iteration=0, score=float("nan"), params=state.snapshot())
-        return TrainResult(state=state, best=state.best, trace=[], config=config)
+        best = BestRecord(iteration=0, score=float("nan"), params=state.snapshot())
+        return TrainResult(state=state, best=best, trace=[], config=config)
     use_unannotated = config.w_max > 0 and bool(dataset.unannotated)
     executors = _executor_count(
         config.annotated_per_iter + (config.unannotated_batch if use_unannotated else 0)
     )
     try:
-        crew = _Crew(dataset, config, executors) if executors > 1 else None
-        with crew or nullcontext():
-            record_checkpoint()
+        with _Crew(executors, num_nets) as crew:
+            record_checkpoint(crew.caches)
             while state.t < config.total_iters:
                 ann_idx = rng.integers(
                     len(dataset.multi), size=config.annotated_per_iter
@@ -915,19 +898,19 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                         len(dataset.unannotated), size=config.unannotated_batch
                     )
                     unannotated = [dataset.unannotated[int(i)] for i in un_idx]
-                train_iteration(state, annotated, unannotated, config, caches, crew)
+                train_iteration(state, annotated, unannotated, config, crew)
                 if state.t % config.validation_every == 0:
-                    record_checkpoint()
+                    record_checkpoint(crew.caches)
     except KeyboardInterrupt:
         raise TrainingError(f"training interrupted at iteration {state.t}") from None
     if per_network:
-        state.best = BestRecord(
+        best = BestRecord(
             iteration=-1,
             score=float(np.mean([b[0] for b in net_best])),
             params=[b[1] for b in net_best],
             net_iterations=[b[2] for b in net_best],
         )
-    return TrainResult(state=state, best=state.best, trace=trace, config=config)
+    return TrainResult(state=state, best=best, trace=trace, config=config)
 
 
 def write_run(result: TrainResult, out: str | Path) -> None:

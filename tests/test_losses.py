@@ -98,9 +98,7 @@ def test_gradient_matches_finite_differences_on_logits():
             pm = ProbMap(width=8, height=8, num_classes=c, probs=softmax(lg))
             return masked_cross_entropy(pm, targets)[0]
 
-        pm = ProbMap(
-            width=8, height=8, num_classes=c, probs=softmax(logits), logits=logits
-        )
+        pm = ProbMap(width=8, height=8, num_classes=c, probs=softmax(logits))
         _, grad = masked_cross_entropy(pm, targets)
         for _ in range(40):
             i = int(rng.integers(64))

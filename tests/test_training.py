@@ -354,8 +354,7 @@ def test_row_values_equal_validated_constructors():
     (row,) = _prediction_rows(snapshot, [image], masks=True)
     for params, probs, mask in zip(snapshot, row.probs, row.masks):
         logits, _ = forward(params, image)
-        checked = ProbMap(width=16, height=16, num_classes=2,
-                          probs=softmax(logits), logits=logits)
+        checked = ProbMap(width=16, height=16, num_classes=2, probs=softmax(logits))
         checked_mask = LabelMask(width=16, height=16, num_classes=2,
                                  labels=np.argmax(checked.probs, axis=1))
         for built, want in ((probs, checked), (mask, checked_mask)):
@@ -1062,9 +1061,9 @@ def test_each_executor_builds_its_rows_of_the_batch(tiny_dataset, monkeypatch):
 
     state = make_state(config)
     iterations = 3
-    with training._Crew(tiny_dataset, config, executors=2) as crew:
+    with training._Crew(executors=2, num_nets=2) as crew:
         for _ in range(iterations):
-            train_iteration(state, annotated, unannotated, config, [None] * 2, crew)
+            train_iteration(state, annotated, unannotated, config, crew)
     # one job and one reply per worker and iteration
     assert len(sends) == len(receives) == iterations
     by_pid = {}
@@ -1073,6 +1072,50 @@ def test_each_executor_builds_its_rows_of_the_batch(tiny_dataset, monkeypatch):
     assert by_pid.pop(os.getpid()) == [0, 2] * iterations
     (worker_rows,) = by_pid.values()
     assert worker_rows == [1, 3] * iterations
+
+
+def step_bytes(rows):
+    """Each row's per-network loss terms and gradient, as bytes."""
+    return [
+        [(np.array(terms).tobytes(), grad.tobytes()) for terms, grad in row]
+        for row in rows
+    ]
+
+
+def test_crew_builds_rows_of_samples_from_outside_any_dataset():
+    from ambiseg import training
+
+    config = TrainConfig(k=2, lr=0.02, total_iters=10, validation_every=5,
+                         annotated_per_iter=2, unannotated_batch=3)
+    snapshot = make_nets(2, seed0=70)
+    annotated, unannotated = iteration_batch(2, 70)
+    batch = [*annotated, *unannotated]
+    peers = [1, 0]
+    serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
+    with training._Crew(executors=2, num_nets=2) as crew:
+        rows = crew.run(snapshot, batch, peers, config)
+    assert step_bytes(rows) == step_bytes(serial)
+
+
+def test_crew_builds_each_iteration_with_its_own_config():
+    from ambiseg import training
+
+    config = TrainConfig(k=2, lr=0.02, total_iters=10, validation_every=5,
+                         annotated_per_iter=2, unannotated_batch=3)
+    # the worker builds row 1, an annotated one, whose consistency term
+    # only beta switches on
+    configs = [config, replace(config, beta=0.0), config]
+    state, serial = make_state(config), make_state(config)
+    with training._Crew(executors=2, num_nets=2) as crew:
+        for t, each in enumerate(configs):
+            annotated, unannotated = iteration_batch(2, 80 + 20 * t)
+            got = train_iteration(state, annotated, unannotated, each, crew)
+            assert got == train_iteration(serial, annotated, unannotated, each)
+            assert (got[0].l_pc == 0.0) == (each.beta == 0.0)
+            for a, b in zip(state.nets, serial.nets):
+                assert np.array_equal(a.params.flat, b.params.flat)
+                assert np.array_equal(a.opt.m, b.opt.m)
+                assert np.array_equal(a.opt.v, b.opt.v)
 
 
 def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypatch):
