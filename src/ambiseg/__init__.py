@@ -71,7 +71,7 @@ from .data import (
     simulate_annotator,
 )
 from .training import (
-    EnsembleState,
+    RunState,
     TrainConfig,
     TrainResult,
     TrainingError,

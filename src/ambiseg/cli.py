@@ -135,6 +135,9 @@ def cmd_train(ns: argparse.Namespace) -> int:
         raise UsageError(
             f"--out {out_path} is the --data directory; the run would replace it"
         )
+    # rename(2) would refuse a run directory over it, but only after training
+    if out_path.exists() and not out_path.is_dir():
+        raise NotADirectoryError(f"--out {out_path} exists and is not a directory")
 
     dataset = load_dataset(data_path)
     if ns.no_unannotated:
@@ -157,7 +160,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
         "single_annotator": ns.single_annotator,
     }
     config_text = resolved_config(config, data_path, extras)  # the dataset as loaded
-    # publish refuses an unusable --out before training, not after
+    # publish refuses a foreign directory or a leftover sibling on entry,
+    # before training
     with publish(out_path) as staged:
         if ns.single_annotator is not None:
             result = train_single_annotator(dataset, config, ns.single_annotator)

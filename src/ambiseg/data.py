@@ -94,7 +94,10 @@ def load_image(path: str | Path) -> ImageTensor:
     planes = load_tensor(path)
     if planes.ndim != 3:
         raise ValueError(f"{path}: image tensors must have rank 3")
-    return ImageTensor.from_planes(planes)
+    try:
+        return ImageTensor.from_planes(planes)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_mask_pgm(path: str | Path, mask: LabelMask) -> None:

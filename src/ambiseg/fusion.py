@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .losses import ProbMap
-from .masks import LabelMask, ShapeError
+from .masks import LabelMask, ShapeError, _check_same_shape
 
 STAPLE_INIT_RATE = 0.99999
 STAPLE_CLAMP = 1e-6
@@ -49,16 +49,6 @@ def average_fuse(maps: Sequence[ProbMap]) -> ProbMap:
         num_classes=first.num_classes,
         probs=total.T,
     )
-
-
-def _check_same_shape(masks: Sequence[LabelMask]) -> LabelMask:
-    if len(masks) == 0:
-        raise ValueError("need at least one mask")
-    first = masks[0]
-    for m in masks[1:]:
-        if not first.same_shape(m):
-            raise ShapeError("masks must share dimensions and num_classes")
-    return first
 
 
 def majority_vote(masks: Sequence[LabelMask]) -> LabelMask:

@@ -156,6 +156,15 @@ def _check_pair(a: LabelMask, b: LabelMask) -> None:
         )
 
 
+def _check_same_shape(masks: Sequence[LabelMask]) -> LabelMask:
+    """The first of `masks`, once every other one is checked against it."""
+    if len(masks) == 0:
+        raise ValueError("need at least one mask")
+    for m in masks[1:]:
+        _check_pair(masks[0], m)
+    return masks[0]
+
+
 def separate_agreement(a: LabelMask, b: LabelMask) -> tuple[PixelLabels, PixelSet]:
     """Split the grid into pixels where two masks agree and where they differ.
 
@@ -211,11 +220,7 @@ def consensus_set(masks: Sequence[LabelMask]) -> PixelLabels:
 
     A single mask is unanimous everywhere, so the result is that whole mask.
     """
-    if len(masks) == 0:
-        raise ValueError("consensus_set needs at least one mask")
-    first = masks[0]
-    for m in masks[1:]:
-        _check_pair(first, m)
+    first = _check_same_shape(masks)
     unanimous = np.all([m.labels == first.labels for m in masks], axis=0)
     return PixelLabels(PixelSet(unanimous), first)
 

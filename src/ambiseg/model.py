@@ -77,6 +77,11 @@ class ImageTensor:
     values: np.ndarray
 
     def __post_init__(self):
+        if min(self.width, self.height, self.channels) < 1:
+            raise ValueError(
+                f"image width, height and channels must be positive, got "
+                f"{self.width}x{self.height}x{self.channels}"
+            )
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         n = self.width * self.height * self.channels
         if self.values.shape[0] != n:

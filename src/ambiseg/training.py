@@ -10,6 +10,13 @@ by a Gaussian ramp-up weight. Gradients are computed for all networks
 against a pre-iteration parameter snapshot, then applied together, so
 results do not depend on update order.
 
+A run's state is one RunState: each network's parameters and Adam
+state, the iteration count, the rng, the trace and each network's kept
+checkpoint. _train starts one, records checkpoint 0, then advances it
+validation_every iterations at a time, recording each checkpoint, until
+total_iters; it builds the run's BestRecord from the kept checkpoints at
+the end.
+
 The single-annotator baseline is this loop with K = 1: a lone network
 compares with itself, so it learns its whole annotation (full-grid CE),
 with nothing to refine, no peer consensus and no ramp weight.
@@ -73,7 +80,7 @@ import hashlib
 import math
 import os
 from contextlib import suppress
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -196,12 +203,6 @@ def config_hash(config: TrainConfig) -> str:
 
 
 @dataclass
-class NetworkSlot:
-    params: ModelParams
-    opt: OptState
-
-
-@dataclass
 class BestRecord:
     """Checkpoint kept by validation selection.
 
@@ -217,13 +218,29 @@ class BestRecord:
 
 
 @dataclass
-class EnsembleState:
-    nets: list[NetworkSlot]
+class RunState:
+    """A run between iterations, indexed by network z: params[z] and its
+    Adam state opts[z], the next iteration t, the rng that draws batches
+    and comparison networks, the trace so far, and network z's kept
+    checkpoint best[z] = (score, iteration, params)."""
+
+    params: list[ModelParams]
+    opts: list[OptState]
     t: int
     rng: np.random.Generator
+    trace: list[TraceRow] = field(default_factory=list)
+    best: list[tuple[float, int, ModelParams]] = field(default_factory=list)
 
-    def snapshot(self) -> list[ModelParams]:
-        return [slot.params for slot in self.nets]
+    def record(self, row: TraceRow, net_scores: Sequence[float], selection: str) -> None:
+        """Log the checkpoint at t and keep each network whose score beats
+        its best, so a tie keeps the earlier checkpoint. Under fused
+        selection every network scores the fused validation Jaccard, so all
+        are kept from one checkpoint."""
+        self.trace.append(row)
+        fused = [row.val_jaccard] * len(net_scores)
+        for z, score in enumerate(net_scores if selection == "per-network" else fused):
+            if score > self.best[z][0]:
+                self.best[z] = (score, self.t, self.params[z])
 
 
 def pick_comparison(k: int, num_nets: int, rng: np.random.Generator) -> int:
@@ -376,7 +393,7 @@ def _row_steps(
 
 
 def train_iteration(
-    state: EnsembleState,
+    state: RunState,
     annotated: Sequence[MultiAnnotatedSample],
     unannotated: Sequence[UnannotatedSample],
     config: TrainConfig,
@@ -396,7 +413,7 @@ def train_iteration(
     """
     if state.t >= config.total_iters:
         raise TrainingError(f"iteration {state.t} exceeds total_iters")
-    snapshot = state.snapshot()
+    snapshot = state.params
     num_nets = len(snapshot)
     lam = _ramp_weight(config, state.t, num_nets)
     if num_nets == 1:
@@ -434,9 +451,9 @@ def train_iteration(
                 f"l_ma={l_ma}, l_pc={l_pc}, l_ps={l_ps}"
             )
     lr = config.lr_at(state.t)
-    for slot, grad in zip(state.nets, grads):
-        slot.opt = replace(slot.opt, lr=lr)
-        slot.params, slot.opt = adam_step(slot.params, slot.opt, grad)
+    for k, grad in enumerate(grads):
+        opt = replace(state.opts[k], lr=lr)
+        state.params[k], state.opts[k] = adam_step(state.params[k], opt, grad)
     state.t += 1
     return [total_network_loss(*m, config.alpha, config.beta, lam) for m in means]
 
@@ -688,10 +705,13 @@ class TraceRow:
 
 @dataclass
 class TrainResult:
-    state: EnsembleState
+    state: RunState
     best: BestRecord
-    trace: list[TraceRow]
     config: TrainConfig
+
+    @property
+    def trace(self) -> list[TraceRow]:
+        return self.state.trace
 
     def trace_csv(self) -> str:
         lines = [TRACE_HEADER] + [row.to_csv() for row in self.trace]
@@ -787,7 +807,7 @@ def run_training(dataset: Dataset, config: TrainConfig) -> TrainResult:
     the ramp weight, mean pairwise prediction agreement on the training
     images, and the fused validation Jaccard against majority-vote
     references. The kept checkpoint maximizes the validation score under
-    the configured selection mode. Training writes no files: write_run
+    the configured selection mode; of equal scores, the earliest is kept. Training writes no files: write_run
     persists the result.
     """
     for s in dataset.multi + dataset.validation:
@@ -842,75 +862,50 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         num_classes=first.annotations[0].num_classes,
     )
 
-    ss = np.random.SeedSequence(config.seed)
-    net_ss, train_ss = ss.spawn(2)
-    rng = np.random.default_rng(train_ss)
-
-    nets = []
-    for child in net_ss.spawn(num_nets):
-        params = init_params(arch, int(child.generate_state(1)[0]))
-        nets.append(NetworkSlot(params=params, opt=init_opt_state(params, config.lr)))
-    state = EnsembleState(nets=nets, t=0, rng=rng)
-
+    net_ss, train_ss = np.random.SeedSequence(config.seed).spawn(2)
+    seeds = [int(child.generate_state(1)[0]) for child in net_ss.spawn(num_nets)]
+    params = [init_params(arch, seed) for seed in seeds]
+    opts = [init_opt_state(p, config.lr) for p in params]
+    state = RunState(params, opts, t=0, rng=np.random.default_rng(train_ss),
+                     best=[(-math.inf, 0, p) for p in params])
     val_refs = validation_references(dataset.validation)
-
-    trace: list[TraceRow] = []
-
-    best: Optional[BestRecord] = None
-    # per-network selection tracks each network's own best iteration
-    per_network = config.selection == "per-network" and num_nets > 1
-    net_best: list[tuple[float, ModelParams, int]] = [
-        (-1.0, slot.params, 0) for slot in nets
-    ]
-
-    def record_checkpoint(caches: list[Optional[ForwardCache]]) -> None:
-        nonlocal best
-        snapshot = state.snapshot()
-        row, net_scores = _checkpoint(snapshot, dataset, config, state.t, val_refs, caches)
-        trace.append(row)
-        if per_network:
-            for k, (params, score) in enumerate(zip(snapshot, net_scores)):
-                if score > net_best[k][0]:
-                    net_best[k] = (score, params, state.t)
-        elif best is None or row.val_jaccard > best.score:
-            best = BestRecord(
-                iteration=state.t, score=row.val_jaccard, params=list(snapshot)
-            )
-
     if config.total_iters == 0:
-        best = BestRecord(iteration=0, score=float("nan"), params=state.snapshot())
-        return TrainResult(state=state, best=best, trace=[], config=config)
+        best = BestRecord(iteration=0, score=float("nan"), params=list(params))
+        return TrainResult(state=state, best=best, config=config)
     use_unannotated = config.w_max > 0 and bool(dataset.unannotated)
     executors = _executor_count(
         config.annotated_per_iter + (config.unannotated_batch if use_unannotated else 0)
     )
     try:
         with _Crew(executors, num_nets) as crew:
-            record_checkpoint(crew.caches)
-            while state.t < config.total_iters:
-                ann_idx = rng.integers(
-                    len(dataset.multi), size=config.annotated_per_iter
+            while True:
+                row, net_scores = _checkpoint(
+                    state.params, dataset, config, state.t, val_refs, crew.caches
                 )
-                annotated = [dataset.multi[int(i)] for i in ann_idx]
-                unannotated: list[UnannotatedSample] = []
-                if use_unannotated:
-                    un_idx = rng.integers(
-                        len(dataset.unannotated), size=config.unannotated_batch
+                state.record(row, net_scores, config.selection)
+                if state.t == config.total_iters:
+                    break
+                for _ in range(config.validation_every):
+                    ann_idx = state.rng.integers(
+                        len(dataset.multi), size=config.annotated_per_iter
                     )
-                    unannotated = [dataset.unannotated[int(i)] for i in un_idx]
-                train_iteration(state, annotated, unannotated, config, crew)
-                if state.t % config.validation_every == 0:
-                    record_checkpoint(crew.caches)
+                    annotated = [dataset.multi[int(i)] for i in ann_idx]
+                    unannotated: list[UnannotatedSample] = []
+                    if use_unannotated:
+                        un_idx = state.rng.integers(
+                            len(dataset.unannotated), size=config.unannotated_batch
+                        )
+                        unannotated = [dataset.unannotated[int(i)] for i in un_idx]
+                    train_iteration(state, annotated, unannotated, config, crew)
     except KeyboardInterrupt:
         raise TrainingError(f"training interrupted at iteration {state.t}") from None
-    if per_network:
-        best = BestRecord(
-            iteration=-1,
-            score=float(np.mean([b[0] for b in net_best])),
-            params=[b[1] for b in net_best],
-            net_iterations=[b[2] for b in net_best],
-        )
-    return TrainResult(state=state, best=best, trace=trace, config=config)
+    scores, iterations, kept = map(list, zip(*state.best))
+    if config.selection == "per-network" and num_nets > 1:
+        best = BestRecord(iteration=-1, score=float(np.mean(scores)), params=kept,
+                          net_iterations=iterations)
+    else:
+        best = BestRecord(iteration=iterations[0], score=scores[0], params=kept)
+    return TrainResult(state=state, best=best, config=config)
 
 
 def write_run(result: TrainResult, out: str | Path) -> None:

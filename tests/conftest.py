@@ -5,6 +5,14 @@ import io
 import multiprocessing
 
 import pytest
+from hypothesis import settings
+
+# property tests draw the same few examples on every run and keep no
+# example database, so the suite stays reproducible and its time bounded
+settings.register_profile(
+    "reproducible", derandomize=True, max_examples=25, deadline=None, database=None
+)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(autouse=True)

@@ -16,7 +16,7 @@ import pytest
 
 from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
-from ambiseg.data import load_dataset
+from ambiseg.data import load_dataset, save_tensor
 from ambiseg.fusion import majority_vote
 from ambiseg.model import Architecture, init_params, load_checkpoint
 from ambiseg.training import TrainConfig
@@ -552,6 +552,23 @@ def test_eval_truncated_image_tensor_is_an_error(
     assert err.startswith("error:") and image.name in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_empty_image_is_an_error(command, run_dir, dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    # unannotated images have no masks whose shape could reveal them
+    empty = sorted((data / "images").glob("u*.tns"))
+    for image in empty:
+        save_tensor(image, np.zeros((1, 0, 0)))
+    if command == "train":
+        args = train_args(data, tmp_path / "run", iters="10")
+    else:
+        args = ["eval", "--run", str(run_dir), "--data", str(data)]
+    assert entry(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and empty[0].name in err
+
+
 @pytest.mark.parametrize("rel", ["images/m000.tns", "gt/t000.pgm"])
 def test_fuse_truncated_source_is_an_error(rel, dataset_dir, tmp_path, capsys):
     data = tmp_path / "ds"
@@ -676,12 +693,15 @@ def test_ctrl_c_outside_training_is_an_error(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: interrupted\n"
 
 
-def test_train_out_is_a_file_is_an_error(dataset_dir, tmp_path, capsys):
+def test_train_out_is_a_file_is_an_error(dataset_dir, tmp_path, monkeypatch, capsys):
     out = tmp_path / "run"
     out.write_text("not a directory")
-    assert entry(train_args(dataset_dir, out, iters="10")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    no_training(monkeypatch)
+    # refused before the dataset is loaded: a missing --data is not reached
+    for data in (dataset_dir, tmp_path / "missing"):
+        assert entry(train_args(data, out, iters="10")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
     assert out.read_text() == "not a directory"
 
 

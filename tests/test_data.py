@@ -75,6 +75,14 @@ def test_image_round_trip(tmp_path):
     assert np.array_equal(back.values, img.values)
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (1, 0, 3), (1, 3, 0)])
+def test_empty_image_is_rejected_with_its_path(shape, tmp_path):
+    path = tmp_path / "empty.tns"
+    save_tensor(str(path), np.zeros(shape))
+    with pytest.raises(ValueError, match="empty.tns: image width, height and channels"):
+        load_image(str(path))
+
+
 def test_mask_pgm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     mask = LabelMask(

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ambiseg.losses import ProbMap
+from ambiseg.losses import ProbMap, masked_cross_entropy, softmax
 from ambiseg.masks import (
     LabelMask,
     PixelLabels,
@@ -229,3 +231,65 @@ def test_full_grid_labels_round_trip():
     full = full_grid_labels(m)
     assert full.labels.tolist() == m.labels.tolist()
     assert len(full) == m.size
+
+
+# ---------------------------------------------------------------------------
+# properties of the set algebra on random grids (profile in conftest.py)
+
+
+@st.composite
+def mask_groups(draw, count):
+    """`count` masks on one random grid, with one random class count."""
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    num_classes = draw(st.integers(2, 4))
+    labels = st.lists(
+        st.integers(0, num_classes - 1), min_size=width * height, max_size=width * height
+    )
+    return [
+        LabelMask(width=width, height=height, num_classes=num_classes, labels=draw(labels))
+        for _ in range(count)
+    ]
+
+
+@given(mask_groups(2))
+def test_agreement_and_disagreement_partition_the_grid(masks):
+    a, b = masks
+    agree, disagree = separate_agreement(a, b)
+    assert agree.pixels.grid_size == disagree.grid_size == a.size
+    assert np.array_equal(agree.pixels.member, ~disagree.member)
+    assert np.array_equal(agree.labels, b.labels[agree.pixels.member])
+
+
+@given(mask_groups(4))
+def test_restrict_is_a_subset_of_both_inputs(masks):
+    consistent = consistency_set(masks[0], masks[1])
+    _, disagree = separate_agreement(masks[2], masks[3])
+    refined = restrict(consistent, disagree)
+    assert not np.any(refined.pixels.member & ~consistent.pixels.member)
+    assert not np.any(refined.pixels.member & ~disagree.member)
+    assert np.array_equal(refined.labels, masks[0].labels[refined.pixels.member])
+
+
+@given(mask_groups(1))
+def test_consensus_of_one_mask_is_the_full_grid(masks):
+    (mask,) = masks
+    got = consensus_set([mask])
+    assert len(got) == mask.size
+    assert np.array_equal(got.labels, mask.labels)
+
+
+@given(mask_groups(1), st.data())
+def test_empty_set_gives_zero_loss_and_zero_gradient(masks, data):
+    (mask,) = masks
+    logits = np.array(
+        data.draw(st.lists(
+            st.floats(-20, 20), min_size=mask.size * mask.num_classes,
+            max_size=mask.size * mask.num_classes,
+        ))
+    ).reshape(mask.size, mask.num_classes)
+    probs = ProbMap(width=mask.width, height=mask.height,
+                    num_classes=mask.num_classes, probs=softmax(logits))
+    empty = PixelLabels(PixelSet(np.zeros(mask.size, dtype=bool)), mask)
+    loss, grad = masked_cross_entropy(probs, empty)
+    assert loss == 0.0
+    assert grad.shape == probs.probs.shape and not np.any(grad)

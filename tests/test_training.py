@@ -55,8 +55,7 @@ from ambiseg.model import (
 )
 from ambiseg.training import (
     TRACE_HEADER,
-    EnsembleState,
-    NetworkSlot,
+    RunState,
     TrainConfig,
     TrainingError,
     _checkpoint,
@@ -388,11 +387,18 @@ def test_config_hash_stable_and_sensitive():
 
 def make_state(config, size=16):
     arch = Architecture(hidden=config.hidden)
-    nets = []
-    for k in range(config.k):
-        params = init_params(arch, seed=60 + k)
-        nets.append(NetworkSlot(params=params, opt=init_opt_state(params, config.lr)))
-    return EnsembleState(nets=nets, t=0, rng=np.random.default_rng(5))
+    params = [init_params(arch, seed=60 + k) for k in range(config.k)]
+    opts = [init_opt_state(p, config.lr) for p in params]
+    return RunState(params, opts, t=0, rng=np.random.default_rng(5))
+
+
+def assert_same_networks(a, b):
+    """Two run states hold bitwise-equal parameters and Adam moments."""
+    assert len(a.params) == len(b.params)
+    for pa, pb, oa, ob in zip(a.params, b.params, a.opts, b.opts):
+        assert np.array_equal(pa.flat, pb.flat)
+        assert np.array_equal(oa.m, ob.m)
+        assert np.array_equal(oa.v, ob.v)
 
 
 def test_train_iteration_breakdowns_and_snapshot_isolation():
@@ -401,7 +407,7 @@ def test_train_iteration_breakdowns_and_snapshot_isolation():
     sample = make_sample(60)
     image, _ = generate_scene(SceneSpec(width=16, height=16, seed=61))
     unann = [UnannotatedSample(image=image)]
-    before = [slot.params for slot in state.nets]
+    before = list(state.params)
     frozen = [p.flat.copy() for p in before]
     breakdowns = train_iteration(state, [sample], unann, config)
     assert state.t == 1
@@ -414,10 +420,10 @@ def test_train_iteration_breakdowns_and_snapshot_isolation():
     # the pre-step parameter arrays were never mutated in place
     for old, copy in zip(before, frozen):
         assert np.array_equal(old.flat, copy)
-    for slot, old in zip(state.nets, before):
-        assert slot.params is not old
-        assert not np.array_equal(slot.params.flat, old.flat)
-        assert slot.opt.step == 1
+    for params, opt, old in zip(state.params, state.opts, before):
+        assert params is not old
+        assert not np.array_equal(params.flat, old.flat)
+        assert opt.step == 1
 
 
 def test_train_iteration_without_unannotated_pool():
@@ -439,7 +445,7 @@ def test_train_iteration_respects_budget():
 def reference_iteration(state, annotated, unannotated, config):
     """Learner-major iteration built from the reference per-sample losses."""
     lam = config.lambda_at(state.t)
-    snapshot = state.snapshot()
+    snapshot = list(state.params)
     breakdowns, grads = [], []
     for k in range(config.k):
         j = pick_comparison(k, config.k, state.rng)
@@ -465,9 +471,9 @@ def reference_iteration(state, annotated, unannotated, config):
             l_ps_sum / len(unannotated), config.alpha, config.beta, lam,
         ))
         grads.append(grad)
-    for slot, grad in zip(state.nets, grads):
-        slot.opt = replace(slot.opt, lr=config.lr_at(state.t))
-        slot.params, slot.opt = adam_step(slot.params, slot.opt, grad)
+    for k, grad in enumerate(grads):
+        opt = replace(state.opts[k], lr=config.lr_at(state.t))
+        state.params[k], state.opts[k] = adam_step(snapshot[k], opt, grad)
     state.t += 1
     return breakdowns
 
@@ -494,10 +500,7 @@ def test_train_iteration_equals_learner_major_reference(k):
         got = train_iteration(state, annotated, unannotated, config)
         want = reference_iteration(ref, annotated, unannotated, config)
         assert got == want
-        for a, b in zip(state.nets, ref.nets):
-            assert np.array_equal(a.params.flat, b.params.flat)
-            assert np.array_equal(a.opt.m, b.opt.m)
-            assert np.array_equal(a.opt.v, b.opt.v)
+        assert_same_networks(state, ref)
 
 
 class SharedCount:
@@ -705,8 +708,7 @@ def test_run_training_deterministic(tiny_dataset):
     a = run_training(tiny_dataset, config)
     b = run_training(tiny_dataset, config)
     assert a.trace_csv() == b.trace_csv()
-    for slot_a, slot_b in zip(a.state.nets, b.state.nets):
-        assert np.array_equal(slot_a.params.flat, slot_b.params.flat)
+    assert_same_networks(a.state, b.state)
     assert a.best.iteration == b.best.iteration
     assert a.best.score == b.best.score
 
@@ -756,8 +758,8 @@ def test_run_training_zero_iterations(train, tiny_dataset):
     assert math.isnan(result.best.score)
     assert result.best.iteration == 0
     # kept checkpoints equal the untouched initialization
-    for slot, best in zip(result.state.nets, result.best.params):
-        assert np.array_equal(slot.params.flat, best.flat)
+    for params, best in zip(result.state.params, result.best.params):
+        assert np.array_equal(params.flat, best.flat)
 
 
 @pytest.mark.parametrize(
@@ -811,6 +813,72 @@ def test_run_training_per_network_selection(tiny_dataset, tmp_path):
     assert fused.trace_csv() == result.trace_csv()
 
 
+def record_checkpoints(monkeypatch, script=None):
+    """Log each checkpoint's (iteration, snapshot, fused score, per-network
+    scores) as _checkpoint returns them. `script[i]`, when given, replaces
+    the i-th checkpoint's scores with its (fused, per-network) pair."""
+    from ambiseg import training
+
+    log = []
+    original = training._checkpoint
+
+    def recording(snapshot, dataset, config, t, *args):
+        row, net_scores = original(snapshot, dataset, config, t, *args)
+        if script is not None:
+            fused, net_scores = script[len(log)]
+            row = replace(row, val_jaccard=fused)
+        log.append((t, list(snapshot), row.val_jaccard, list(net_scores)))
+        return row, net_scores
+
+    monkeypatch.setattr(training, "_checkpoint", recording)
+    return log
+
+
+# (fused, per-network) scores of five checkpoints with ties: the fused
+# score peaks at checkpoints 1, 2 and 4, network 0 at 1 and 3, and
+# network 1 at 0 and 4
+TIED_SCORES = [
+    (0.5, [0.2, 0.9]),
+    (0.7, [0.6, 0.5]),
+    (0.7, [0.4, 0.3]),
+    (0.6, [0.6, 0.8]),
+    (0.7, [0.1, 0.9]),
+]
+
+
+@pytest.mark.parametrize("script", [None, TIED_SCORES], ids=["measured", "tied"])
+def test_per_network_selection_keeps_each_networks_first_best(
+    script, tiny_dataset, monkeypatch
+):
+    config = TrainConfig(k=2, lr=0.01, total_iters=8, validation_every=2, seed=13,
+                         selection="per-network")
+    log = record_checkpoints(monkeypatch, script)
+    result = run_training(tiny_dataset, config)
+    assert [t for t, *_ in log] == [0, 2, 4, 6, 8]
+    maxima = []
+    for k in range(2):
+        scores = [net_scores[k] for *_, net_scores in log]
+        t, snapshot, _, _ = log[scores.index(max(scores))]  # the first maximum
+        assert result.best.net_iterations[k] == t
+        assert np.array_equal(result.best.params[k].flat, snapshot[k].flat)
+        maxima.append(max(scores))
+    assert result.best.iteration == -1
+    assert result.best.score == float(np.mean(maxima))
+
+
+@pytest.mark.parametrize("script", [None, TIED_SCORES], ids=["measured", "tied"])
+def test_fused_selection_keeps_the_first_best(script, tiny_dataset, monkeypatch):
+    config = TrainConfig(k=2, lr=0.01, total_iters=8, validation_every=2, seed=13)
+    log = record_checkpoints(monkeypatch, script)
+    result = run_training(tiny_dataset, config)
+    fused = [score for _, _, score, _ in log]
+    t, snapshot, score, _ = log[fused.index(max(fused))]  # the first maximum
+    assert (result.best.iteration, result.best.score) == (t, score)
+    assert result.best.net_iterations is None
+    for kept, params in zip(result.best.params, snapshot):
+        assert np.array_equal(kept.flat, params.flat)
+
+
 def test_run_training_rejects_annotation_mismatch(tiny_dataset):
     config = TrainConfig(k=3, lr=0.01, total_iters=10, validation_every=5)
     with pytest.raises(TrainingError):
@@ -822,7 +890,7 @@ def test_single_annotator_baseline(tiny_dataset, tmp_path):
     out = tmp_path / "single"
     result = train_single_annotator(tiny_dataset, config, annotator=0)
     write_run(result, out)
-    assert len(result.state.nets) == 1
+    assert len(result.state.params) == 1
     lines = result.trace_csv().strip().splitlines()
     assert lines[0] == TRACE_HEADER
     rows = [line.split(",") for line in lines[1:]]
@@ -848,11 +916,11 @@ def test_single_annotator_is_one_network_without_pool(tiny_dataset):
         replace(tiny_dataset, unannotated=[]), config, annotator=0
     )
     other = train_single_annotator(tiny_dataset, config, annotator=1)
-    flat = result.state.nets[0].params.flat
+    flat = result.state.params[0].flat
     assert no_pool.trace_csv() == result.trace_csv()
-    assert np.array_equal(no_pool.state.nets[0].params.flat, flat)
+    assert_same_networks(no_pool.state, result.state)
     assert other.trace_csv() != result.trace_csv()
-    assert not np.array_equal(other.state.nets[0].params.flat, flat)
+    assert not np.array_equal(other.state.params[0].flat, flat)
     # per-network selection of one network is fused selection
     per_net = train_single_annotator(
         tiny_dataset, replace(config, selection="per-network"), annotator=0
@@ -867,10 +935,7 @@ def test_one_network_iteration_is_a_full_grid_ce_step():
     config = TrainConfig(alpha=0.5, lr=0.02, total_iters=10, validation_every=5)
     params = init_params(Architecture(), seed=60)
     opt = init_opt_state(params, config.lr)
-    state = EnsembleState(
-        nets=[NetworkSlot(params=params, opt=opt)], t=0,
-        rng=np.random.default_rng(5),
-    )
+    state = RunState([params], [opt], t=0, rng=np.random.default_rng(5))
     annotated = [make_sample(70 + i, k=1) for i in range(2)]
 
     # clean room: mean CE over every pixel against the one annotation
@@ -896,9 +961,7 @@ def test_one_network_iteration_is_a_full_grid_ce_step():
     rng_state = state.rng.bit_generator.state
     assert train_iteration(state, annotated, [], config) == [want]
     assert state.rng.bit_generator.state == rng_state  # no comparison draw
-    assert np.array_equal(state.nets[0].params.flat, want_params.flat)
-    assert np.array_equal(state.nets[0].opt.m, want_opt.m)
-    assert np.array_equal(state.nets[0].opt.v, want_opt.v)
+    assert_same_networks(state, RunState([want_params], [want_opt], t=1, rng=None))
 
 
 def test_single_annotator_forward_count(tiny_dataset, monkeypatch):
@@ -1112,10 +1175,7 @@ def test_crew_builds_each_iteration_with_its_own_config():
             got = train_iteration(state, annotated, unannotated, each, crew)
             assert got == train_iteration(serial, annotated, unannotated, each)
             assert (got[0].l_pc == 0.0) == (each.beta == 0.0)
-            for a, b in zip(state.nets, serial.nets):
-                assert np.array_equal(a.params.flat, b.params.flat)
-                assert np.array_equal(a.opt.m, b.opt.m)
-                assert np.array_equal(a.opt.v, b.opt.v)
+            assert_same_networks(state, serial)
 
 
 def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypatch):
