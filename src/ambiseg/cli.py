@@ -21,7 +21,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .data import GenerationError, build_dataset, load_dataset, publish, write_dataset
+from .data import (
+    GenerationError, build_dataset, load_dataset, publish, text_lines, write_dataset,
+)
 from .fusion import FUSION_STRATEGIES, average_fuse, fuse_annotations
 from .masks import LabelMask, argmax_mask
 from .metrics import evaluate_masks
@@ -51,8 +53,12 @@ class UsageError(Exception):
 
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        lines = text_lines(path)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     values: dict = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -6,6 +6,14 @@ threshold the signed distance to the clean boundary at a systematic bias
 plus smooth angular jitter, which confines all disagreement to a band
 around the boundary and leaves far pixels untouched.
 
+Binary and nested scenes share one recipe, and a binary scene is its
+one-level case. Label c is drawn at intensity levels[c] before blur and
+noise: (BACKGROUND_LEVEL, BACKGROUND_LEVEL + contrast) for a binary scene,
+NESTED_LEVELS for a nested one, which adds a core (label 2) inside the
+object and ignores contrast. Annotators follow the same nesting: level
+c >= 1 displaces the boundary of grid >= c with the jitter of seed
+profile.seed + c - 1 and keeps only what lies inside level c - 1.
+
 Two small filters serve the scenes and annotators, both exact and both
 deterministic to the bit. The Gaussian blur uses the kernel
 exp(-x^2 / (2 sigma^2)) over x = -r..r, r = int(4.0 * sigma + 0.5)
@@ -128,7 +136,10 @@ def load_mask_pgm(path: str | Path) -> LabelMask:
             pos += 1
         if not blob[start:pos].isdigit():
             raise ValueError(f"{path}: truncated or malformed PGM header")
-        fields.append(int(blob[start:pos]))
+        try:
+            fields.append(int(blob[start:pos]))
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"{path}: PGM header number too long") from None
     pos += 1  # single whitespace byte before raster data
     width, height, maxval = fields
     if maxval < 1 or maxval > 255:
@@ -138,9 +149,20 @@ def load_mask_pgm(path: str | Path) -> LabelMask:
         raise ValueError(
             f"{path}: raster holds {raster.shape[0]} bytes, expected {width * height}"
         )
-    return LabelMask(
-        width=width, height=height, num_classes=maxval + 1, labels=raster
-    )
+    try:
+        return LabelMask(width=width, height=height, num_classes=maxval + 1, labels=raster)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def text_lines(path: Path) -> list[str]:
+    """The lines of a text file; bytes it cannot decode raise ValueError naming it."""
+    try:
+        return path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(
+            f"{path}: not {exc.encoding} text: {exc.reason} at byte {exc.start}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +210,12 @@ def _distance_transform(fg: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Recipe for one synthetic scene; fully determined by its seed."""
+    """Recipe for one synthetic scene; fully determined by its seed.
+
+    contrast lifts a binary scene's object above BACKGROUND_LEVEL. A nested
+    scene, whose binary counterpart is its one-level case, draws its three
+    labels at NESTED_LEVELS and ignores contrast.
+    """
 
     width: int = 64
     height: int = 64
@@ -240,61 +267,42 @@ def _draw_indicator(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     return rho <= radius
 
 
-def generate_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
-    """One image plus its clean binary ground truth, deterministic in seed."""
+def _scene(spec: SceneSpec, levels: tuple, failure: str) -> tuple[ImageTensor, LabelMask]:
+    """The one scene recipe: label c of the ground truth has intensity
+    levels[c] before blur and noise. Three levels also ask for a shape 4 px
+    deep and nest its core (depth >= 0.45 of the deepest pixel's) as label 2."""
     rng = np.random.default_rng(spec.seed)
-    n = spec.width * spec.height
-    fg = None
     for _ in range(50):
-        candidate = _draw_indicator(spec, rng)
-        area = candidate.mean()
-        if 0.05 <= area <= 0.60:
-            fg = candidate
+        fg = _draw_indicator(spec, rng)
+        if not 0.05 <= fg.mean() <= 0.60:
+            continue
+        labels = fg.astype(np.int64)
+        if len(levels) == 2:
             break
-    if fg is None:
-        raise GenerationError(
-            f"no shape met the 5-60% area constraint for seed {spec.seed}"
-        )
-    img = BACKGROUND_LEVEL + spec.contrast * fg.astype(np.float64)
+        depth = _distance_transform(fg)
+        if depth.max() >= 4.0:
+            labels += depth >= 0.45 * depth.max()
+            break
+    else:
+        raise GenerationError(f"{failure} for seed {spec.seed}")
+    img = np.asarray(levels, dtype=np.float64)[labels]
     if spec.blur_radius > 0:
         img = _gaussian_blur(img, spec.blur_radius)
     if spec.noise_level > 0:
         img = img + rng.normal(0.0, spec.noise_level, size=img.shape)
-    img = np.clip(img, 0.0, 1.0)
-    image = ImageTensor.from_planes(img[None, :, :])
-    gt = LabelMask.from_grid(fg.astype(np.int64), num_classes=2)
-    return image, gt
+    image = ImageTensor.from_planes(np.clip(img, 0.0, 1.0)[None, :, :])
+    return image, LabelMask.from_grid(labels, num_classes=len(levels))
+
+
+def generate_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
+    """One image plus its clean binary ground truth, deterministic in seed."""
+    levels = (BACKGROUND_LEVEL, BACKGROUND_LEVEL + spec.contrast)
+    return _scene(spec, levels, "no shape met the 5-60% area constraint")
 
 
 def generate_nested_scene(spec: SceneSpec) -> tuple[ImageTensor, LabelMask]:
     """Three-class variant: a core region nested inside the object."""
-    rng = np.random.default_rng(spec.seed)
-    fg = None
-    for _ in range(50):
-        candidate = _draw_indicator(spec, rng)
-        if 0.05 <= candidate.mean() <= 0.60:
-            depth = _distance_transform(candidate)
-            if depth.max() >= 4.0:
-                fg = candidate
-                break
-    if fg is None:
-        raise GenerationError(
-            f"no nestable shape found for seed {spec.seed}"
-        )
-    core = depth >= 0.45 * depth.max()
-    labels = fg.astype(np.int64) + core.astype(np.int64)
-    lo, mid, hi = NESTED_LEVELS
-    img = np.full(fg.shape, lo)
-    img[fg] = mid
-    img[core] = hi
-    if spec.blur_radius > 0:
-        img = _gaussian_blur(img, spec.blur_radius)
-    if spec.noise_level > 0:
-        img = img + rng.normal(0.0, spec.noise_level, size=img.shape)
-    img = np.clip(img, 0.0, 1.0)
-    image = ImageTensor.from_planes(img[None, :, :])
-    gt = LabelMask.from_grid(labels, num_classes=3)
-    return image, gt
+    return _scene(spec, NESTED_LEVELS, "no nestable shape found")
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +369,18 @@ def _boundary_displacer(fg: np.ndarray):
 
 
 def _scene_annotator(clean_gt: LabelMask):
-    """Profile -> annotation of one clean binary or three-class nested mask."""
+    """Profile -> annotation of one clean binary or three-class nested mask,
+    level by level as the module docstring says."""
     grid = clean_gt.grid()
-    if clean_gt.num_classes == 2:
-        displace = _boundary_displacer(grid.astype(bool))
-        return lambda profile: LabelMask.from_grid(
-            displace(profile).astype(np.int64), num_classes=2
-        )
-    outer, inner = _boundary_displacer(grid >= 1), _boundary_displacer(grid == 2)
+    displacers = [_boundary_displacer(grid >= c) for c in range(1, clean_gt.num_classes)]
 
     def annotate(profile: AnnotatorProfile) -> LabelMask:
-        o = outer(profile)
-        i = inner(replace(profile, seed=profile.seed + 1)) & o
-        return LabelMask.from_grid(
-            o.astype(np.int64) + i.astype(np.int64), num_classes=3
-        )
+        labels = np.zeros(grid.shape, dtype=np.int64)
+        region = np.ones(grid.shape, dtype=bool)
+        for c, displace in enumerate(displacers, start=1):
+            region = displace(replace(profile, seed=profile.seed + c - 1)) & region
+            labels += region
+        return LabelMask.from_grid(labels, num_classes=clean_gt.num_classes)
 
     return annotate
 
@@ -552,7 +557,10 @@ def publish(target: str | Path) -> ContextManager[Path]:
 def _publish(target: Path) -> Iterator[Path]:
     staged, aside = (target.with_name(target.name + tag) for tag in (".partial", ".old"))
     for sibling in (p for p in (staged, aside) if p.exists()):
-        raise FileExistsError(f"{sibling} is in the way of {target}; remove it")
+        # without the target, `.old` is its only copy: a swap was killed mid-way
+        advice = "remove it" if sibling == staged or target.exists() else (
+            f"it holds the previous {target.name}, so rename it back to {target}")
+        raise FileExistsError(f"{sibling} is in the way of {target}; {advice}")
     # rename(2) would refuse it whatever is staged
     if target.is_dir() and not (target / "manifest.tsv").exists() and any(target.iterdir()):
         raise OSError(errno.ENOTEMPTY, os.strerror(errno.ENOTEMPTY), str(target))
@@ -611,7 +619,7 @@ def load_dataset(root: str | Path) -> Dataset:
     manifest = root / "manifest.tsv"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.tsv under {root}")
-    lines = manifest.read_text().splitlines()
+    lines = text_lines(manifest)
     header = lines[0].split("\t") if lines else []
     expect = ["id", "split", "image", "gt", "masks", "k"]
     if header != expect:
@@ -622,6 +630,8 @@ def load_dataset(root: str | Path) -> Dataset:
         if not line.strip():
             continue
         where = f"{manifest}:{lineno}"
+        if "\0" in line:  # open() would refuse a file name with one, naming no file
+            raise ValueError(f"{where}: NUL byte in row")
         fields = line.split("\t")
         if len(fields) != len(expect):
             raise ValueError(

@@ -513,7 +513,10 @@ def load_checkpoint(path: str) -> ModelParams:
             f"{path}: parameter vector has {len(body)} bytes, expected {8 * expect}"
         )
     flat = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    return ModelParams(arch=arch, flat=flat, seed=seed)
+    try:
+        return ModelParams(arch=arch, flat=flat, seed=seed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def gradient_check_report(

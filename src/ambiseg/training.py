@@ -86,7 +86,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .data import Dataset, MultiAnnotatedSample, UnannotatedSample
+from .data import Dataset, MultiAnnotatedSample, UnannotatedSample, text_lines
 from .fusion import average_fuse, majority_vote
 from .losses import (
     ALPHA_DEFAULT,
@@ -940,7 +940,7 @@ def load_run(run_dir: str | Path) -> list[ModelParams]:
     if not manifest.exists():
         raise FileNotFoundError(f"no run manifest at {manifest}")
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(manifest.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text_lines(manifest), start=1):
         if not line:
             continue
         key, tab, value = line.partition("\t")

@@ -616,6 +616,40 @@ def test_malformed_dataset_manifest_names_file_and_line(
     assert not out.exists()
 
 
+def test_mask_label_beyond_maxval_names_the_file(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    mask = data / "masks" / "m000_a0.pgm"
+    blob = mask.read_bytes()
+    assert blob.startswith(b"P5\n32 32\n1\n")
+    mask.write_bytes(blob[:-1] + b"\x02")  # maxval 1: labels 0 and 1 only
+    assert entry(train_args(data, tmp_path / "run")) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {mask}: label values must lie in [0, num_classes)\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("case", ["train-data", "fuse-data", "eval-run", "train-config"])
+def test_a_file_that_is_not_utf8_is_named(case, dataset_dir, run_dir, tmp_path, capsys):
+    data, run, cfg, out = tmp_path / "ds", tmp_path / "run", tmp_path / "run.cfg", tmp_path / "out"
+    shutil.copytree(dataset_dir, data)
+    shutil.copytree(run_dir, run)
+    cfg.write_text("total_iters = 10\n")
+    fuse = ["fuse", "--data", str(data), "--out", str(out), "--strategy", "average-vote"]
+    bad, code, args = {  # the file made undecodable, the exit code, the command
+        "train-data": (data / "manifest.tsv", 1, train_args(data, out)),
+        "fuse-data": (data / "manifest.tsv", 1, fuse),
+        "eval-run": (run / "manifest.tsv", 1, ["eval", "--run", str(run), "--data", str(data)]),
+        "train-config": (cfg, 2, train_args(data, out) + ["--config", str(cfg)]),
+    }[case]
+    bad.write_bytes(b"\xff" + bad.read_bytes())
+    assert entry(args) == code
+    err = capsys.readouterr().err
+    kind = "usage error" if code == 2 else "error"
+    assert err.startswith(f"{kind}: {bad}: not utf-8 text: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def train_args(dataset_dir, out, iters="20"):
     return ["train", "--data", str(dataset_dir), "--out", str(out),
             "--total-iters", iters, "--validation-every", "10", "--lr", "0.01"]
@@ -800,11 +834,18 @@ def test_train_refuses_a_leftover_sibling_before_training(
     leftover = tmp_path / f"run{tag}"
     leftover.mkdir()
     no_training(monkeypatch)
+    # without the run, a `.old` is the only copy of it: a swap was killed
+    advice = {".partial": "remove it",
+              ".old": f"it holds the previous run, so rename it back to {out}"}[tag]
     try:
         assert entry(train_args(dataset_dir, out)) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {leftover} is in the way of {out}; remove it\n"
+        assert err == f"error: {leftover} is in the way of {out}; {advice}\n"
         assert leftover.is_dir() and not out.exists()
+        out.mkdir()
+        assert entry(train_args(dataset_dir, out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {leftover} is in the way of {out}; remove it\n"
     finally:
         leftover.rmdir()
 

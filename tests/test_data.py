@@ -103,7 +103,7 @@ def test_mask_pgm_rejects_garbage(tmp_path):
     path.write_bytes(b"P6 2 2 255\n" + b"\x00" * 12)
     with pytest.raises(ValueError):
         load_mask_pgm(str(path))
-    for header in (b"P5", b"P5\n4 ", b"P5\n4 4\n-1\n"):
+    for header in (b"P5", b"P5\n4 ", b"P5\n4 4\n-1\n", b"P5\n" + b"9" * 5000 + b" 2\n1\n"):
         path.write_bytes(header)
         with pytest.raises(ValueError, match="bad.pgm"):
             load_mask_pgm(str(path))
@@ -313,6 +313,11 @@ K2_BENCH_PROFILES = [
     AnnotatorProfile(bias_radius=2.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=1000),
     AnnotatorProfile(bias_radius=0.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=1007),
 ]
+# the first draws no jitter at all
+UNJITTERED_PROFILES = [
+    AnnotatorProfile(bias_radius=1.5, jitter_amplitude=0.0, jitter_scale=12.0, seed=3),
+    AnnotatorProfile(bias_radius=-1.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=4),
+]
 SPLITS = dict(n_multi=3, n_unann=2, n_val=1, n_test=2)
 PINNED_DATASETS = [
     (dict(k=2, profiles=K2_BENCH_PROFILES, seed=5, noise_level=0.08),
@@ -323,6 +328,23 @@ PINNED_DATASETS = [
      "a97b7d97123d6755da4e439f9769eeef40ca668f51f69d4d797fd2e0427bcfa8"),
     (dict(k=3, seed=11, width=40, height=33, nested=True),
      "0367a6794c5c2ba0797243e482d6a480228017aacf5c7e419e6119788f5d5fd6"),
+    # generator branches the cases above leave out
+    (dict(k=2, seed=3, width=32, height=32, shape_family="ellipse"),
+     "005e940591a90a662e06991bf8ff5a39df1937e4b2ea6e5e880066a5a49facb6"),
+    (dict(k=2, seed=4, width=32, height=32, shape_family="ellipse", nested=True),
+     "bdc4ebeeaaa69c57b5d81f64fa5dd75876847ee6a716481e9f03471bd9d744ed"),
+    (dict(k=2, seed=6, width=32, height=32, contrast=0.3),
+     "11d37e61ae762e551e2be80e52ea68d78fab3594e1bf2738247bc51b0d8378f9"),
+    (dict(k=2, seed=8, width=32, height=32, blur_radius=0.0, noise_level=0.0),
+     "65a62eb635681f508f78598571cd11a275e39b1bac4549111b676e6f3ff6e6c3"),
+    (dict(k=2, profiles=UNJITTERED_PROFILES, seed=2, width=32, height=32),
+     "31ab1809b82043798d52e8c815729215b4d796486dededc1fba9857ebb353465"),
+    (dict(k=2, profiles=UNJITTERED_PROFILES, seed=2, width=32, height=32, nested=True),
+     "6d83cb9ee3768268d6f49ee21d47a4c616c5e38ea9e49098edc447410a8181b8"),
+]
+PINNED_IDS = [
+    "k2-64", "k2-32", "k4-32", "k3-nested", "ellipse", "ellipse-nested",
+    "contrast-0.3", "unblurred-noiseless", "unjittered", "unjittered-nested",
 ]
 
 
@@ -346,9 +368,7 @@ def tree_sha256(root: Path) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "kwargs,pinned", PINNED_DATASETS, ids=["k2-64", "k2-32", "k4-32", "k3-nested"]
-)
+@pytest.mark.parametrize("kwargs,pinned", PINNED_DATASETS, ids=PINNED_IDS)
 def test_write_dataset_round_trip(kwargs, pinned, tmp_path):
     source = build_dataset(tmp_path / "ds", **SPLITS, **kwargs)
     assert tree_sha256(write_dataset(tmp_path / "copy", load_dataset(source))) == pinned

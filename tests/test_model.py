@@ -525,6 +525,9 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(good.read_bytes()[:-3])
     with pytest.raises(ValueError, match="bad.msen"):
         load_checkpoint(str(path))
+    path.write_bytes(good.read_bytes()[:-8] + np.float64(np.nan).tobytes())
+    with pytest.raises(ValueError, match="bad.msen: parameters must be finite"):
+        load_checkpoint(str(path))
 
 
 def test_sanity_fit_single_clean_sample():
