@@ -32,6 +32,7 @@ from .training import (
     TrainConfig,
     TrainingError,
     _prediction_rows,
+    checkpoint_files,
     config_hash,
     load_run,
     run_training,
@@ -196,10 +197,20 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     # probabilities the per-network scopes take their argmax of
     fused: list[LabelMask] = []
     per_net: list[list[LabelMask]] = [[] for _ in params]
-    for row in _prediction_rows(params, [s.image for s in dataset.test], ns.per_network):
-        fused.append(argmax_mask(average_fuse(row.probs)))
-        for preds, mask in zip(per_net, row.masks):
-            preds.append(mask)
+    # a loadable checkpoint can still overflow: its outputs are checked
+    # here, so it fails naming its file instead of warning
+    with np.errstate(all="ignore"):
+        rows = _prediction_rows(params, [s.image for s in dataset.test], ns.per_network)
+        for i, row in enumerate(rows):
+            for z, probs in enumerate(row.probs):
+                if not np.isfinite(probs.probs).all():
+                    raise ValueError(
+                        f"{checkpoint_files(run_dir)[z]}: network {z} gives "
+                        f"non-finite probabilities on test image {i}"
+                    )
+            fused.append(argmax_mask(average_fuse(row.probs)))
+            for preds, mask in zip(per_net, row.masks):
+                preds.append(mask)
     scopes = [("fused", fused)]
     if ns.per_network:
         scopes += [(f"net{i}", preds) for i, preds in enumerate(per_net)]

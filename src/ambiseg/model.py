@@ -15,8 +15,9 @@ of times; it works in the cache's gradient scratch, which the first
 backward on that cache allocates and every later one overwrites. A cache
 that only serves inference (predict_probs, the eval path) never holds
 scratch. Logits and gradients are always new arrays. Who owns the caches
-decides how long they live: a training run keeps one cache per network,
-and they die with the run.
+decides how long they live: each executor of a training run (the calling
+process and each forked worker) keeps one cache per network for its
+training and checkpoint rows alike, and they die with the run.
 
 Layout: the output head is class-major. forward returns its (N, C)
 logits as the transpose of a contiguous (C, N) array, one plane per

@@ -38,40 +38,48 @@ Executors: networks share nothing but hard predictions on the same image
 (a peer's argmax mask in the consistency term, the peers' consensus in
 pseudo-supervision), so once an iteration's parameter snapshot is fixed,
 each batch image is an independent unit of work: its row, every
-network's loss terms on it and every network's gradient from it. A run's
-executors are one crew: W = min(images per iteration, usable cores)
-executors, row r on executor r mod W. The calling process is executor 0;
-W - 1 workers are forked (start method "fork", named explicitly) once per
-run, and a crew of one forks nothing. A worker knows only its job: per
-iteration the calling process draws the batch and the comparison
-networks in the serial order, sends each worker one job (the snapshot,
-the samples of its rows, the comparison networks and the config), builds
-its own rows meanwhile and reads one reply per worker (its rows' loss
-terms and gradients). It then adds each network's terms and gradients in
-batch order and takes every Adam step itself, so the rng, the parameters
-and the Adam state never leave it, and it runs every checkpoint alone.
-Every row is computed by the same operations wherever it runs and its
-float64 results cross processes exactly, so results are bit-identical
-for every W. While workers run, numpy's OpenBLAS is held to one thread
-(the workers inherit the setting), and restored afterwards. W is 1 for a
-one-image batch, on one core, where the platform cannot fork or report
-its cores, and where no OpenBLAS thread control is found. A worker that
+network's loss terms on it and every network's gradient from it. A
+checkpoint's rows run no backward, and each gives its share of the
+checkpoint's sums. A run's executors are one crew, which maps a row
+function over a list of items, item r on executor r mod W: _row_steps
+over an iteration's batch, _checkpoint_row over a checkpoint's images.
+W = min(rows of the run's largest job, usable cores), where the largest
+job is an iteration's batch or a checkpoint's rows, whichever has more.
+The calling process is executor 0; W - 1 workers are forked (start
+method "fork", named explicitly) once per run, and a crew of one forks
+nothing. A worker knows only its job: the calling process draws the
+batch and the comparison networks in the serial order, sends each worker
+that has rows one job (the row function's name, the snapshot, the items
+of its rows and everything else they read), builds its own rows
+meanwhile and reads one reply per job (its rows' results). A job's
+arrays go to the pipe out of band, straight from their memory. A
+checkpoint's jobs carry images, and validation images their majority-vote
+references; only its first row reads annotations, and that row is always
+the calling process's. The calling process adds each network's terms and
+gradients in batch order and every checkpoint sum in row order, and takes
+every Adam step itself, so the rng, the parameters and the Adam state
+never leave it. Every row is computed by the same operations wherever it
+runs and its float64 results cross processes exactly, so results are
+bit-identical for every W. While workers run, numpy's OpenBLAS is held to
+one thread (the workers inherit the setting), and restored afterwards. W
+is 1 on one core, where the platform cannot fork or report its cores, and
+where no OpenBLAS thread control is found. A one-image batch still trains
+in the calling process, and only its checkpoints are split. A worker that
 raises (its message travels to the calling process), dies or is
 interrupted ends the run with TrainingError. Every worker is stopped
 with SIGTERM before the run returns or raises.
 
 Buffers, per executor: an executor holds one forward cache per network
 (a list indexed by network, None until that network's first forward),
-and every forward it makes for network z (training rows, and in the
-calling process checkpoint rows) writes z's activations into cache z.
-The crew owns executor 0's caches, and each worker keeps its own. A
-cache is overwritten by the next forward that receives it, so a row's
-activations are valid only until the next row is built; backward only
-reads them. The run's caches die with the run: no returned object
-references them. Rows built without caches share one cache of their own
-across the networks, since nothing backpropagates through them;
-train_iteration called without a crew uses one cache per network for
-that call.
+and every forward it makes for network z (training rows and checkpoint
+rows alike) writes z's activations into cache z. The crew owns executor
+0's caches, and each worker keeps its own. A cache is overwritten by the
+next forward that receives it, so a row's activations are valid only
+until the next row is built; backward only reads them. The run's caches
+die with the run: no returned object references them. Rows built without
+caches share one cache of their own across the networks, since nothing
+backpropagates through them; train_iteration and _checkpoint called
+without a crew use one cache per network for that call.
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import pickle
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -423,7 +432,7 @@ def train_iteration(
     if config.w_max == 0:
         unannotated = []  # no pseudo-supervision term to learn
     batch = [*annotated, *unannotated]
-    rows = (_crew or _Crew(1, num_nets)).run(snapshot, batch, peers, config)
+    rows = (_crew or _Crew(1, num_nets)).run("_row_steps", snapshot, batch, peers, config)
 
     n_ann, n_unann = len(annotated), len(unannotated)
     means, grads = [], []
@@ -462,15 +471,15 @@ def train_iteration(
 # executors: the calling process and its forked workers
 
 
-def _executor_count(images: int) -> int:
-    """W for a run with `images` batch images per iteration: one executor
-    per usable core and at most one per image; 1 where the platform cannot
-    fork or report its cores, or where no OpenBLAS thread control is found."""
-    if images < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+def _executor_count(rows: int) -> int:
+    """W for a run whose largest job has `rows` rows: one executor per
+    usable core and at most one per row; 1 where the platform cannot fork
+    or report its cores, or where no OpenBLAS thread control is found."""
+    if rows < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if not _openblas_thread_controls():
         return 1
-    return min(images, len(os.sched_getaffinity(0)))
+    return min(rows, len(os.sched_getaffinity(0)))
 
 
 def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
@@ -514,12 +523,14 @@ class _Crew:
     when the crew is made and stopped by close().
 
     `caches` are executor 0's, one per network. Each worker talks to the
-    calling process over its own pipe. The calling process sends one job
-    per iteration, (snapshot, samples, peers, config): the worker's rows'
-    samples and everything else they read. A worker answers each job with
-    _DONE and its rows' steps, or with _FAILED and its error's message. A
-    worker that dies closes its pipe, so the calling process reads EOF
-    instead of waiting for it.
+    calling process over its own pipe. run() maps a row function over a
+    list of items and sends each worker with rows one job, (function,
+    snapshot, items, args): the name of the row function, which the
+    worker looks up in this module, the worker's items and everything
+    else its rows read. A worker answers each job with _DONE and its
+    rows, or with _FAILED and its error's message. A worker that dies
+    closes its pipe, so the calling process reads EOF instead of waiting
+    for it.
     """
 
     def __init__(self, executors: int, num_nets: int):
@@ -578,9 +589,16 @@ class _Crew:
             f"training worker {w} stopped unexpectedly (exit code {proc.exitcode})"
         )
 
-    def _send(self, worker, message) -> None:
+    def _send(self, worker, job) -> None:
+        """Send a job as a pickle of its structure plus each array's bytes,
+        written to the pipe straight from the array's memory: no pickled
+        copy of the job's images is made in this process."""
+        arrays: list[pickle.PickleBuffer] = []
+        head = pickle.dumps(job, protocol=5, buffer_callback=arrays.append)
         try:
-            worker[2].send(message)
+            worker[2].send((head, [array.raw().nbytes for array in arrays]))
+            for array in arrays:
+                worker[2].send_bytes(array.raw())
         except OSError:
             raise self._lost(worker) from None
 
@@ -593,30 +611,28 @@ class _Crew:
             raise TrainingError(f"training worker {worker[0]} failed: {body}")
         return body
 
-    def run(
-        self,
-        snapshot: Sequence[ModelParams],
-        batch: Sequence[MultiAnnotatedSample | UnannotatedSample],
-        peers: Sequence[int],
-        config: TrainConfig,
-    ) -> list[list[tuple[tuple[float, float, float], np.ndarray]]]:
-        """Every batch row's _row_steps, in batch order: row r is built
-        by executor r mod W, executor 0's while the workers build theirs."""
+    def run(self, function: str, snapshot: Sequence[ModelParams], items: Sequence, *args) -> list:
+        """[row(snapshot, item, *args, caches) for item in items], where
+        row is this module's global named `function`: item r's row is built
+        by executor r mod W, executor 0's while the workers build theirs.
+        A worker with no item gets no job."""
         executors = len(self._workers) + 1
-        for w, worker in enumerate(self._workers, start=1):
-            self._send(worker, (snapshot, batch[w::executors], peers, config))
-        steps: list = [None] * len(batch)
-        steps[::executors] = [
-            _row_steps(snapshot, sample, peers, config, self.caches)
-            for sample in batch[::executors]
+        busy = self._workers[: max(len(items) - 1, 0)]
+        for w, worker in enumerate(busy, start=1):
+            self._send(worker, (function, snapshot, items[w::executors], args))
+        row = globals()[function]
+        rows: list = [None] * len(items)
+        rows[::executors] = [
+            row(snapshot, item, *args, self.caches) for item in items[::executors]
         ]
-        for w, worker in enumerate(self._workers, start=1):
-            steps[w::executors] = self._receive(worker)
-        return steps
+        for w, worker in enumerate(busy, start=1):
+            rows[w::executors] = self._receive(worker)
+        return rows
 
 
 def _worker(conn, inherited) -> None:
-    """A forked executor: one job per iteration until it is terminated.
+    """A forked executor: it builds the rows of one job at a time until it
+    is terminated, each with its own cache per network.
 
     Ctrl-C is the calling process's to handle, so the worker ignores
     SIGINT. It closes the pipe ends it inherited from the calling
@@ -632,11 +648,15 @@ def _worker(conn, inherited) -> None:
     caches: Optional[list[Optional[ForwardCache]]] = None
     try:
         while True:
-            snapshot, samples, peers, config = conn.recv()
+            head, sizes = conn.recv()
+            arrays = [bytearray(size) for size in sizes]
+            for array in arrays:
+                conn.recv_bytes_into(array)
+            function, snapshot, items, args = pickle.loads(head, buffers=arrays)
             if caches is None:
                 caches = [None] * len(snapshot)
-            steps = [_row_steps(snapshot, s, peers, config, caches) for s in samples]
-            conn.send((_DONE, steps))
+            row = globals()[function]
+            conn.send((_DONE, [row(snapshot, item, *args, caches) for item in items]))
     except EOFError:
         pass  # the calling process is gone
     except Exception as exc:
@@ -718,68 +738,111 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
+# the kind of a checkpoint row: the first element of its item
+_AGREEMENT, _PROBE, _VALIDATION = range(3)
+
+
+def _checkpoint_row(
+    snapshot: Sequence[ModelParams],
+    item: tuple,
+    config: TrainConfig,
+    caches: list[Optional[ForwardCache]],
+) -> tuple:
+    """One image's share of a checkpoint, by the kind of its item:
+    - (_AGREEMENT, image, sample): the agreement fraction of each pair of
+      networks a < b, in order, and, when `sample` (the first training
+      sample) is given, each network's probe (l_ma, l_pc), else None;
+    - (_PROBE, image, None): each network's probe l_ps;
+    - (_VALIDATION, image, ref): the fused foreground Jaccard against the
+      reference and each network's.
+    """
+    kind, image, extra = item
+    num_nets = len(snapshot)
+    nets = range(num_nets)
+    if kind == _AGREEMENT:
+        row = _prediction_row(snapshot, image, num_nets > 1, caches)
+        fractions = [
+            agreement_fraction(row.masks[a], row.masks[b])
+            for a in nets for b in range(a + 1, num_nets)
+        ]
+        npce = None if extra is None else [
+            npce_losses(row, extra, k, (k + 1) % num_nets, config.alpha, config.beta)[:2]
+            for k in nets
+        ]
+        return fractions, npce
+    row = _prediction_row(snapshot, image, True, caches)
+    if kind == _PROBE:
+        return [mnps_loss(row, k)[0] for k in nets]
+    # a lone network's average is its own map, whose mask the row holds
+    fused_mask = row.masks[0] if num_nets == 1 else argmax_mask(average_fuse(row.probs))
+    return _foreground_jaccard(fused_mask, extra), [
+        _foreground_jaccard(mask, extra) for mask in row.masks
+    ]
+
+
+def _checkpoint_items(
+    dataset: Dataset, config: TrainConfig, num_nets: int, val_refs: Sequence[LabelMask]
+) -> tuple[list[tuple], int, int]:
+    """A checkpoint's items for _checkpoint_row, in row order, and how many
+    are agreement and probe rows. Only the first carries its sample: the
+    annotations are read on that row alone."""
+    train = dataset.multi if num_nets > 1 else dataset.multi[:1]
+    probe = dataset.unannotated[: config.unannotated_batch] if config.w_max > 0 else []
+    items = [(_AGREEMENT, train[0].image, train[0])]
+    items += [(_AGREEMENT, s.image, None) for s in train[1:]]
+    items += [(_PROBE, u.image, None) for u in probe]
+    items += [(_VALIDATION, s.image, ref) for s, ref in zip(dataset.validation, val_refs)]
+    return items, len(train), len(probe)
+
+
 def _checkpoint(
     snapshot: Sequence[ModelParams],
     dataset: Dataset,
     config: TrainConfig,
     t: int,
     val_refs: Sequence[LabelMask],
-    caches: list[Optional[ForwardCache]],
+    crew: Optional[_Crew] = None,
 ) -> tuple[TraceRow, list[float]]:
     """The trace row of a checkpoint at iteration t, and each network's
     mean foreground Jaccard on the validation split.
 
-    One pass of prediction rows, with no backward pass and no rng draw:
+    One pass of prediction rows on the crew (this process alone without
+    one), with no backward pass and no rng draw:
     - rows over the training images (only the first for a lone network,
       which agrees with itself) give the mean pairwise agreement of the
-      networks' hard predictions, and the first of them gives the probe's
-      agreement and consistency losses, with the deterministic pairing
-      j = (k+1) mod K so that checkpoints are comparable;
+      networks' hard predictions, and the first of them, always built in
+      this process, gives the probe's agreement and consistency losses,
+      with the deterministic pairing j = (k+1) mod K so that checkpoints
+      are comparable;
     - rows over the head of the unannotated pool give the probe's
       pseudo-supervision loss;
     - rows over the validation split give the fused score, which the
       trace records, and the per-network scores.
-    The loss columns are ensemble means.
+    Every sum is taken here in row order, so the result does not depend on
+    W. The loss columns are ensemble means.
     """
     num_nets = len(snapshot)
     nets = range(num_nets)
     lam = _ramp_weight(config, t, num_nets)
-    train = dataset.multi if num_nets > 1 else dataset.multi[:1]
+    items, n_train, n_probe = _checkpoint_items(dataset, config, num_nets, val_refs)
+    rows = (crew or _Crew(1, num_nets)).run("_checkpoint_row", snapshot, items, config)
+
     agreement, pairs = 0.0, 0
-    rows = _prediction_rows(snapshot, [s.image for s in train], num_nets > 1, caches)
-    for i, row in enumerate(rows):
-        if i == 0:
-            npce = [
-                npce_losses(row, train[0], k, (k + 1) % num_nets, config.alpha, config.beta)
-                for k in nets
-            ]
-        for a in nets:
-            for b in range(a + 1, num_nets):
-                agreement += agreement_fraction(row.masks[a], row.masks[b])
-                pairs += 1
-
-    probe_unann = dataset.unannotated[: config.unannotated_batch]
-    use_ps = config.w_max > 0 and len(probe_unann) > 0
+    for fractions, _ in rows[:n_train]:
+        for fraction in fractions:
+            agreement += fraction
+            pairs += 1
+    npce = rows[0][1]
     l_ps = [0.0] * num_nets
-    if use_ps:
-        for row in _prediction_rows(snapshot, [u.image for u in probe_unann], True, caches):
-            for k in nets:
-                l_ps[k] += mnps_loss(row, k)[0]
-
-    fused: list[float] = []
-    per_net: list[list[float]] = [[] for _ in nets]
-    rows = _prediction_rows(snapshot, [s.image for s in dataset.validation], True, caches)
-    for row, ref in zip(rows, val_refs):
-        # a lone network's average is its own map, whose mask the row holds
-        fused_mask = row.masks[0] if num_nets == 1 else argmax_mask(average_fuse(row.probs))
-        fused.append(_foreground_jaccard(fused_mask, ref))
-        for scores, mask in zip(per_net, row.masks):
-            scores.append(_foreground_jaccard(mask, ref))
+    for row in rows[n_train : n_train + n_probe]:
+        for k in nets:
+            l_ps[k] += row[k]
+    validation = rows[n_train + n_probe :]
 
     l_ma_m = l_pc_m = l_ps_m = total_m = 0.0
     for k in nets:
-        l_ma, l_pc, _ = npce[k]
-        l_ps_k = l_ps[k] / len(probe_unann) if use_ps else 0.0
+        l_ma, l_pc = npce[k]
+        l_ps_k = l_ps[k] / n_probe if n_probe else 0.0
         bd = total_network_loss(l_ma, l_pc, l_ps_k, config.alpha, config.beta, lam)
         l_ma_m += bd.l_ma
         l_pc_m += bd.l_pc
@@ -794,9 +857,9 @@ def _checkpoint(
         lambda_t=lam,
         total=total_m / num_nets,
         agreement=agreement / pairs if pairs else 1.0,
-        val_jaccard=float(np.mean(fused)),
+        val_jaccard=float(np.mean([fused for fused, _ in validation])),
     )
-    return trace_row, [float(np.mean(scores)) for scores in per_net]
+    return trace_row, [float(np.mean([scores[k] for _, scores in validation])) for k in nets]
 
 
 def run_training(dataset: Dataset, config: TrainConfig) -> TrainResult:
@@ -873,14 +936,14 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         best = BestRecord(iteration=0, score=float("nan"), params=list(params))
         return TrainResult(state=state, best=best, config=config)
     use_unannotated = config.w_max > 0 and bool(dataset.unannotated)
-    executors = _executor_count(
-        config.annotated_per_iter + (config.unannotated_batch if use_unannotated else 0)
-    )
+    batch_rows = config.annotated_per_iter + (config.unannotated_batch if use_unannotated else 0)
+    checkpoint_rows = len(_checkpoint_items(dataset, config, num_nets, val_refs)[0])
+    executors = _executor_count(max(batch_rows, checkpoint_rows))
     try:
         with _Crew(executors, num_nets) as crew:
             while True:
                 row, net_scores = _checkpoint(
-                    state.params, dataset, config, state.t, val_refs, crew.caches
+                    state.params, dataset, config, state.t, val_refs, crew
                 )
                 state.record(row, net_scores, config.selection)
                 if state.t == config.total_iters:
@@ -935,6 +998,12 @@ def write_run(result: TrainResult, out: str | Path) -> None:
 
 def load_run(run_dir: str | Path) -> list[ModelParams]:
     """The checkpoints a run directory's manifest names, in network order."""
+    return [load_checkpoint(str(path)) for path in checkpoint_files(run_dir)]
+
+
+def checkpoint_files(run_dir: str | Path) -> list[Path]:
+    """The checkpoint files a run directory's manifest names, in network
+    order; each exists."""
     run_dir = Path(run_dir)
     manifest = run_dir / "manifest.tsv"
     if not manifest.exists():
@@ -950,16 +1019,14 @@ def load_run(run_dir: str | Path) -> list[ModelParams]:
             raise ValueError(f"{manifest}:{lineno}: k must be an integer, got {value!r}")
         entries[key] = value
     k = int(entries["k"]) if "k" in entries else None
-    params = []
-    i = 0
-    while f"net{i}_file" in entries:
-        path = run_dir / entries[f"net{i}_file"]
+    paths = []
+    while f"net{len(paths)}_file" in entries:
+        path = run_dir / entries[f"net{len(paths)}_file"]
         if not path.exists():
             raise FileNotFoundError(f"manifest names missing checkpoint {path}")
-        params.append(load_checkpoint(str(path)))
-        i += 1
-    if not params:
+        paths.append(path)
+    if not paths:
         raise ValueError(f"{manifest} lists no checkpoints")
-    if k is not None and k != len(params):
-        raise ValueError(f"{manifest} says k={k} but lists {len(params)} checkpoints")
-    return params
+    if k is not None and k != len(paths):
+        raise ValueError(f"{manifest} says k={k} but lists {len(paths)} checkpoints")
+    return paths

@@ -8,6 +8,7 @@ import shutil
 import signal
 import threading
 import time
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
 from ambiseg.data import load_dataset, save_tensor
 from ambiseg.fusion import majority_vote
-from ambiseg.model import Architecture, init_params, load_checkpoint
+from ambiseg.model import Architecture, init_params, load_checkpoint, save_checkpoint
 from ambiseg.training import TrainConfig
 
 
@@ -668,20 +669,21 @@ def test_train_without_validation_split_leaves_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def two_executors_with_failing_worker(monkeypatch, hook):
-    """Train on two executors; hook() runs before each backward in the worker."""
+def two_executors_with_failing_worker(monkeypatch, hook, name="backward"):
+    """Train on two executors; hook() runs before each call of training's
+    `name` in the worker."""
     from ambiseg import training
 
     parent = os.getpid()
-    original = training.backward
+    original = getattr(training, name)
 
     def wrapped(*args):
         if os.getpid() != parent:
             hook()
         return original(*args)
 
-    monkeypatch.setattr(training, "_executor_count", lambda images: min(images, 2))
-    monkeypatch.setattr(training, "backward", wrapped)
+    monkeypatch.setattr(training, "_executor_count", lambda rows: min(rows, 2))
+    monkeypatch.setattr(training, name, wrapped)
 
 
 def fail():
@@ -690,6 +692,18 @@ def fail():
 
 def test_train_worker_failure_is_one_error_line(dataset_dir, tmp_path, monkeypatch, capfd):
     two_executors_with_failing_worker(monkeypatch, fail)
+    out = tmp_path / "run"
+    assert entry(train_args(dataset_dir, out)) == 1
+    err = capfd.readouterr().err
+    assert err == "error: training worker 1 failed: RuntimeError: boom in worker\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_train_worker_failure_in_a_checkpoint_is_one_error_line(
+    dataset_dir, tmp_path, monkeypatch, capfd
+):
+    two_executors_with_failing_worker(monkeypatch, fail, "_checkpoint_row")
     out = tmp_path / "run"
     assert entry(train_args(dataset_dir, out)) == 1
     err = capfd.readouterr().err
@@ -860,3 +874,24 @@ def test_eval_out_over_a_dataset_is_an_error(dataset_dir, run_dir, tmp_path, cap
     assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
     assert str(data) in err
     assert tree_digest(data) == before
+
+
+@pytest.mark.parametrize("scope", [[], ["--per-network"]], ids=["fused", "per-network"])
+def test_eval_overflowing_checkpoint_is_an_error(
+    scope, run_dir, dataset_dir, tmp_path, capfd
+):
+    # nine huge but finite layer-1 weights: the checkpoint loads, and its
+    # forward pass overflows
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    params = load_checkpoint(str(run / "net0.msen"))
+    params.flat[:9] = 1.7e308
+    save_checkpoint(params, str(run / "net0.msen"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the test
+        code = entry(["eval", "--run", str(run), "--data", str(dataset_dir), *scope])
+    assert code == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error:") and str(run / "net0.msen") in line

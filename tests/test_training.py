@@ -592,8 +592,8 @@ def test_run_reuses_one_cache_per_network_and_frees_them(w, tiny_dataset, monkey
 
     config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
                          annotated_per_iter=2, unannotated_batch=3)
-    # the recorder sees this process's forwards: with a worker, network
-    # 1's training rows run in the worker, and its checkpoint rows here
+    # the recorder sees this process's forwards: with a worker, every
+    # second row of each iteration and of each checkpoint runs there
     use_executors(monkeypatch, w)
     original = model.forward
     caches = []  # weak references to every distinct cache forward returned
@@ -614,7 +614,7 @@ def test_run_reuses_one_cache_per_network_and_frees_them(w, tiny_dataset, monkey
     result = run_training(tiny_dataset, config)
     assert len(result.trace) == 3  # checkpoints at iterations 0, 2 and 4
 
-    # the first checkpoint's probe row allocates one cache per network;
+    # the first checkpoint's first row allocates one cache per network;
     # every later forward, in the loop and at checkpoints, reuses them
     assert len(caches) == config.k
     assert received[: config.k] == [None] * config.k
@@ -649,11 +649,12 @@ def test_fused_prediction_shares_one_cache_across_networks(monkeypatch):
 def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
     from ambiseg import training
 
-    calls = []
+    # counted in this process and in the workers, which build checkpoint rows
+    calls = SharedCount()
     original = training.argmax_mask
 
     def counted(probs):
-        calls.append(1)
+        calls.add()
         return original(probs)
 
     monkeypatch.setattr(training, "argmax_mask", counted)
@@ -661,7 +662,7 @@ def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
                          annotated_per_iter=2)
     assert config.beta != 0
     result = train_single_annotator(tiny_dataset, config, annotator=1)
-    # only the validation pass takes argmax masks, one per image: a lone
+    # only the validation rows take argmax masks, one per image: a lone
     # network's consistency term never reads a mask, and its fused
     # prediction is its own mask
     n_val = len(tiny_dataset.validation)
@@ -686,10 +687,10 @@ def test_ensemble_agreement_bounds(tiny_dataset):
     config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2)
     refs = validation_references(tiny_dataset.validation)
     params = init_params(Architecture(), seed=3)
-    row, _ = _checkpoint([params, params], tiny_dataset, config, 0, refs, [None, None])
+    row, _ = _checkpoint([params, params], tiny_dataset, config, 0, refs)
     assert row.agreement == 1.0
     other = init_params(Architecture(), seed=4)
-    row, _ = _checkpoint([params, other], tiny_dataset, config, 0, refs, [None, None])
+    row, _ = _checkpoint([params, other], tiny_dataset, config, 0, refs)
     assert 0.0 <= row.agreement <= 1.0
     # the mean over the training images of the two networks' label agreement
     fractions = [
@@ -1031,26 +1032,54 @@ def test_executors_give_byte_identical_runs(
                          annotated_per_iter=2, unannotated_batch=2,
                          **EXECUTOR_VARIANTS[variant])
     images = config.annotated_per_iter + (config.unannotated_batch if config.w_max else 0)
+    # a checkpoint's rows: the training images, the probe batch, validation
+    probe = min(config.unannotated_batch, len(dataset.unannotated)) if config.w_max else 0
+    checkpoint_rows = len(dataset.multi) + probe + len(dataset.validation)
     runs = []
     for w in ws:
         use_executors(monkeypatch, w)
         started = count_workers(monkeypatch)
         runs.append(run_files(run_training, dataset, config, tmp_path / f"w{w}"))
-        assert len(started) == min(w, images) - 1
+        assert len(started) == min(w, max(images, checkpoint_rows)) - 1
     names = ["manifest.tsv", *(f"net{z}.msen" for z in range(k)), "trace.csv"]
     assert list(runs[0]) == names
     assert all(run == runs[0] for run in runs[1:])
 
 
+def count_worker_calls(monkeypatch, name):
+    """Count the calls of training.<name> made in forked workers."""
+    from ambiseg import training
+
+    parent = os.getpid()
+    calls = SharedCount()
+    original = getattr(training, name)
+
+    def counted(*args):
+        if os.getpid() != parent:
+            calls.add()
+        return original(*args)
+
+    monkeypatch.setattr(training, name, counted)
+    return calls
+
+
 def test_single_annotator_runs_in_the_calling_process(tiny_dataset, monkeypatch):
-    # the baseline has no unannotated pool: one image per iteration
+    # the baseline has no unannotated pool: one image per iteration, whose
+    # row the calling process builds; the worker builds checkpoint rows only
     config = TrainConfig(k=2, lr=0.02, total_iters=6, validation_every=3, seed=9,
                          annotated_per_iter=1)
     use_executors(monkeypatch, 2)
     started = count_workers(monkeypatch)
+    worker_steps = count_worker_calls(monkeypatch, "_row_steps")
+    worker_checkpoint_rows = count_worker_calls(monkeypatch, "_checkpoint_row")
     result = train_single_annotator(tiny_dataset, config, annotator=1)
     assert len(result.trace) == 3
-    assert len(started) == 0
+    assert len(started) == 1
+    assert len(worker_steps) == 0
+    # a lone network's checkpoint: one training row, then validation;
+    # the worker builds rows 1, 3, ...
+    rows = 1 + len(tiny_dataset.validation)
+    assert len(worker_checkpoint_rows) == len(result.trace) * (rows // 2)
 
 
 def test_single_annotator_splits_its_batch_across_executors(
@@ -1124,11 +1153,13 @@ def test_each_executor_builds_its_rows_of_the_batch(tiny_dataset, monkeypatch):
 
     state = make_state(config)
     iterations = 3
+    refs = validation_references(tiny_dataset.validation)
     with training._Crew(executors=2, num_nets=2) as crew:
         for _ in range(iterations):
             train_iteration(state, annotated, unannotated, config, crew)
-    # one job and one reply per worker and iteration
-    assert len(sends) == len(receives) == iterations
+        _checkpoint(state.params, tiny_dataset, config, state.t, refs, crew)
+    # one job and one reply per worker, iteration and checkpoint
+    assert len(sends) == len(receives) == iterations + 1
     by_pid = {}
     for pid, r in built.pairs():
         by_pid.setdefault(pid, []).append(r)
@@ -1156,7 +1187,7 @@ def test_crew_builds_rows_of_samples_from_outside_any_dataset():
     peers = [1, 0]
     serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
     with training._Crew(executors=2, num_nets=2) as crew:
-        rows = crew.run(snapshot, batch, peers, config)
+        rows = crew.run("_row_steps", snapshot, batch, peers, config)
     assert step_bytes(rows) == step_bytes(serial)
 
 
@@ -1261,6 +1292,80 @@ def test_worker_failure_ends_the_run(hook, message, tiny_dataset, monkeypatch, c
     assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
     assert "Traceback" not in capfd.readouterr().err
+
+
+def test_worker_killed_in_a_checkpoint_ends_the_run(tiny_dataset, monkeypatch, capfd):
+    from ambiseg import training
+
+    use_executors(monkeypatch, 2)
+    parent = os.getpid()
+    original = training._checkpoint_row
+    built = []  # the worker's own copy counts the worker's rows
+
+    def killed_in_second_checkpoint(*args):
+        if os.getpid() != parent:
+            built.append(1)
+            # the worker builds rows 1, 3 and 5 of each of tiny's
+            # checkpoints, which have 3 + 2 + 2 rows
+            if len(built) > 3:
+                kill_worker()
+        return original(*args)
+
+    monkeypatch.setattr(training, "_checkpoint_row", killed_in_second_checkpoint)
+    config = replace(FAILURE_CONFIG, unannotated_batch=2)
+    message = r"training worker 1 stopped unexpectedly \(exit code -9\)"
+    with pytest.raises(TrainingError, match=message):
+        run_training(tiny_dataset, config)
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+CHECKPOINT_CASES = {
+    "k2": (2, {}),
+    "k3": (3, {}),  # 3 + 2 + 2 rows: an uneven split over two and three executors
+    "lone": (1, {}),
+    "no-probe": (2, dict(w_max=0.0)),
+    "per-network": (2, dict(selection="per-network")),
+}
+
+
+@pytest.fixture(scope="module")
+def k3_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds") / "k3"
+    build_dataset(
+        str(root), n_multi=3, n_unann=3, n_val=2, n_test=1,
+        k=3, seed=23, width=16, height=16,
+    )
+    return load_dataset(str(root))
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
+def test_checkpoint_is_the_same_on_every_crew(case, tiny_dataset, k3_dataset):
+    from ambiseg import training
+
+    nets, changes = CHECKPOINT_CASES[case]
+    dataset = k3_dataset if nets == 3 else tiny_dataset
+    if nets == 1:  # the single-annotator baseline's view of the dataset
+        dataset = replace(
+            dataset,
+            multi=[replace(s, annotations=s.annotations[1:2]) for s in dataset.multi],
+            unannotated=[],
+        )
+    config = TrainConfig(k=2, lr=0.01, total_iters=20, validation_every=10,
+                         unannotated_batch=2, **changes)
+    snapshot = make_nets(nets, seed0=40)
+    refs = validation_references(dataset.validation)
+    t = 10  # a ramp weight above zero
+    results = []
+    for w in (1, 2, 3):
+        with training._Crew(w, nets) as crew:
+            results.append(_checkpoint(snapshot, dataset, config, t, refs, crew))
+    row, net_scores = results[0]
+    assert len(net_scores) == nets
+    assert (row.l_ps != 0) == (nets > 1 and config.w_max > 0)
+    assert (row.agreement != 1.0) == (nets > 1)
+    assert results[1] == results[0]
+    assert results[2] == results[0]
 
 
 def interrupt_soon(delay):
