@@ -1068,13 +1068,21 @@ def test_single_annotator_runs_in_the_calling_process(tiny_dataset, monkeypatch)
     # row the calling process builds; the worker builds checkpoint rows only
     config = TrainConfig(k=2, lr=0.02, total_iters=6, validation_every=3, seed=9,
                          annotated_per_iter=1)
+    from ambiseg import training
+
     use_executors(monkeypatch, 2)
     started = count_workers(monkeypatch)
     worker_steps = count_worker_calls(monkeypatch, "_row_steps")
     worker_checkpoint_rows = count_worker_calls(monkeypatch, "_checkpoint_row")
+    sends = []
+    send = training._Crew._send
+    monkeypatch.setattr(training._Crew, "_send",
+                        lambda crew, *args: sends.append(1) or send(crew, *args))
     result = train_single_annotator(tiny_dataset, config, annotator=1)
     assert len(result.trace) == 3
     assert len(started) == 1
+    # a worker with no rows in an iteration gets no job: one per checkpoint
+    assert len(sends) == len(result.trace)
     assert len(worker_steps) == 0
     # a lone network's checkpoint: one training row, then validation;
     # the worker builds rows 1, 3, ...
