@@ -29,18 +29,18 @@ into the caller's buffers), with the same operands and memory layouts as
 the np.pad + np.tensordot kernels they replace, so results are bitwise
 unchanged.
 
-The input gradient of layer 2 adds each tap's product into a flat
-accumulator: the input grid with one zero row above and below, row after
-row with rows of W, plus one cell at each end. Output pixel (y, x) of tap
-(dy, dx) read input (y + dy - 1, x + dx - 1), which sits at
-(dy * W + dx) + (y * W + x) in the accumulator, so the product of each
-of the nine per-tap GEMMs lands with one contiguous add. The GEMMs are
-those of nine strided adds into a zero-padded grid, called in the same
-(dy, dx) order. The products of the first output column under dx = 0 and
-of the last under dx = 2 read no input and would wrap onto a neighbouring
-row, so they are set to +0.0 first. Adding +0.0 leaves every sum unchanged, since the
-sums start at +0.0 and so are never -0.0: the result is bitwise that of
-the strided adds.
+The input gradient of layer 2 accumulates in its own (C, H, W) output.
+Output pixel (y, x) of tap (dy, dx) read input (y + dy - 1, x + dx - 1),
+which sits s = (dy - 1) * W + (dx - 1) cells after (y, x) in the flat
+gradient, so the whole product of each of the nine per-tap GEMMs lands
+with one contiguous add, shifted by s and clipped to the array. The
+GEMMs are those of nine strided adds into a zero-padded grid, called in
+the same (dy, dx) order. The products that read no input (row 0 under
+dy = 0, the last row under dy = 2, column 0 under dx = 0, the last
+column under dx = 2) would land on a neighbouring row or channel, or off
+either end, so they are set to +0.0 first. Adding +0.0 leaves every sum
+unchanged, since the sums start at +0.0 and so are never -0.0: the
+result is bitwise that of the strided adds.
 """
 
 from __future__ import annotations
@@ -205,15 +205,14 @@ class ForwardCache:
     backward only reads the activations and overwrites the scratch:
     - d2, d1: the gradients at layer 2's and layer 1's pre-activations,
       (hidden, H, W) each;
-    - tap: one tap's product in layer 2's input gradient, (hidden, H, W);
-    - acc: the flat accumulator of that input gradient (see the module
-      docstring), (hidden, (H + 2) * W + 2).
+    - tap: one tap's product in layer 2's input gradient, (hidden, H, W),
+      which d1 accumulates (see the module docstring).
 
     The scratch is None until the first backward on the cache allocates
     it (scratch()); later backwards reuse it, so a training run's caches
     stop allocating after their first backward. Inference never
     backpropagates, so its caches hold activations only: 3.7 MB at 64x64
-    with hidden 8, against 4.8 MB with the scratch. The eval path
+    with hidden 8, against 4.5 MB with the scratch. The eval path
     allocates a cache per call and frees it afterwards. Measured after a
     training run in one process (the benchmark's `ensemble-k2` eval unit,
     two networks, 64x64), that cost about 1 020 minor page faults per test
@@ -232,7 +231,6 @@ class ForwardCache:
     d2: Optional[np.ndarray] = None
     d1: Optional[np.ndarray] = None
     tap: Optional[np.ndarray] = None
-    acc: Optional[np.ndarray] = None
 
     @classmethod
     def allocate(cls, arch: Architecture, height: int, width: int) -> "ForwardCache":
@@ -250,15 +248,14 @@ class ForwardCache:
             act2=np.empty(act),
         )
 
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """backward's (d2, d1, tap, acc), allocated by the first call."""
-        if self.acc is None:
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """backward's (d2, d1, tap), allocated by the first call."""
+        if self.tap is None:
             act = (self.arch.hidden, self.height, self.width)
             self.d2 = np.empty(act)
             self.d1 = np.empty(act)
             self.tap = np.empty(act)
-            self.acc = np.empty((self.arch.hidden, (self.height + 2) * self.width + 2))
-        return self.d2, self.d1, self.tap, self.acc
+        return self.d2, self.d1, self.tap
 
 
 def _zero_bordered_cols(channels: int, height: int, width: int) -> np.ndarray:
@@ -346,32 +343,35 @@ def _conv3_param_grads(
 
 
 def _conv3_input_grad(
-    w: np.ndarray, gout: np.ndarray, out: np.ndarray, tap: np.ndarray, acc: np.ndarray
+    w: np.ndarray, gout: np.ndarray, out: np.ndarray, tap: np.ndarray
 ) -> None:
-    """Input gradient of a 3x3 SAME convolution into out, shape (C, H, W).
+    """Input gradient of a 3x3 SAME convolution into out, a contiguous
+    (C, H, W) array.
 
-    tap (C, H, W) and acc (C, (H + 2) * W + 2) are scratch. Each tap's
-    product lands on the input pixels it read with one contiguous add, in
-    (dy, dx) order starting from +0.0 (see the module docstring).
+    tap (C, H, W) is scratch. out is the accumulator: each tap's product,
+    its out-of-image part set to +0.0, is added to it whole, shifted onto
+    the input pixels it read, in (dy, dx) order starting from +0.0 (see
+    the module docstring).
     """
     _, h, width = gout.shape
-    n = h * width
     gout_2d = gout.reshape(gout.shape[0], -1)
     tap_2d = tap.reshape(tap.shape[0], -1)
-    # per dx, the output column whose products read no input and would
-    # wrap onto a neighbouring row
-    wrapping = (0, None, width - 1)
-    acc.fill(0.0)
+    flat, tap_flat = out.reshape(-1), tap.reshape(-1)
+    size = flat.shape[0]
+    # per tap offset, the output row (dy) or column (dx) that reads no input
+    outside = (0, None, -1)
+    out.fill(0.0)
     for dy in range(3):
         for dx in range(3):
             np.dot(w[:, :, dy, dx].T, gout_2d, out=tap_2d)
-            if wrapping[dx] is not None:
-                tap[:, :, wrapping[dx]] = 0.0
-            offset = dy * width + dx
-            acc[:, offset : offset + n] += tap_2d
-    # a contiguous copy: the masking and GEMM that follow run faster on it
-    # than on the strided interior of acc
-    out.reshape(out.shape[0], -1)[...] = acc[:, width + 1 : width + 1 + n]
+            if outside[dy] is not None:
+                tap[:, outside[dy], :] = 0.0
+            if outside[dx] is not None:
+                tap[:, :, outside[dx]] = 0.0
+            shift = (dy - 1) * width + (dx - 1)
+            lo, hi = max(shift, 0), min(size, size + shift)
+            if lo < hi:
+                flat[lo:hi] += tap_flat[lo - shift : hi - shift]
 
 
 def backward(
@@ -392,7 +392,7 @@ def backward(
         raise ShapeError(
             f"grad_logits shape {grad_logits.shape} != ({n}, {arch.num_classes})"
         )
-    d2, d1, tap, acc = cache.scratch()
+    d2, d1, tap = cache.scratch()
     p = params.unpack()
     grad = np.empty(param_count(arch))
     g = _unpack(arch, grad)
@@ -409,7 +409,7 @@ def backward(
 
     d2 *= cache.pre2 > 0.0  # d_act2 -> d_pre2
     _conv3_param_grads(cache.cols2, d2, g["w2"], g["b2"])
-    _conv3_input_grad(p["w2"], d2, d1, tap, acc)
+    _conv3_input_grad(p["w2"], d2, d1, tap)
 
     # the image is not a parameter, so layer 1's input gradient is never formed
     d1 *= cache.pre1 > 0.0  # d_act1 -> d_pre1

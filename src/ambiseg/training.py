@@ -494,7 +494,7 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
 
     try:
         with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            paths = _openblas_paths(maps)
     except OSError:
         return []
     controls = []
@@ -512,6 +512,17 @@ def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int],
                     set_.argtypes, set_.restype = [ctypes.c_int], None
                     controls.append((get, set_))
     return controls
+
+
+def _openblas_paths(maps_lines: Iterable[str]) -> set[str]:
+    """The OpenBLAS pathnames among /proc/<pid>/maps lines. A pathname is
+    the sixth field and everything after it, so it may hold spaces."""
+    paths = set()
+    for line in maps_lines:
+        fields = line.rstrip("\n").split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in fields[5].lower():
+            paths.add(fields[5])
+    return paths
 
 
 # messages a worker sends: (tag, body)

@@ -298,22 +298,21 @@ def test_inference_caches_hold_no_backward_scratch(monkeypatch):
     # one cache per call: predict_probs, fused_probs, the rows' shared one
     assert len(allocated) == 3
     for cache in allocated:
-        assert all(a is None for a in (cache.d2, cache.d1, cache.tap, cache.acc))
+        assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
 
 
 def test_first_backward_allocates_scratch_and_later_ones_reuse_it():
     params, image, rng = odd_case(3, 3, 9, 7, seed=14)
     logits, cache = forward(params, image)
-    assert cache.acc is None
+    assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
     backward(params, cache, rng.normal(size=logits.shape))
-    scratch = (cache.d2, cache.d1, cache.tap, cache.acc)
-    assert all(isinstance(a, np.ndarray) for a in scratch)
-    assert scratch[0].shape == (5, 9, 7) and scratch[3].shape == (5, 11 * 7 + 2)
+    scratch = (cache.d2, cache.d1, cache.tap)
+    assert all(isinstance(a, np.ndarray) and a.shape == (5, 9, 7) for a in scratch)
+    assert len({id(a) for a in scratch}) == 3
     forward(params, image, cache)
     backward(params, cache, rng.normal(size=logits.shape))
     assert all(
-        now is before
-        for now, before in zip((cache.d2, cache.d1, cache.tap, cache.acc), scratch)
+        now is before for now, before in zip((cache.d2, cache.d1, cache.tap), scratch)
     )
 
 
@@ -325,10 +324,13 @@ def relu_masked_gout(rng, channels, height, width):
 
 
 # (in_channels, out_channels, height, width): 1xN, Nx1, 2x2, 1x1, odd
-# non-square grids, in != out, and 16 or more out channels, where BLAS
-# sums a column differently when the GEMM's column count changes
+# non-square grids, in != out, one input channel on one row (where the
+# gradient is shorter than a tap's shift), 16 or more out channels, where
+# BLAS sums a column differently when the GEMM's column count changes, and
+# the benchmark's two grids
 INPUT_GRAD_CASES = [
     (8, 8, 1, 9),
+    (1, 4, 1, 9),
     (8, 8, 9, 1),
     (8, 8, 2, 2),
     (8, 8, 1, 1),
@@ -338,6 +340,9 @@ INPUT_GRAD_CASES = [
     (8, 16, 2, 2),
     (16, 16, 3, 5),
     (4, 20, 12, 11),
+    (8, 8, 32, 32),
+    (8, 8, 64, 64),
+    (16, 16, 33, 65),
 ]
 
 
@@ -348,15 +353,12 @@ def test_conv3_input_grad_bitwise_equal_to_reference(cin, cout, height, width):
     # the scratch of two grids in turn: the second call at each shape
     # finds its scratch holding the first call's values
     other = (height + 1, width + 2)
-    scratch = {
-        shape: (np.empty((cin, *shape)), np.empty((cin, (shape[0] + 2) * shape[1] + 2)))
-        for shape in ((height, width), other)
-    }
+    scratch = {shape: np.empty((cin, *shape)) for shape in ((height, width), other)}
     for shape in ((height, width), other, (height, width), other):
         gout = relu_masked_gout(rng, cout, *shape)
         assert np.any(np.signbit(gout) & (gout == 0.0))
         out = np.full((cin, *shape), np.nan)
-        _conv3_input_grad(w, gout, out, *scratch[shape])
+        _conv3_input_grad(w, gout, out, scratch[shape])
         want = ref_conv3_input_grad(w, gout)
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64)), shape
 
