@@ -1121,9 +1121,9 @@ def test_openblas_paths_are_read_whole_from_maps_lines():
         f"7f2a1c200000-7f2a1c400000 rw-p 00200000 08:01 131  {lib}\n",
         "7f2a1d000000-7f2a1d100000 r-xp 00000000 08:01 77   /usr/lib/libm.so.6\n",
         "7f2a1e000000-7f2a1e021000 rw-p 00000000 00:00 0 \n",
-        "7f2a1f000000-7f2a1f100000 r-xp 00000000 08:01 99   /opt/OpenBLAS/libopenblas.so",
+        "7f2a1f000000-7f2a1f100000 r-xp 00000000 08:01 99   /usr/local/lib/libopenblas.so",
     ]
-    assert training._openblas_paths(lines) == {lib, "/opt/OpenBLAS/libopenblas.so"}
+    assert training._openblas_paths(lines) == {lib, "/usr/local/lib/libopenblas.so"}
 
 
 class SharedLog:
