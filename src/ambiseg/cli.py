@@ -24,7 +24,13 @@ from . import __version__
 from .data import (
     GenerationError, build_dataset, load_dataset, publish, text_lines, write_dataset,
 )
-from .fusion import FUSION_STRATEGIES, average_fuse, fuse_annotations
+from .fusion import (
+    FUSION_STRATEGIES,
+    STAPLE_MAX_ITER,
+    average_fuse,
+    fuse_annotations,
+    staple_runs,
+)
 from .masks import LabelMask, argmax_mask
 from .metrics import evaluate_masks
 from .model import gradient_check_report
@@ -245,10 +251,22 @@ def cmd_fuse(ns: argparse.Namespace) -> int:
     dataset = load_dataset(ns.data)
     rng = np.random.default_rng(ns.seed)
     annotated = dataset.multi + dataset.validation
+    runs = []  # STAPLE's binary EM runs
     for sample in annotated:
-        sample.annotations = [fuse_annotations(ns.strategy, sample.annotations, rng=rng)]
+        if ns.strategy == "staple":
+            fused, sample_runs = staple_runs(sample.annotations)
+            runs += sample_runs
+        else:
+            fused = fuse_annotations(ns.strategy, sample.annotations, rng=rng)
+        sample.annotations = [fused]
     out = write_dataset(ns.out, dataset)
     print(f"fused {len(annotated)} samples with strategy {ns.strategy} into {out}")
+    if ns.strategy == "staple":
+        capped = sum(not run.converged for run in runs)
+        print(
+            f"staple: {capped} of {len(runs)} binary EM runs stopped at the "
+            f"{STAPLE_MAX_ITER}-iteration cap without converging"
+        )
     return 0
 
 

@@ -169,9 +169,17 @@ def staple_binary(masks: Sequence[LabelMask]) -> StapleResult:
 
 def staple_fuse(masks: Sequence[LabelMask]) -> LabelMask:
     """STAPLE for any class count: one-vs-rest posteriors, then argmax."""
+    return staple_runs(masks)[0]
+
+
+def staple_runs(masks: Sequence[LabelMask]) -> tuple[LabelMask, list[StapleResult]]:
+    """staple_fuse's mask and the binary EM runs behind it: one for binary
+    masks, else one per class (class c against the rest)."""
     first = _check_same_shape(masks)
     if first.num_classes == 2:
-        return staple_binary(masks).fused
+        result = staple_binary(masks)
+        return result.fused, [result]
+    runs = []
     posteriors = np.empty((first.num_classes, first.size))
     for c in range(first.num_classes):
         binarized = [
@@ -183,14 +191,16 @@ def staple_fuse(masks: Sequence[LabelMask]) -> LabelMask:
             )
             for m in masks
         ]
-        posteriors[c] = staple_binary(binarized).weights
+        runs.append(staple_binary(binarized))
+        posteriors[c] = runs[-1].weights
     winners = np.argmax(posteriors, axis=0)
-    return LabelMask(
+    fused = LabelMask(
         width=first.width,
         height=first.height,
         num_classes=first.num_classes,
         labels=winners,
     )
+    return fused, runs
 
 
 def fuse_annotations(

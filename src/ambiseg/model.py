@@ -29,6 +29,19 @@ into the caller's buffers), with the same operands and memory layouts as
 the np.pad + np.tensordot kernels they replace, so results are bitwise
 unchanged.
 
+Each 3x3 layer reads its input from a zero-ended buffer of shape
+(C, (H+2)*W + 2): the (C, H, W) grid sits at offset W + 1, with W + 1
+zero cells before it and W + 1 after it. Layer 1's input is copied there,
+and layer 1's ReLU writes layer 2's input there directly. Tap (dy, dx) of
+pixel p = y*W + x reads input (y + dy - 1, x + dx - 1), which is buffer
+cell p + dy*W + dx. So the nine taps of every pixel form one read-only
+(C, 3, 3, H*W) strided view of the buffer, and im2col is one copy from
+it. A tap above the first row or below the last reads a zero end. A tap
+left of column 0 or right of column W - 1 reads the last cell of the row
+above or the first cell of the row below instead, so after the copy,
+column 0 of every dx = 0 tap and column W - 1 of every dx = 2 tap are set
+to +0.0. The columns are then bitwise those of the zero-padded grid.
+
 The input gradient of layer 2 accumulates in its own (C, H, W) output.
 Output pixel (y, x) of tap (dy, dx) read input (y + dy - 1, x + dx - 1),
 which sits s = (dy - 1) * W + (dx - 1) cells after (y, x) in the flat
@@ -198,9 +211,10 @@ class ForwardCache:
     A cache is a set of buffers sized for one architecture and image
     shape. forward overwrites every activation buffer of a cache it is
     given, so a cache describes only the latest forward that received it.
-    The im2col buffers (cols1, cols2) keep the zero borders written when
-    the cache was created: forward writes only the in-image part of each
-    tap.
+    x1 and x2 are the zero-ended inputs of layers 1 and 2 (see the module
+    docstring), and act1 is a view of x2's grid. Their zero ends are
+    written when the cache is created, and no forward writes them; every
+    other cell of every buffer is rewritten by each forward.
 
     backward only reads the activations and overwrites the scratch:
     - d2, d1: the gradients at layer 2's and layer 1's pre-activations,
@@ -215,15 +229,17 @@ class ForwardCache:
     with hidden 8, against 4.5 MB with the scratch. The eval path
     allocates a cache per call and frees it afterwards. Measured after a
     training run in one process (the benchmark's `ensemble-k2` eval unit,
-    two networks, 64x64), that cost about 1 020 minor page faults per test
-    image when allocate also made the scratch, and 27 without it.
+    two networks, 64x64), the first eval pass took about 15 minor page
+    faults per test image and later passes none.
     """
 
     arch: Architecture
     width: int
     height: int
+    x1: np.ndarray
     cols1: np.ndarray
     pre1: np.ndarray
+    x2: np.ndarray
     act1: np.ndarray
     cols2: np.ndarray
     pre2: np.ndarray
@@ -236,14 +252,17 @@ class ForwardCache:
     def allocate(cls, arch: Architecture, height: int, width: int) -> "ForwardCache":
         """Activation buffers for one forward; no backward scratch."""
         act = (arch.hidden, height, width)
+        x2 = _zero_ended(arch.hidden, height, width)
         return cls(
             arch=arch,
             width=width,
             height=height,
-            cols1=_zero_bordered_cols(arch.in_channels, height, width),
+            x1=_zero_ended(arch.in_channels, height, width),
+            cols1=np.empty((arch.in_channels, 3, 3, height, width)),
             pre1=np.empty(act),
-            act1=np.empty(act),
-            cols2=_zero_bordered_cols(arch.hidden, height, width),
+            x2=x2,
+            act1=_interior(x2, height, width),
+            cols2=np.empty((arch.hidden, 3, 3, height, width)),
             pre2=np.empty(act),
             act2=np.empty(act),
         )
@@ -258,35 +277,45 @@ class ForwardCache:
         return self.d2, self.d1, self.tap
 
 
-def _zero_bordered_cols(channels: int, height: int, width: int) -> np.ndarray:
-    """Uninitialized (C, 3, 3, H, W) im2col columns whose out-of-image
-    entries, the ones _im2col3 never writes, are zero."""
-    cols = np.empty((channels, 3, 3, height, width))
-    cols[:, 0, :, 0, :] = 0.0  # dy = 0 reads above row 0
-    cols[:, 2, :, height - 1, :] = 0.0  # dy = 2 reads below the last row
-    cols[:, :, 0, :, 0] = 0.0  # dx = 0 reads left of column 0
-    cols[:, :, 2, :, width - 1] = 0.0  # dx = 2 reads right of the last column
-    return cols
+def _zero_ended(channels: int, height: int, width: int) -> np.ndarray:
+    """Uninitialized (C, (H+2)*W + 2) layer input whose W + 1 cells at
+    each end, the ones no forward writes, are zero; the (C, H, W) grid
+    sits between them (_interior)."""
+    buf = np.empty((channels, (height + 2) * width + 2))
+    buf[:, : width + 1] = 0.0
+    buf[:, -(width + 1) :] = 0.0
+    return buf
 
 
-def _taps(n: int) -> tuple[tuple[slice, slice], ...]:
-    """(output, input) slices along one axis of length n for the three 3x3
-    tap offsets of a SAME convolution: output index i reads input i + d - 1
-    when that lies inside [0, n), and sees zero padding otherwise."""
-    return (
-        (slice(1, n), slice(0, n - 1)),
-        (slice(0, n), slice(0, n)),
-        (slice(0, n - 1), slice(1, n)),
+def _interior(buf: np.ndarray, height: int, width: int) -> np.ndarray:
+    """The (C, H, W) grid of a zero-ended buffer, as a view."""
+    return buf[:, width + 1 : width + 1 + height * width].reshape(-1, height, width)
+
+
+def _tap_view(buf: np.ndarray, width: int) -> np.ndarray:
+    """Read-only (C, 3, 3, H*W) view of zero-ended buf whose [c, dy, dx, p]
+    is channel c's cell p + dy*W + dx: tap (dy, dx) of pixel p. Its last
+    element is the buffer's last cell."""
+    channels, cells = buf.shape
+    item = buf.itemsize
+    view = np.ndarray(
+        (channels, 3, 3, cells - 2 * width - 2),
+        dtype=buf.dtype,
+        buffer=buf,
+        strides=(buf.strides[0], width * item, item, item),
     )
+    view.flags.writeable = False
+    return view
 
 
-def _im2col3(x: np.ndarray, cols: np.ndarray) -> None:
-    """Write the nine 3x3 taps of zero-padded (C, H, W) x into cols,
-    shape (C, 3, 3, H, W), whose out-of-image border is already zero."""
-    _, h, w = x.shape
-    for dy, (rows_out, rows_in) in enumerate(_taps(h)):
-        for dx, (cols_out, cols_in) in enumerate(_taps(w)):
-            cols[:, dy, dx, rows_out, cols_out] = x[:, rows_in, cols_in]
+def _im2col3(buf: np.ndarray, cols: np.ndarray) -> None:
+    """Write the nine 3x3 taps of zero-ended buf into cols, shape
+    (C, 3, 3, H, W): one copy from the tap view, then zeros over the
+    cells that wrapped round a row end (see the module docstring)."""
+    channels, _, _, h, w = cols.shape
+    np.copyto(cols.reshape(channels, 3, 3, h * w), _tap_view(buf, w))
+    cols[:, :, 0, :, 0] = 0.0  # dx = 0 reads left of column 0
+    cols[:, :, 2, :, w - 1] = 0.0  # dx = 2 reads right of the last column
 
 
 def _conv3_from_cols(
@@ -321,10 +350,11 @@ def forward(
     if cache is None or (cache.arch, cache.height, cache.width) != (arch, *shape):
         cache = ForwardCache.allocate(arch, *shape)
     p = params.unpack()
-    _im2col3(image.planes(), cache.cols1)
+    np.copyto(_interior(cache.x1, *shape), image.planes())
+    _im2col3(cache.x1, cache.cols1)
     _conv3_from_cols(cache.cols1, p["w1"], p["b1"], cache.pre1)
-    np.maximum(cache.pre1, 0.0, out=cache.act1)
-    _im2col3(cache.act1, cache.cols2)
+    np.maximum(cache.pre1, 0.0, out=cache.act1)  # the interior of x2
+    _im2col3(cache.x2, cache.cols2)
     _conv3_from_cols(cache.cols2, p["w2"], p["b2"], cache.pre2)
     np.maximum(cache.pre2, 0.0, out=cache.act2)
     logits_cn = np.dot(p["w3"][:, :, 0, 0], cache.act2.reshape(arch.hidden, -1))

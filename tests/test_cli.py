@@ -17,8 +17,8 @@ import pytest
 
 from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
-from ambiseg.data import load_dataset, save_tensor
-from ambiseg.fusion import majority_vote
+from ambiseg.data import AnnotatorProfile, build_dataset, load_dataset, save_tensor
+from ambiseg.fusion import STAPLE_MAX_ITER, majority_vote, staple_binary
 from ambiseg.model import Architecture, init_params, load_checkpoint, save_checkpoint
 from ambiseg.training import TrainConfig
 
@@ -477,6 +477,57 @@ def test_fuse_staple_runs(dataset_dir, tmp_path):
     ])
     assert code == 0
     assert load_dataset(str(out)).k == 1
+
+
+# the benchmark's K=2 raters: one over-segments by 2 px, one is unbiased
+BIASED_RATERS = [
+    AnnotatorProfile(bias_radius=2.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=1000),
+    AnnotatorProfile(bias_radius=0.0, jitter_amplitude=0.8, jitter_scale=12.0, seed=1007),
+]
+UNANIMOUS_RATERS = [
+    AnnotatorProfile(bias_radius=0.0, jitter_amplitude=0.0, jitter_scale=12.0, seed=s)
+    for s in (1, 2)
+]
+
+
+@pytest.mark.parametrize("raters", [BIASED_RATERS, UNANIMOUS_RATERS],
+                         ids=["biased", "unanimous"])
+def test_fuse_staple_reports_runs_stopped_at_the_cap(raters, tmp_path, capsys):
+    # at 64x64 the biased pair's EM is still moving at the cap
+    source = build_dataset(tmp_path / "ds", n_multi=2, n_unann=0, n_val=1, n_test=0,
+                           k=2, profiles=raters, seed=5)
+    dataset = load_dataset(source)
+    capped = sum(not staple_binary(s.annotations).converged
+                 for s in dataset.multi + dataset.validation)
+    assert capped == (3 if raters is BIASED_RATERS else 0)
+    capsys.readouterr()
+    assert entry([
+        "fuse", "--data", str(source), "--out", str(tmp_path / "f"), "--strategy", "staple",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("fused 3 samples with strategy staple")
+    assert lines[1:] == [
+        f"staple: {capped} of 3 binary EM runs stopped at the "
+        f"{STAPLE_MAX_ITER}-iteration cap without converging"
+    ]
+
+
+def test_fuse_staple_counts_one_run_per_class(tmp_path, capsys):
+    source = build_dataset(tmp_path / "ds", n_multi=2, n_unann=0, n_val=0, n_test=0,
+                           k=3, width=16, height=16, nested=True)
+    assert entry([
+        "fuse", "--data", str(source), "--out", str(tmp_path / "f"), "--strategy", "staple",
+    ]) == 0
+    assert " of 6 binary EM runs " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("strategy", ["average-vote", "random"])
+def test_only_staple_reports_em_runs(strategy, dataset_dir, tmp_path, capsys):
+    assert entry([
+        "fuse", "--data", str(dataset_dir), "--out", str(tmp_path / "f"),
+        "--strategy", strategy,
+    ]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_fuse_unknown_strategy(dataset_dir, tmp_path):

@@ -14,6 +14,10 @@ from ambiseg.model import (
     ImageTensor,
     ModelParams,
     _conv3_input_grad,
+    _im2col3,
+    _interior,
+    _tap_view,
+    _zero_ended,
     adam_step,
     backward,
     forward,
@@ -236,6 +240,79 @@ def test_forward_into_reused_cache_equals_fresh_forward(
     assert np.array_equal(logits, fresh_logits)
     for name in CACHE_FIELDS:
         assert np.array_equal(getattr(reused, name), getattr(fresh, name)), name
+
+
+# (height, width): one cell; one row (both zero ends read); one column
+# (the zeroed column 0 of dx = 0 and column W-1 of dx = 2 coincide); 2x2;
+# an odd non-square grid; the benchmark's two grids
+IM2COL_GRIDS = [(1, 1), (1, 9), (9, 1), (2, 2), (33, 65), (32, 32), (64, 64)]
+
+
+def zero_ended_input(rng, channels, height, width):
+    """A zero-ended buffer holding a random grid with +0.0 and -0.0 cells."""
+    x = rng.uniform(-1, 1, size=(channels, height, width))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    buf = _zero_ended(channels, height, width)
+    _interior(buf, height, width)[...] = x
+    return buf, x
+
+
+@pytest.mark.parametrize("channels", [1, 8])
+@pytest.mark.parametrize("height,width", IM2COL_GRIDS)
+def test_im2col3_bitwise_equal_to_reference(channels, height, width):
+    rng = np.random.default_rng(height * 100 + width + channels)
+    buf, x = zero_ended_input(rng, channels, height, width)
+    cols = np.full((channels, 3, 3, height, width), np.nan)  # every cell is rewritten
+    _im2col3(buf, cols)
+    assert np.array_equal(cols.view(np.uint64), ref_im2col3(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("height,width", IM2COL_GRIDS[:5])
+def test_tap_view_spans_its_buffer(channels, height, width):
+    buf = _zero_ended(channels, height, width)
+    view = _tap_view(buf, width)
+    assert view.shape == (channels, 3, 3, height * width)
+    assert not view.flags.writeable
+    address = lambda a: a.__array_interface__["data"][0]
+    # tap (dy, dx) of pixel p reads cell p + dy*W + dx
+    assert address(view[0, 0, 0, :1]) == address(buf[0, :1])
+    assert address(view[-1, 2, 2, -1:]) == address(buf[-1, -1:])
+    assert address(view[-1, 1, 1, :1]) == address(_interior(buf, height, width)[-1])
+    ends = np.concatenate([buf[:, : width + 1], buf[:, -(width + 1) :]], axis=1)
+    assert ends.shape == (channels, 2 * width + 2)
+    assert not ends.view(np.uint64).any()  # +0.0, not -0.0
+
+
+def test_forward_keeps_the_zero_ends():
+    params, image, rng = odd_case(3, 2, 7, 5, seed=9)
+    _, cache = forward(params, image)
+    other = ImageTensor.from_planes(-rng.uniform(0.5, 2, size=(3, 7, 5)))
+    forward(params, other, cache)
+    for buf in (cache.x1, cache.x2):
+        for end in (buf[:, :6], buf[:, -6:]):  # W + 1 cells each
+            assert not end.view(np.uint64).any()  # +0.0, not -0.0
+    assert np.shares_memory(cache.act1, cache.x2)
+
+
+@pytest.mark.parametrize("in_channels,num_classes,height,width", ODD_SHAPES)
+def test_forward_into_a_cache_full_of_garbage(in_channels, num_classes, height, width):
+    params, image, rng = odd_case(in_channels, num_classes, height, width, seed=12)
+    _, cache = forward(params, image)
+    # finite garbage of the opposite sign pattern in every buffer but
+    # the zero ends, as a previous image of another sign could leave it
+    _interior(cache.x1, height, width)[...] = -image.planes() - 3.0
+    for name in CACHE_FIELDS:
+        buf = getattr(cache, name)
+        buf[...] = -np.sign(buf) * rng.uniform(1, 1e3, size=buf.shape)
+    logits, reused = forward(params, image, cache)
+    assert reused is cache
+    want_logits, acts = ref_forward(params, image)
+    assert np.array_equal(logits, want_logits)
+    for name in CACHE_FIELDS:
+        assert np.array_equal(getattr(cache, name).view(np.uint64),
+                              acts[name].view(np.uint64)), name
 
 
 def test_forward_replaces_a_cache_that_does_not_fit():
