@@ -14,13 +14,12 @@ import numpy as np
 
 from ambiseg import (
     TrainConfig,
-    argmax_mask,
     build_dataset,
     jaccard,
     load_dataset,
     run_training,
 )
-from ambiseg.training import fused_probs
+from ambiseg.training import fused_prediction
 
 with tempfile.TemporaryDirectory() as tmp:
     build_dataset(
@@ -47,8 +46,7 @@ with tempfile.TemporaryDirectory() as tmp:
           f"(validation {result.best.score:.4f})")
 
     scores = [
-        jaccard(argmax_mask(fused_probs(result.best.params, s.image)),
-                s.clean_gt, 1)
+        jaccard(fused_prediction(result.best.params, s.image), s.clean_gt, 1)
         for s in dataset.test
     ]
     print(f"fused test overlap vs clean shapes: {np.mean(scores):.4f} "

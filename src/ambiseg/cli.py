@@ -24,20 +24,14 @@ from . import __version__
 from .data import (
     GenerationError, build_dataset, load_dataset, publish, text_lines, write_dataset,
 )
-from .fusion import (
-    FUSION_STRATEGIES,
-    STAPLE_MAX_ITER,
-    average_fuse,
-    fuse_annotations,
-    staple_runs,
-)
-from .masks import LabelMask, argmax_mask
+from .fusion import FUSION_STRATEGIES, STAPLE_MAX_ITER, fuse_annotations, staple_runs
 from .metrics import evaluate_masks
 from .model import gradient_check_report
 from .training import (
     TrainConfig,
     TrainingError,
-    _prediction_rows,
+    _Crew,
+    _executor_count,
     checkpoint_files,
     config_hash,
     load_run,
@@ -100,6 +94,12 @@ def resolved_config(config: TrainConfig, data: Path, extras: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_out_is_not_data(data: Path, out: Path) -> None:
+    """An --out that resolves to --data would replace the source."""
+    if out.resolve() == data.resolve():
+        raise UsageError(f"--out {out} is the --data directory; it would be replaced")
+
+
 def check_seed(ns: argparse.Namespace) -> None:
     """numpy seeds are non-negative integers."""
     if ns.seed < 0:
@@ -144,10 +144,7 @@ def cmd_train(ns: argparse.Namespace) -> int:
         raise UsageError("train requires --data (or data= in the config file)")
     if out_path is None:
         raise UsageError("train requires --out (or out= in the config file)")
-    if out_path.resolve() == data_path.resolve():
-        raise UsageError(
-            f"--out {out_path} is the --data directory; the run would replace it"
-        )
+    check_out_is_not_data(data_path, out_path)
     # rename(2) would refuse a run directory over it, but only after training
     if out_path.exists() and not out_path.is_dir():
         raise NotADirectoryError(f"--out {out_path} exists and is not a directory")
@@ -193,33 +190,30 @@ def cmd_train(ns: argparse.Namespace) -> int:
 def cmd_eval(ns: argparse.Namespace) -> int:
     run_dir = Path(ns.run)
     data_path = Path(ns.data)
+    # the report is a file, which rename(2) would refuse over a directory
+    if ns.out and Path(ns.out).is_dir():
+        raise IsADirectoryError(f"--out {ns.out} exists and is a directory")
     params = load_run(run_dir)
     dataset = load_dataset(data_path)
     if not dataset.test:
         raise ValueError(f"dataset at {data_path} has no test split")
 
     refs = [s.clean_gt for s in dataset.test]
-    # one forward per (network, image); the fused scope averages the same
-    # probabilities the per-network scopes take their argmax of
-    fused: list[LabelMask] = []
-    per_net: list[list[LabelMask]] = [[] for _ in params]
-    # a loadable checkpoint can still overflow: its outputs are checked
-    # here, so it fails naming its file instead of warning
-    with np.errstate(all="ignore"):
-        rows = _prediction_rows(params, [s.image for s in dataset.test], ns.per_network)
-        for i, row in enumerate(rows):
-            for z, probs in enumerate(row.probs):
-                if not np.isfinite(probs.probs).all():
-                    raise ValueError(
-                        f"{checkpoint_files(run_dir)[z]}: network {z} gives "
-                        f"non-finite probabilities on test image {i}"
-                    )
-            fused.append(argmax_mask(average_fuse(row.probs)))
-            for preds, mask in zip(per_net, row.masks):
-                preds.append(mask)
+    # one forward per (network, image) on the executors; a loadable
+    # checkpoint can still overflow, so a row names it instead of warning
+    executors = _executor_count(len(refs))
+    with np.errstate(all="ignore"), _Crew(executors, len(params), "eval") as crew:
+        rows = crew.run("_fused_row", params, [s.image for s in dataset.test], ns.per_network)
+    fused, per_net, bad = zip(*rows)
+    for i, z in enumerate(bad):
+        if z is not None:
+            raise ValueError(
+                f"{checkpoint_files(run_dir)[z]}: network {z} gives "
+                f"non-finite probabilities on test image {i}"
+            )
     scopes = [("fused", fused)]
     if ns.per_network:
-        scopes += [(f"net{i}", preds) for i, preds in enumerate(per_net)]
+        scopes += [(f"net{z}", preds) for z, preds in enumerate(zip(*per_net))]
 
     lines = ["network,class,jaccard,dice"]
     summary = []
@@ -248,6 +242,7 @@ def cmd_fuse(ns: argparse.Namespace) -> int:
             f"unknown strategy {ns.strategy!r}; choose from {FUSION_STRATEGIES}"
         )
     check_seed(ns)
+    check_out_is_not_data(Path(ns.data), Path(ns.out))
     dataset = load_dataset(ns.data)
     rng = np.random.default_rng(ns.seed)
     annotated = dataset.multi + dataset.validation

@@ -31,8 +31,9 @@ gradients still add up in batch order (annotated samples, then
 unannotated ones), so results are bit-identical to a learner-major loop
 that computes each learner's losses on its own. A checkpoint is one pass
 of rows over the training images, the probe's unannotated images and the
-validation split, with no backward pass; fused prediction uses the same
-rows.
+validation split, with no backward pass. One prediction function,
+_fused_row, makes a row's fused mask and, on request, each network's, for
+checkpoint validation, fused_prediction and `ambiseg eval` alike.
 
 Executors: networks share nothing but hard predictions on the same image
 (a peer's argmax mask in the consistency term, the peers' consensus in
@@ -45,6 +46,8 @@ function over a list of items, item r on executor r mod W: _row_steps
 over an iteration's batch, _checkpoint_row over a checkpoint's images.
 W = min(rows of the run's largest job, usable cores), where the largest
 job is an iteration's batch or a checkpoint's rows, whichever has more.
+`ambiseg eval` makes a crew of its own, W = min(test images, usable
+cores), and maps _fused_row over the test images.
 The calling process is executor 0; W - 1 workers are forked (start
 method "fork", named explicitly) once per run, and a crew of one forks
 nothing. A worker knows only its job: the calling process draws the
@@ -76,9 +79,9 @@ rows alike) writes z's activations into cache z. The crew owns executor
 0's caches, and each worker keeps its own. A cache is overwritten by the
 next forward that receives it, so a row's activations are valid only
 until the next row is built; backward only reads them. The run's caches
-die with the run: no returned object references them. Rows built without
-caches share one cache of their own across the networks, since nothing
-backpropagates through them; train_iteration and _checkpoint called
+die with the run: no returned object references them. fused_prediction
+shares one cache of its own across the networks, since nothing
+backpropagates through it; train_iteration and _checkpoint called
 without a crew use one cache per network for that call.
 """
 
@@ -91,7 +94,7 @@ import pickle
 from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -302,22 +305,24 @@ def _prediction_row(
     return row
 
 
-def _prediction_rows(
-    params_list: Sequence[ModelParams],
-    images: Iterable[ImageTensor],
-    masks: bool,
-    caches: Optional[list[Optional[ForwardCache]]] = None,
-) -> Iterator[_PredictionRow]:
-    """One prediction row per image, in order, each built when the
-    previous one has been consumed.
-
-    Network z forwards into caches[z]. Without caches every network
-    shares one cache, so no row can be backpropagated.
-    """
-    if caches is None:
-        caches = [None]
-    for image in images:
-        yield _prediction_row(params_list, image, masks, caches)
+def _fused_row(
+    snapshot: Sequence[ModelParams],
+    image: ImageTensor,
+    per_network: bool,
+    caches: list[Optional[ForwardCache]],
+) -> tuple[Optional[LabelMask], list[LabelMask], Optional[int]]:
+    """The argmax of the networks' averaged probabilities on one image,
+    each network's mask when `per_network` is set (else none), and None;
+    (None, [], z) when network z is the first whose probabilities are not
+    all finite, checked before they are averaged. A lone network's average
+    is its own map, so its mask is the fused mask."""
+    lone = len(snapshot) == 1
+    row = _prediction_row(snapshot, image, per_network or lone, caches)
+    for z, probs in enumerate(row.probs):
+        if not np.isfinite(probs.probs).all():
+            return None, [], z
+    fused = row.masks[0] if lone else argmax_mask(average_fuse(row.probs))
+    return fused, row.masks if per_network else [], None
 
 
 def npce_losses(
@@ -472,7 +477,7 @@ def train_iteration(
 
 
 def _executor_count(rows: int) -> int:
-    """W for a run whose largest job has `rows` rows: one executor per
+    """W for a crew whose largest job has `rows` rows: one executor per
     usable core and at most one per row; 1 where the platform cannot fork
     or report its cores, or where no OpenBLAS thread control is found."""
     if rows < 2 or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -544,8 +549,9 @@ class _Crew:
     for it.
     """
 
-    def __init__(self, executors: int, num_nets: int):
+    def __init__(self, executors: int, num_nets: int, task: str = "training"):
         self.caches: list[Optional[ForwardCache]] = [None] * num_nets
+        self.task = task  # names its workers in errors
         self._workers: list = []  # (executor number, process, pipe end)
         self._blas_threads: list = []  # (set, thread count before the crew)
         if executors < 2:
@@ -592,12 +598,11 @@ class _Crew:
         for set_, threads in self._blas_threads:
             set_(threads)
 
-    @staticmethod
-    def _lost(worker) -> TrainingError:
+    def _lost(self, worker) -> TrainingError:
         w, proc, _ = worker
         proc.join(timeout=1.0)
         return TrainingError(
-            f"training worker {w} stopped unexpectedly (exit code {proc.exitcode})"
+            f"{self.task} worker {w} stopped unexpectedly (exit code {proc.exitcode})"
         )
 
     def _send(self, worker, job) -> None:
@@ -619,7 +624,7 @@ class _Crew:
         except (EOFError, OSError):
             raise self._lost(worker) from None
         if tag == _FAILED:
-            raise TrainingError(f"training worker {worker[0]} failed: {body}")
+            raise TrainingError(f"{self.task} worker {worker[0]} failed: {body}")
         return body
 
     def run(self, function: str, snapshot: Sequence[ModelParams], items: Sequence, *args) -> list:
@@ -679,16 +684,15 @@ def _worker(conn, inherited) -> None:
 # evaluation helpers shared by the trainer and the command-line tools
 
 
-def fused_probs(params_list: Sequence[ModelParams], image: ImageTensor) -> ProbMap:
-    """The ensemble's averaged class probabilities on one image."""
-    (row,) = _prediction_rows(params_list, [image], masks=False)
-    return average_fuse(row.probs)
-
-
 def fused_prediction(
     params_list: Sequence[ModelParams], image: ImageTensor
 ) -> LabelMask:
-    return argmax_mask(fused_probs(params_list, image))
+    """The ensemble's mask on one image, with one cache shared by every
+    network; ValueError when a network's probabilities are not all finite."""
+    fused, _, bad = _fused_row(params_list, image, False, [None])
+    if bad is not None:
+        raise ValueError(f"network {bad} gives non-finite probabilities")
+    return fused
 
 
 def _foreground_jaccard(pred: LabelMask, ref: LabelMask) -> float:
@@ -765,7 +769,8 @@ def _checkpoint_row(
       sample) is given, each network's probe (l_ma, l_pc), else None;
     - (_PROBE, image, None): each network's probe l_ps;
     - (_VALIDATION, image, ref): the fused foreground Jaccard against the
-      reference and each network's.
+      reference and each network's; TrainingError when a network's
+      probabilities are not all finite.
     """
     kind, image, extra = item
     num_nets = len(snapshot)
@@ -781,14 +786,13 @@ def _checkpoint_row(
             for k in nets
         ]
         return fractions, npce
-    row = _prediction_row(snapshot, image, True, caches)
     if kind == _PROBE:
+        row = _prediction_row(snapshot, image, True, caches)
         return [mnps_loss(row, k)[0] for k in nets]
-    # a lone network's average is its own map, whose mask the row holds
-    fused_mask = row.masks[0] if num_nets == 1 else argmax_mask(average_fuse(row.probs))
-    return _foreground_jaccard(fused_mask, extra), [
-        _foreground_jaccard(mask, extra) for mask in row.masks
-    ]
+    fused, masks, bad = _fused_row(snapshot, image, True, caches)
+    if bad is not None:
+        raise TrainingError(f"network {bad} gives non-finite validation probabilities")
+    return _foreground_jaccard(fused, extra), [_foreground_jaccard(m, extra) for m in masks]
 
 
 def _checkpoint_items(

@@ -38,6 +38,20 @@ def no_staging_leftovers(request):
         assert left == [], f"test left staging siblings: {left}"
 
 
+class SharedCount:
+    """A call count that forked workers (training's or eval's) add to as well."""
+
+    def __init__(self):
+        self._value = multiprocessing.get_context("fork").Value("q", 0)
+
+    def add(self):
+        with self._value.get_lock():
+            self._value.value += 1
+
+    def __len__(self):
+        return self._value.value
+
+
 class Writes:
     """Counts files opened for writing; the `fail_at`-th is created (or
     truncated) and then raises `error`, as a disk that fills up would."""

@@ -28,7 +28,7 @@ from ambiseg.metrics import dice, jaccard
 from ambiseg.model import gradient_check_report
 from ambiseg.training import (
     TrainConfig,
-    fused_probs,
+    fused_prediction,
     run_training,
     train_single_annotator,
     write_run,
@@ -272,7 +272,7 @@ def bench_dataset(tmp_path_factory):
 
 def fused_test_jaccard(params_list, dataset):
     return float(np.mean([
-        jaccard(argmax_mask(fused_probs(params_list, s.image)), s.clean_gt, 1)
+        jaccard(fused_prediction(params_list, s.image), s.clean_gt, 1)
         for s in dataset.test
     ]))
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import SharedCount
 
 from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
@@ -364,11 +365,11 @@ def test_eval_per_network_forwards_each_image_once_per_network(
         want += [f"{name},{c},{r.class_jaccard[c]:.6f},{r.class_dice[c]:.6f}"
                  for c in range(r.num_classes)]
 
-    calls = []
+    calls = SharedCount()  # eval's workers add theirs
     original = model.forward
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.add()
         return original(*args, **kwargs)
 
     # prediction rows call training's binding, predict_probs model's
@@ -383,12 +384,12 @@ def test_eval_per_network_forwards_each_image_once_per_network(
     assert report.read_text() == "\n".join(want) + "\n"
 
     # without --per-network: the same forwards, the fused lines only
-    calls.clear()
+    forwards = len(calls)
     assert entry([
         "eval", "--run", str(run_dir), "--data", str(dataset_dir),
         "--out", str(report),
     ]) == 0
-    assert len(calls) == len(params) * len(dataset.test)
+    assert len(calls) - forwards == len(params) * len(dataset.test)
     fused_lines = [want[0]] + [line for line in want if line.startswith("fused,")]
     assert report.read_text() == "\n".join(fused_lines) + "\n"
 
@@ -720,9 +721,18 @@ def test_train_without_validation_split_leaves_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def use_executors(monkeypatch, w):
+    """Train and evaluate on min(rows, w) executors, whatever the
+    machine's core count."""
+    from ambiseg import training
+
+    for module in (training, cli):
+        monkeypatch.setattr(module, "_executor_count", lambda rows: min(rows, w))
+
+
 def two_executors_with_failing_worker(monkeypatch, hook, name="backward"):
-    """Train on two executors; hook() runs before each call of training's
-    `name` in the worker."""
+    """Train or evaluate on two executors; hook() runs before each call of
+    training's `name` in the worker."""
     from ambiseg import training
 
     parent = os.getpid()
@@ -733,7 +743,7 @@ def two_executors_with_failing_worker(monkeypatch, hook, name="backward"):
             hook()
         return original(*args)
 
-    monkeypatch.setattr(training, "_executor_count", lambda rows: min(rows, 2))
+    use_executors(monkeypatch, 2)
     monkeypatch.setattr(training, name, wrapped)
 
 
@@ -887,7 +897,8 @@ def test_out_over_a_foreign_directory_is_an_error(
     assert entry(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(foreign) in err
-    assert "Directory not empty" in err or "Is a directory" in err  # eval's report
+    # eval refuses a directory before it loads the run
+    assert "Directory not empty" in err or "exists and is a directory" in err
     assert tree_digest(foreign) == before and (foreign / "sub").is_dir()
 
 
@@ -915,22 +926,27 @@ def test_train_refuses_a_leftover_sibling_before_training(
         leftover.rmdir()
 
 
-def test_eval_out_over_a_dataset_is_an_error(dataset_dir, run_dir, tmp_path, capsys):
+def test_eval_out_over_a_dataset_is_an_error(
+    dataset_dir, run_dir, tmp_path, monkeypatch, capsys
+):
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
     before = tree_digest(data)
     args = [str(a) for a in PUBLISHERS["eval"](dataset_dir, run_dir, data)]
+    monkeypatch.setattr(cli, "load_run", lambda run: pytest.fail("loaded the run"))
     assert entry(args) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
-    assert str(data) in err
+    assert err == f"error: --out {data} exists and is a directory\n"
     assert tree_digest(data) == before
 
 
-@pytest.mark.parametrize("scope", [[], ["--per-network"]], ids=["fused", "per-network"])
+@pytest.mark.parametrize("scope,w", [
+    ([], 1), (["--per-network"], 1), ([], 2), (["--per-network"], 2),
+], ids=["fused", "per-network", "fused-w2", "per-network-w2"])
 def test_eval_overflowing_checkpoint_is_an_error(
-    scope, run_dir, dataset_dir, tmp_path, capfd
+    scope, w, run_dir, dataset_dir, tmp_path, monkeypatch, capfd
 ):
+    use_executors(monkeypatch, w)
     # nine huge but finite layer-1 weights: the checkpoint loads, and its
     # forward pass overflows
     run = tmp_path / "run"
@@ -946,3 +962,109 @@ def test_eval_overflowing_checkpoint_is_an_error(
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error:") and str(run / "net0.msen") in line
+
+
+def test_fuse_out_is_the_data_directory_is_a_usage_error(dataset_dir, tmp_path, capsys):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    before = tree_digest(data)
+    same = tmp_path / "elsewhere" / ".." / "ds"
+    args = ["fuse", "--data", str(data), "--out", str(same), "--strategy", "average-vote"]
+    assert entry(args) == 2
+    assert capsys.readouterr().err.startswith("usage error: --out")
+    assert tree_digest(data) == before
+
+
+@pytest.fixture(scope="module")
+def eval_cases(tmp_path_factory):
+    """(run, dataset, flags) of a fused K=2 run, a per-network K=3 run and
+    a single-annotator run, each with datasets of 1 and 5 test images."""
+    root = tmp_path_factory.mktemp("eval-crew")
+
+    def gen(k, n_test):
+        out = root / f"ds-k{k}-t{n_test}"
+        assert entry([
+            "gen-data", "--out", str(out), "--seed", str(10 + k), "--k", str(k),
+            "--n-multi", "3", "--n-unann", "2", "--n-val", "2",
+            "--n-test", str(n_test), "--width", "16", "--height", "16",
+        ]) == 0
+        return out
+
+    def train(name, data, *flags):
+        out = root / name
+        assert entry([*train_args(data, out, iters="10"), "--seed", "4", *flags]) == 0
+        return out
+
+    k2, k3 = gen(2, 5), gen(3, 5)
+    runs = [
+        (train("k2", k2), 2, []),
+        (train("k3", k3, "--k", "3", "--selection", "per-network"), 3, ["--per-network"]),
+        (train("single", k2, "--single-annotator", "1"), 2, ["--per-network"]),
+    ]
+    tests = {(k, n): gen(k, n) if n == 1 else {2: k2, 3: k3}[k] for k in (2, 3) for n in (1, 5)}
+    return [(run, tests[k, n], flags) for run, k, flags in runs for n in (1, 5)]
+
+
+def test_eval_output_is_the_same_for_every_executor_count(
+    eval_cases, tmp_path, monkeypatch, capfd
+):
+    capfd.readouterr()
+    for case, (run, data, flags) in enumerate(eval_cases):
+        outputs = set()
+        for w in (1, 2, 3):
+            use_executors(monkeypatch, w)
+            report = tmp_path / f"report-{case}-{w}.csv"
+            args = ["eval", "--run", str(run), "--data", str(data), *flags]
+            assert entry(args) == 0
+            printed = capfd.readouterr()
+            assert entry([*args, "--out", str(report)]) == 0
+            written = capfd.readouterr()
+            assert printed.err == written.err == ""
+            outputs.add((printed.out, report.read_bytes(), written.out.replace(str(report), "R")))
+            assert multiprocessing.active_children() == []
+        assert len(outputs) == 1, (run, data, flags)
+
+
+def test_eval_names_the_first_non_finite_row_in_row_order(
+    eval_cases, monkeypatch, capfd
+):
+    from ambiseg import training
+
+    run, data, _ = next(c for c in eval_cases if c[0].name == "k2" and "t5" in c[1].name)
+    images = [s.image.values.tobytes() for s in load_dataset(data).test]
+    original = training._fused_row
+
+    # network 1 on image 1 (the worker's row) and network 0 on image 2 (the
+    # calling process's, built first)
+    def poisoned(snapshot, image, per_network, caches):
+        row = original(snapshot, image, per_network, caches)
+        bad = {1: 1, 2: 0}.get(images.index(image.values.tobytes()))
+        return row if bad is None else (None, [], bad)
+
+    monkeypatch.setattr(training, "_fused_row", poisoned)
+    use_executors(monkeypatch, 2)
+    assert entry(["eval", "--run", str(run), "--data", str(data)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {run / 'net1.msen'}: network 1 gives non-finite probabilities "
+        "on test image 1\n"
+    )
+
+
+@pytest.mark.parametrize("hook,message", [
+    (fail, "eval worker 1 failed: RuntimeError: boom in worker"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "eval worker 1 stopped unexpectedly (exit code -9)"),
+], ids=["raises", "killed"])
+def test_eval_worker_failure_is_one_error_line(
+    hook, message, run_dir, dataset_dir, tmp_path, monkeypatch, capfd
+):
+    two_executors_with_failing_worker(monkeypatch, hook, "_fused_row")
+    report = tmp_path / "report.csv"
+    args = ["eval", "--run", str(run_dir), "--data", str(dataset_dir), "--per-network"]
+    assert entry([*args, "--out", str(report)]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not report.exists()
+    assert multiprocessing.active_children() == []

@@ -369,11 +369,12 @@ def test_inference_caches_hold_no_backward_scratch(monkeypatch):
     nets = [init_params(Architecture(), seed=s) for s in (1, 2)]
     image = ImageTensor.from_planes(np.random.default_rng(3).random((1, 9, 7)))
     predict_probs(nets[0], image)
-    training.fused_probs(nets, image)
-    for _ in training._prediction_rows(nets, [image, image], masks=True):
-        pass
-    # one cache per call: predict_probs, fused_probs, the rows' shared one
-    assert len(allocated) == 3
+    training.fused_prediction(nets, image)
+    with training._Crew(1, len(nets), "eval") as crew:
+        crew.run("_fused_row", nets, [image, image], True)
+    # one cache per call of predict_probs and of fused_prediction, shared
+    # by its networks, and one per network for eval's rows on its crew
+    assert len(allocated) == 1 + 1 + len(nets)
     for cache in allocated:
         assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
 

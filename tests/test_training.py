@@ -15,6 +15,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from conftest import SharedCount
 
 from ambiseg.data import (
     AnnotatorProfile,
@@ -59,7 +60,7 @@ from ambiseg.training import (
     TrainConfig,
     TrainingError,
     _checkpoint,
-    _prediction_rows,
+    _prediction_row,
     config_hash,
     pick_comparison,
     run_training,
@@ -350,7 +351,7 @@ def test_config_rejects_non_finite_values(name, value):
 def test_row_values_equal_validated_constructors():
     snapshot = make_nets(2, seed0=40)
     image = make_sample(41).image
-    (row,) = _prediction_rows(snapshot, [image], masks=True)
+    row = _prediction_row(snapshot, image, True, [None])
     for params, probs, mask in zip(snapshot, row.probs, row.masks):
         logits, _ = forward(params, image)
         checked = ProbMap(width=16, height=16, num_classes=2, probs=softmax(logits))
@@ -503,20 +504,6 @@ def test_train_iteration_equals_learner_major_reference(k):
         assert_same_networks(state, ref)
 
 
-class SharedCount:
-    """A call count that forked training workers add to as well."""
-
-    def __init__(self):
-        self._value = multiprocessing.get_context("fork").Value("q", 0)
-
-    def add(self):
-        with self._value.get_lock():
-            self._value.value += 1
-
-    def __len__(self):
-        return self._value.value
-
-
 def count_calls(monkeypatch, name):
     """Count calls of model.<name> under both of its bindings, in this
     process and in the training workers it forks."""
@@ -644,6 +631,51 @@ def test_fused_prediction_shares_one_cache_across_networks(monkeypatch):
     # nothing backpropagates through inference, so one cache serves all
     assert len(caches) == 3
     assert all(c is caches[0] for c in caches)
+
+
+def overflowing(params):
+    """params with nine huge but finite layer-1 weights: the forward pass
+    overflows to non-finite probabilities."""
+    flat = params.flat.copy()
+    flat[:9] = 1.7e308
+    return replace(params, flat=flat)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fused_row_is_the_mean_map_argmax_and_each_networks_mask(k):
+    from ambiseg import training
+    from ambiseg.fusion import average_fuse
+
+    nets = make_nets(k, seed0=60)
+    image = make_sample(61).image
+    probs = [predict_probs(p, image) for p in nets]
+    want = argmax_mask(average_fuse(probs)).labels
+    for per_network in (False, True):
+        fused, masks, bad = training._fused_row(nets, image, per_network, [None])
+        assert bad is None and np.array_equal(fused.labels, want)
+        assert [m.labels.tolist() for m in masks] == (
+            [argmax_mask(p).labels.tolist() for p in probs] if per_network else []
+        )
+    assert np.array_equal(training.fused_prediction(nets, image).labels, want)
+
+
+@pytest.mark.parametrize("bad_nets,named", [((1,), 1), ((0, 2), 0), ((2,), 2)])
+def test_fused_row_names_the_first_non_finite_network(bad_nets, named):
+    from ambiseg import training
+    from ambiseg.fusion import majority_vote
+    from ambiseg.training import _VALIDATION, _checkpoint_row
+
+    nets = [overflowing(p) if z in bad_nets else p for z, p in enumerate(make_nets(3))]
+    sample = make_sample(62, k=3)
+    with np.errstate(all="ignore"):
+        for per_network in (False, True):
+            row = training._fused_row(nets, sample.image, per_network, [None])
+            assert row == (None, [], named)
+        with pytest.raises(ValueError, match=f"network {named} gives non-finite"):
+            training.fused_prediction(nets, sample.image)
+        item = (_VALIDATION, sample.image, majority_vote(sample.annotations))
+        with pytest.raises(TrainingError, match=f"network {named} gives non-finite"):
+            _checkpoint_row(nets, item, TrainConfig(k=3), [None] * 3)
 
 
 def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
