@@ -52,6 +52,15 @@ class SharedCount:
         return self._value.value
 
 
+def use_executors(monkeypatch, w):
+    """Train and evaluate on min(rows, w) executors, whatever the
+    machine's core count."""
+    from ambiseg import cli, training
+
+    for module in (training, cli):
+        monkeypatch.setattr(module, "_executor_count", lambda rows: min(rows, w))
+
+
 class Writes:
     """Counts files opened for writing; the `fail_at`-th is created (or
     truncated) and then raises `error`, as a disk that fills up would."""

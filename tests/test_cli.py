@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SharedCount
+from conftest import SharedCount, use_executors
 
 from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
@@ -721,15 +721,6 @@ def test_train_without_validation_split_leaves_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def use_executors(monkeypatch, w):
-    """Train and evaluate on min(rows, w) executors, whatever the
-    machine's core count."""
-    from ambiseg import training
-
-    for module in (training, cli):
-        monkeypatch.setattr(module, "_executor_count", lambda rows: min(rows, w))
-
-
 def two_executors_with_failing_worker(monkeypatch, hook, name="backward"):
     """Train or evaluate on two executors; hook() runs before each call of
     training's `name` in the worker."""
@@ -996,13 +987,13 @@ def eval_cases(tmp_path_factory):
         return out
 
     k2, k3 = gen(2, 5), gen(3, 5)
+    splits = {(2, 5): k2, (3, 5): k3, (2, 1): gen(2, 1), (3, 1): gen(3, 1)}
     runs = [
         (train("k2", k2), 2, []),
         (train("k3", k3, "--k", "3", "--selection", "per-network"), 3, ["--per-network"]),
         (train("single", k2, "--single-annotator", "1"), 2, ["--per-network"]),
     ]
-    tests = {(k, n): gen(k, n) if n == 1 else {2: k2, 3: k3}[k] for k in (2, 3) for n in (1, 5)}
-    return [(run, tests[k, n], flags) for run, k, flags in runs for n in (1, 5)]
+    return [(run, splits[k, n], flags) for run, k, flags in runs for n in (1, 5)]
 
 
 def test_eval_output_is_the_same_for_every_executor_count(

@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import SharedCount
+from conftest import SharedCount, use_executors
 
 from ambiseg.data import (
     AnnotatorProfile,
@@ -521,14 +521,6 @@ def count_calls(monkeypatch, name):
     for module in (model, training):
         monkeypatch.setattr(module, name, counted)
     return calls
-
-
-def use_executors(monkeypatch, w):
-    """Train on min(images per iteration, w) executors, whatever the
-    machine's core count."""
-    from ambiseg import training
-
-    monkeypatch.setattr(training, "_executor_count", lambda images: min(images, w))
 
 
 @pytest.mark.parametrize("k", [2, 4])
