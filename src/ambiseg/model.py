@@ -8,16 +8,19 @@ finite differences. The Adam optimizer lives here too; the learning-rate
 schedule does not (callers set lr per step).
 
 Buffers: forward writes its activations into a ForwardCache, the one it
-is given when that fits the architecture and image shape, else a new one.
-A cache is overwritten by the next forward that receives it. backward
-only reads its activations, so a cache can be backpropagated any number
-of times; it works in the cache's gradient scratch, which the first
-backward on that cache allocates and every later one overwrites. A cache
-that only serves inference (predict_probs, the eval path) never holds
-scratch. Logits and gradients are always new arrays. Who owns the caches
-decides how long they live: each executor of a training run (the calling
-process and each forked worker) keeps one cache per network for its
-training and checkpoint rows alike, and they die with the run.
+is given when that fits the architecture and image shape, else a new one
+of the same kind. A cache is overwritten by the next forward that
+receives it. backward only reads its activations, so a cache can be
+backpropagated any number of times; it works in the cache's gradient
+scratch, which the first backward on that cache allocates and every later
+one overwrites. A cache that only serves inference (predict_probs, the
+eval path) is an inference cache: it keeps one tile of layer 2's columns
+instead of all of them, so backward refuses it, and it never holds
+scratch. A bare forward(params, image) makes a training cache. Logits and
+gradients are always new arrays. Who owns the caches decides how long
+they live: each executor of a training run (the calling process and each
+forked worker) keeps one training cache per network for its training and
+checkpoint rows alike, and they die with the run.
 
 Layout: the output head is class-major. forward returns its (N, C)
 logits as the transpose of a contiguous (C, N) array, one plane per
@@ -41,6 +44,24 @@ left of column 0 or right of column W - 1 reads the last cell of the row
 above or the first cell of the row below instead, so after the copy,
 column 0 of every dx = 0 tap and column W - 1 of every dx = 2 tap are set
 to +0.0. The columns are then bitwise those of the zero-padded grid.
+
+Each 3x3 layer is built tile by tile: the cache's columns hold R whole
+rows of the grid, and for rows r0 ... r0 + R - 1 in turn forward copies
+those rows of the tap view (pixels r0*W up to (r0 + R)*W), zeroes the
+wrapped cells and runs one GEMM of the tile into the output's columns
+r0*W ... (r0 + R)*W - 1, a strided slice of the (O, H*W) output. A cache
+whose columns hold all H rows makes one tile: layer 1 always, and layer 2
+of every cache that backward may read. An inference cache tiles layer 2
+so that its columns stay inside a core's L2 cache: at 64x64 and hidden 8
+a whole cols2 is 2.36 MB and a 16-row tile 0.59 MB. R is the largest
+divisor of H with R*W at most TILE_PIXELS and a multiple of TILE_ALIGN;
+without one the tile is the whole grid (64x64 -> 16 rows, 128x128 -> 8,
+32x32, 33x65 and 64x63 whole). The tiles are equal and aligned because
+OpenBLAS sums a GEMM's edge columns in another order when its column
+count changes. Over 600 random GEMMs of layer shapes (OpenBLAS 0.3.31,
+x86_64, one thread), tiles matched the whole GEMM bit for bit in 200 of 200 cases
+when equal and a multiple of 64 columns, in 55 of 200 when equal and of
+another width, and in 34 of 200 with a shorter last tile.
 
 The input gradient of layer 2 accumulates in its own (C, H, W) output.
 Output pixel (y, x) of tap (dy, dx) read input (y + dy - 1, x + dx - 1),
@@ -79,6 +100,11 @@ ADAM_EPS = 1e-8
 
 # central-difference step of gradient_check_report
 GRAD_CHECK_STEP = 1e-5
+
+# an inference cache's layer-2 tile: at most this many pixels, a multiple
+# of TILE_ALIGN (see the module docstring)
+TILE_PIXELS = 1024
+TILE_ALIGN = 64
 
 
 @dataclass
@@ -216,6 +242,12 @@ class ForwardCache:
     written when the cache is created, and no forward writes them; every
     other cell of every buffer is rewritten by each forward.
 
+    There are two kinds. A training cache's cols2 holds layer 2's columns
+    for all H rows, which backward reads. An inference cache's cols2 holds
+    one tile of rows (_tile_rows), which forward reuses for every tile, so
+    after a forward it holds the last tile only and backward refuses it.
+    Where no tile fits the rule the two kinds have the same buffers.
+
     backward only reads the activations and overwrites the scratch:
     - d2, d1: the gradients at layer 2's and layer 1's pre-activations,
       (hidden, H, W) each;
@@ -225,17 +257,22 @@ class ForwardCache:
     The scratch is None until the first backward on the cache allocates
     it (scratch()); later backwards reuse it, so a training run's caches
     stop allocating after their first backward. Inference never
-    backpropagates, so its caches hold activations only: 3.7 MB at 64x64
-    with hidden 8, against 4.5 MB with the scratch. The eval path
-    allocates a cache per call and frees it afterwards. Measured after a
-    training run in one process (the benchmark's `ensemble-k2` eval unit,
-    two networks, 64x64), the first eval pass took about 15 minor page
-    faults per test image and later passes none.
+    backpropagates, so its caches hold activations only. With hidden 8
+    and one input channel, a training cache takes 3.74 MB at 64x64 and
+    0.94 MB at 32x32 (4.53 MB and 1.14 MB with the scratch), an inference
+    cache 1.98 MB at 64x64 and the same 0.94 MB at 32x32. The eval path
+    allocates a cache per call of predict_probs or fused_prediction and
+    one per network on each executor of an eval crew, and frees them
+    afterwards. Measured after a training run in one process (the
+    benchmark's `ensemble-k2` eval unit, two networks, 64x64), the first
+    eval pass took about 1.5 minor page faults per test image (11 with
+    training caches) and later passes none.
     """
 
     arch: Architecture
     width: int
     height: int
+    inference: bool
     x1: np.ndarray
     cols1: np.ndarray
     pre1: np.ndarray
@@ -249,20 +286,25 @@ class ForwardCache:
     tap: Optional[np.ndarray] = None
 
     @classmethod
-    def allocate(cls, arch: Architecture, height: int, width: int) -> "ForwardCache":
-        """Activation buffers for one forward; no backward scratch."""
+    def allocate(
+        cls, arch: Architecture, height: int, width: int, inference: bool = False
+    ) -> "ForwardCache":
+        """Activation buffers for one forward; no backward scratch. An
+        inference cache's cols2 holds one tile of layer 2's rows."""
         act = (arch.hidden, height, width)
+        rows = _tile_rows(height, width) if inference else height
         x2 = _zero_ended(arch.hidden, height, width)
         return cls(
             arch=arch,
             width=width,
             height=height,
+            inference=inference,
             x1=_zero_ended(arch.in_channels, height, width),
             cols1=np.empty((arch.in_channels, 3, 3, height, width)),
             pre1=np.empty(act),
             x2=x2,
             act1=_interior(x2, height, width),
-            cols2=np.empty((arch.hidden, 3, 3, height, width)),
+            cols2=np.empty((arch.hidden, 3, 3, rows, width)),
             pre2=np.empty(act),
             act2=np.empty(act),
         )
@@ -275,6 +317,16 @@ class ForwardCache:
             self.d1 = np.empty(act)
             self.tap = np.empty(act)
         return self.d2, self.d1, self.tap
+
+
+def _tile_rows(height: int, width: int) -> int:
+    """Rows of an inference cache's layer-2 tile: the largest divisor R of
+    height with R*width at most TILE_PIXELS and a multiple of TILE_ALIGN,
+    else height (the whole grid)."""
+    for rows in range(min(height, TILE_PIXELS // width), 0, -1):
+        if height % rows == 0 and rows * width % TILE_ALIGN == 0:
+            return rows
+    return height
 
 
 def _zero_ended(channels: int, height: int, width: int) -> np.ndarray:
@@ -308,25 +360,30 @@ def _tap_view(buf: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def _im2col3(buf: np.ndarray, cols: np.ndarray) -> None:
-    """Write the nine 3x3 taps of zero-ended buf into cols, shape
-    (C, 3, 3, H, W): one copy from the tap view, then zeros over the
-    cells that wrapped round a row end (see the module docstring)."""
-    channels, _, _, h, w = cols.shape
-    np.copyto(cols.reshape(channels, 3, 3, h * w), _tap_view(buf, w))
+def _im2col3(buf: np.ndarray, cols: np.ndarray, start: int = 0) -> None:
+    """Write the nine 3x3 taps of zero-ended buf's pixels start, start + 1,
+    ... into cols, shape (C, 3, 3, R, W): one copy from the tap view, then
+    zeros over the cells that wrapped round a row end (see the module
+    docstring)."""
+    channels, _, _, rows, w = cols.shape
+    taps = _tap_view(buf, w)[..., start : start + rows * w]
+    np.copyto(cols.reshape(channels, 3, 3, rows * w), taps)
     cols[:, :, 0, :, 0] = 0.0  # dx = 0 reads left of column 0
     cols[:, :, 2, :, w - 1] = 0.0  # dx = 2 reads right of the last column
 
 
-def _conv3_from_cols(
-    cols: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
+def _conv3(
+    buf: np.ndarray, cols: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray
 ) -> None:
-    """3x3 SAME convolution of im2col columns into out, shape (O, H, W)."""
-    np.dot(
-        w.reshape(w.shape[0], -1),
-        cols.reshape(-1, out.shape[1] * out.shape[2]),
-        out=out.reshape(out.shape[0], -1),
-    )
+    """3x3 SAME convolution of zero-ended buf into out, shape (O, H, W),
+    one tile of cols's rows at a time (see the module docstring)."""
+    w_2d = w.reshape(w.shape[0], -1)
+    out_2d = out.reshape(out.shape[0], -1)
+    tile = cols.shape[3] * cols.shape[4]
+    cols_2d = cols.reshape(-1, tile)
+    for start in range(0, out_2d.shape[1], tile):
+        _im2col3(buf, cols, start)
+        np.matmul(w_2d, cols_2d, out=out_2d[:, start : start + tile])
     out += b[:, None, None]
 
 
@@ -339,7 +396,8 @@ def forward(
     (num_classes, width*height) one: each class's logits are one
     contiguous plane. The activations go into `cache` when it fits this
     architecture and image shape, overwriting what it held, and into a
-    new cache otherwise; the cache used is returned.
+    new cache of the same kind otherwise (a training cache when `cache`
+    is None); the cache used is returned.
     """
     arch = params.arch
     if image.channels != arch.in_channels:
@@ -348,14 +406,13 @@ def forward(
         )
     shape = (image.height, image.width)
     if cache is None or (cache.arch, cache.height, cache.width) != (arch, *shape):
-        cache = ForwardCache.allocate(arch, *shape)
+        inference = cache is not None and cache.inference
+        cache = ForwardCache.allocate(arch, *shape, inference)
     p = params.unpack()
     np.copyto(_interior(cache.x1, *shape), image.planes())
-    _im2col3(cache.x1, cache.cols1)
-    _conv3_from_cols(cache.cols1, p["w1"], p["b1"], cache.pre1)
+    _conv3(cache.x1, cache.cols1, p["w1"], p["b1"], cache.pre1)
     np.maximum(cache.pre1, 0.0, out=cache.act1)  # the interior of x2
-    _im2col3(cache.x2, cache.cols2)
-    _conv3_from_cols(cache.cols2, p["w2"], p["b2"], cache.pre2)
+    _conv3(cache.x2, cache.cols2, p["w2"], p["b2"], cache.pre2)
     np.maximum(cache.pre2, 0.0, out=cache.act2)
     logits_cn = np.dot(p["w3"][:, :, 0, 0], cache.act2.reshape(arch.hidden, -1))
     logits_cn += p["b3"][:, None]
@@ -417,6 +474,8 @@ def backward(
     arch = params.arch
     if cache.arch != arch:
         raise ValueError("cache was produced by a different architecture")
+    if cache.cols2.shape[3] != cache.height:
+        raise ValueError("cache's layer-2 columns are a tile of rows (an inference cache)")
     n = cache.width * cache.height
     if grad_logits.shape != (n, arch.num_classes):
         raise ShapeError(
@@ -448,8 +507,10 @@ def backward(
 
 
 def predict_probs(params: ModelParams, image: ImageTensor) -> ProbMap:
-    """Forward pass plus per-pixel softmax."""
-    logits, _ = forward(params, image)
+    """Forward pass plus per-pixel softmax, in a new inference cache that
+    is freed on return: layer 2 is built in tiles of rows."""
+    cache = ForwardCache.allocate(params.arch, image.height, image.width, inference=True)
+    logits, _ = forward(params, image, cache)
     return ProbMap(
         width=image.width,
         height=image.height,

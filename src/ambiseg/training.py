@@ -78,11 +78,16 @@ and every forward it makes for network z (training rows and checkpoint
 rows alike) writes z's activations into cache z. The crew owns executor
 0's caches, and each worker keeps its own. A cache is overwritten by the
 next forward that receives it, so a row's activations are valid only
-until the next row is built; backward only reads them. The run's caches
-die with the run: no returned object references them. fused_prediction
-shares one cache of its own across the networks, since nothing
-backpropagates through it; train_iteration and _checkpoint called
-without a crew use one cache per network for that call.
+until the next row is built; backward only reads them. A training
+crew's caches are training caches, whose layer-2 columns cover the whole
+grid for backward. Nothing backpropagates through an "eval" crew's rows
+or fused_prediction, so their caches are inference caches
+(_InferenceCaches), which build layer 2 in tiles of rows and take about
+half the memory at 64x64 (model.ForwardCache). The run's caches die with
+the run: no returned object references them. fused_prediction shares
+one cache of its own across the networks; train_iteration and
+_checkpoint called without a crew use one cache per network for that
+call.
 """
 
 from __future__ import annotations
@@ -280,6 +285,12 @@ class _PredictionRow:
     masks: list[LabelMask]
 
 
+class _InferenceCaches(list):
+    """A list of caches that only serve inference: an empty slot gets an
+    inference cache (model.ForwardCache), where an empty slot of a plain
+    list gets a training cache."""
+
+
 def _prediction_row(
     snapshot: Sequence[ModelParams],
     image: ImageTensor,
@@ -290,6 +301,10 @@ def _prediction_row(
     for z, params in enumerate(snapshot):
         # a list of one cache is shared by every network
         slot = z % len(caches)
+        if caches[slot] is None and isinstance(caches, _InferenceCaches):
+            caches[slot] = ForwardCache.allocate(
+                params.arch, image.height, image.width, inference=True
+            )
         logits, caches[slot] = forward(params, image, caches[slot])
         # a softmax of the model's logits passes every ProbMap check
         probs = _unchecked(
@@ -538,7 +553,8 @@ class _Crew:
     """A run's executors: the calling process and W - 1 workers, forked
     when the crew is made and stopped by close().
 
-    `caches` are executor 0's, one per network. Each worker talks to the
+    `caches` are executor 0's, one per network: inference caches for an
+    "eval" crew, training caches otherwise. Each worker talks to the
     calling process over its own pipe. run() maps a row function over a
     list of items and sends each worker with rows one job, (function,
     snapshot, items, args): the name of the row function, which the
@@ -550,8 +566,8 @@ class _Crew:
     """
 
     def __init__(self, executors: int, num_nets: int, task: str = "training"):
-        self.caches: list[Optional[ForwardCache]] = [None] * num_nets
-        self.task = task  # names its workers in errors
+        self.caches = _executor_caches(task, num_nets)
+        self.task = task  # names its workers in errors; "eval" tiles its caches
         self._workers: list = []  # (executor number, process, pipe end)
         self._blas_threads: list = []  # (set, thread count before the crew)
         if executors < 2:
@@ -569,7 +585,7 @@ class _Crew:
                 inherited = [conn for _, _, conn in self._workers] + [ours]
                 proc = context.Process(
                     target=_worker,
-                    args=(theirs, inherited),
+                    args=(theirs, inherited, _executor_caches(task, num_nets)),
                     name=f"ambiseg-executor-{w}",
                     daemon=True,
                 )
@@ -646,9 +662,15 @@ class _Crew:
         return rows
 
 
-def _worker(conn, inherited) -> None:
+def _executor_caches(task: str, num_nets: int) -> list[Optional[ForwardCache]]:
+    """An executor's caches, one empty slot per network: inference caches
+    for an "eval" crew, training caches for any other."""
+    return (_InferenceCaches if task == "eval" else list)([None] * num_nets)
+
+
+def _worker(conn, inherited, caches: list[Optional[ForwardCache]]) -> None:
     """A forked executor: it builds the rows of one job at a time until it
-    is terminated, each with its own cache per network.
+    is terminated, each with its own cache per network, `caches`.
 
     Ctrl-C is the calling process's to handle, so the worker ignores
     SIGINT. It closes the pipe ends it inherited from the calling
@@ -661,7 +683,6 @@ def _worker(conn, inherited) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    caches: Optional[list[Optional[ForwardCache]]] = None
     try:
         while True:
             head, sizes = conn.recv()
@@ -669,8 +690,6 @@ def _worker(conn, inherited) -> None:
             for array in arrays:
                 conn.recv_bytes_into(array)
             function, snapshot, items, args = pickle.loads(head, buffers=arrays)
-            if caches is None:
-                caches = [None] * len(snapshot)
             row = globals()[function]
             conn.send((_DONE, [row(snapshot, item, *args, caches) for item in items]))
     except EOFError:
@@ -687,9 +706,10 @@ def _worker(conn, inherited) -> None:
 def fused_prediction(
     params_list: Sequence[ModelParams], image: ImageTensor
 ) -> LabelMask:
-    """The ensemble's mask on one image, with one cache shared by every
-    network; ValueError when a network's probabilities are not all finite."""
-    fused, _, bad = _fused_row(params_list, image, False, [None])
+    """The ensemble's mask on one image, with one inference cache shared by
+    every network; ValueError when a network's probabilities are not all
+    finite."""
+    fused, _, bad = _fused_row(params_list, image, False, _InferenceCaches([None]))
     if bad is not None:
         raise ValueError(f"network {bad} gives non-finite probabilities")
     return fused

@@ -17,6 +17,7 @@ from ambiseg.model import (
     _im2col3,
     _interior,
     _tap_view,
+    _tile_rows,
     _zero_ended,
     adam_step,
     backward,
@@ -360,23 +361,85 @@ def test_inference_caches_hold_no_backward_scratch(monkeypatch):
     allocated = []
     original = ForwardCache.allocate.__func__
 
-    def recording(cls, arch, height, width):
-        cache = original(cls, arch, height, width)
+    def recording(cls, arch, height, width, inference=False):
+        cache = original(cls, arch, height, width, inference)
         allocated.append(cache)
         return cache
 
     monkeypatch.setattr(ForwardCache, "allocate", classmethod(recording))
     nets = [init_params(Architecture(), seed=s) for s in (1, 2)]
-    image = ImageTensor.from_planes(np.random.default_rng(3).random((1, 9, 7)))
-    predict_probs(nets[0], image)
-    training.fused_prediction(nets, image)
-    with training._Crew(1, len(nets), "eval") as crew:
-        crew.run("_fused_row", nets, [image, image], True)
-    # one cache per call of predict_probs and of fused_prediction, shared
-    # by its networks, and one per network for eval's rows on its crew
-    assert len(allocated) == 1 + 1 + len(nets)
-    for cache in allocated:
-        assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
+    # (height, width, rows of layer 2's tile): at 64x64 cols2 is a 16-row tile
+    for height, width, rows in [(9, 7, 9), (64, 64, 16)]:
+        allocated.clear()
+        image = ImageTensor.from_planes(np.random.default_rng(3).random((1, height, width)))
+        predict_probs(nets[0], image)
+        training.fused_prediction(nets, image)
+        with training._Crew(1, len(nets), "eval") as crew:
+            crew.run("_fused_row", nets, [image, image], True)
+        # one cache per call of predict_probs and of fused_prediction, shared
+        # by its networks, and one per network for eval's rows on its crew
+        assert len(allocated) == 1 + 1 + len(nets)
+        for cache in allocated:
+            assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
+            assert cache.inference and cache.cols2.shape == (8, 3, 3, rows, width)
+
+
+# grids whose inference caches tile layer 2, with their tile rows
+TILED_GRIDS = [(64, 64, 16), (128, 128, 8), (64, 128, 8), (96, 64, 16), (16, 256, 4),
+               (48, 48, 16)]
+
+
+@pytest.mark.parametrize("height,width,rows", TILED_GRIDS)
+@pytest.mark.parametrize("hidden", [5, 8, 16])
+@pytest.mark.parametrize("in_channels", [1, 3])
+def test_tiled_forward_bitwise_equal_to_whole_columns(in_channels, hidden, height, width, rows):
+    rng = np.random.default_rng(height * 1000 + width + hidden * 10 + in_channels)
+    arch = Architecture(in_channels=in_channels, hidden=hidden, num_classes=3)
+    flat = init_params(arch, seed=hidden).flat + rng.normal(scale=0.2, size=param_count(arch))
+    params = ModelParams(arch=arch, flat=flat, seed=hidden)
+    tiled = ForwardCache.allocate(arch, height, width, inference=True)
+    assert tiled.cols2.shape == (hidden, 3, 3, rows, width)
+    want_logits, acts = ref_forward(params, ImageTensor.from_planes(
+        rng.uniform(-1, 1, size=(in_channels, height, width))))
+    for _ in range(2):  # the second forward finds the first one's buffers
+        image = ImageTensor.from_planes(rng.uniform(-1, 1, size=(in_channels, height, width)))
+        tiled.cols2.fill(np.nan)  # every cell of a tile is rewritten
+        logits, used = forward(params, image, tiled)
+        assert used is tiled
+        whole_logits, whole = forward(params, image)
+        want_logits, acts = ref_forward(params, image)
+        for got, want in ((logits, whole_logits), (logits, want_logits)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for name in ("pre2", "act2"):
+            got = getattr(tiled, name).view(np.uint64)
+            assert np.array_equal(got, getattr(whole, name).view(np.uint64)), name
+            assert np.array_equal(got, acts[name].view(np.uint64)), name
+        # the tile holds the last rows' columns
+        assert np.array_equal(tiled.cols2, whole.cols2[:, :, :, -rows:])
+
+
+@pytest.mark.parametrize("height,width,rows", TILED_GRIDS + [
+    (32, 32, 32), (33, 65, 33), (64, 63, 64), (7, 5, 7), (2, 1100, 2),
+])
+def test_tile_rule(height, width, rows):
+    # the largest divisor of H whose tile is at most 1024 pixels and a
+    # multiple of 64; the whole grid when there is none
+    assert _tile_rows(height, width) == rows
+    cache = ForwardCache.allocate(Architecture(), height, width, inference=True)
+    assert cache.cols2.shape[3] == rows
+    assert ForwardCache.allocate(Architecture(), height, width).cols2.shape[3] == height
+
+
+def test_backward_refuses_an_inference_cache():
+    params, _, rng = odd_case(1, 2, 7, 5, seed=15)
+    image = ImageTensor.from_planes(rng.uniform(-1, 1, size=(1, 64, 64)))
+    logits, cache = forward(params, image, ForwardCache.allocate(params.arch, 64, 64, True))
+    with pytest.raises(ValueError, match="columns are a tile"):
+        backward(params, cache, np.zeros(logits.shape))
+    # a cache that does not fit is replaced by one of its own kind
+    small = ImageTensor.from_planes(rng.uniform(-1, 1, size=(1, 48, 48)))
+    _, refit = forward(params, small, cache)
+    assert refit is not cache and refit.inference and refit.cols2.shape[3] == 16
 
 
 def test_first_backward_allocates_scratch_and_later_ones_reuse_it():

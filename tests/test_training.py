@@ -604,6 +604,39 @@ def test_run_reuses_one_cache_per_network_and_frees_them(w, tiny_dataset, monkey
     assert all(r() is None for r in caches)
 
 
+@pytest.mark.parametrize("w", [1, 2])
+def test_training_caches_hold_whole_columns_and_eval_caches_a_tile(w, tmp_path, monkeypatch):
+    from ambiseg import model, training
+
+    # at 48x48 an inference cache's cols2 is a 16-row tile
+    root = tmp_path / "ds48"
+    build_dataset(str(root), n_multi=2, n_unann=2, n_val=2, n_test=2,
+                  k=2, seed=4, width=48, height=48)
+    dataset = load_dataset(str(root))
+    use_executors(monkeypatch, w)
+    forwards, tiled = SharedCount(), SharedCount()  # workers add theirs
+    original = model.forward
+
+    def recording(params, image, cache=None):
+        logits, out = original(params, image, cache)
+        forwards.add()
+        if out.cols2.shape[3] != out.height:
+            tiled.add()
+        return logits, out
+
+    monkeypatch.setattr(training, "forward", recording)
+    config = TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=2,
+                         annotated_per_iter=2, unannotated_batch=2)
+    result = run_training(dataset, config)
+    # 2 iterations of 4 rows and 2 checkpoints of 6, each of 2 networks:
+    # every one of them, on every executor, has all 48 rows of cols2
+    assert (len(forwards), len(tiled)) == (2 * 4 * 2 + 2 * 6 * 2, 0)
+
+    with training._Crew(w, config.k, "eval") as crew:
+        crew.run("_fused_row", result.best.params, [s.image for s in dataset.test], True)
+    assert len(tiled) == len(forwards) - 40 == config.k * len(dataset.test)
+
+
 def test_fused_prediction_shares_one_cache_across_networks(monkeypatch):
     from ambiseg import model, training
 
