@@ -26,12 +26,11 @@ from .data import (
 )
 from .fusion import FUSION_STRATEGIES, STAPLE_MAX_ITER, fuse_annotations, staple_runs
 from .metrics import evaluate_masks
-from .model import gradient_check_report
+from .model import ForwardCache, gradient_check_report
 from .training import (
     TrainConfig,
     TrainingError,
-    _Crew,
-    _executor_count,
+    _fused_row,
     checkpoint_files,
     config_hash,
     load_run,
@@ -199,11 +198,13 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ValueError(f"dataset at {data_path} has no test split")
 
     refs = [s.clean_gt for s in dataset.test]
-    # one forward per (network, image) on the executors; a loadable
-    # checkpoint can still overflow, so a row names it instead of warning
-    executors = _executor_count(len(refs))
-    with np.errstate(all="ignore"), _Crew(executors, len(params), "eval") as crew:
-        rows = crew.run("_fused_row", params, [s.image for s in dataset.test], ns.per_network)
+    # one forward per (network, image), every network's into one inference
+    # cache; a loadable checkpoint can still overflow, so a row names it
+    # instead of warning
+    first = dataset.test[0].image
+    caches = [ForwardCache.allocate(params[0].arch, first.height, first.width, inference=True)]
+    with np.errstate(all="ignore"):
+        rows = [_fused_row(params, s.image, ns.per_network, caches) for s in dataset.test]
     fused, per_net, bad = zip(*rows)
     for i, z in enumerate(bad):
         if z is not None:

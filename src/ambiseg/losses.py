@@ -6,8 +6,9 @@ returns the exact analytic gradient with respect to the pre-softmax
 scores, so callers never differentiate through the log themselves.
 
 A ProbMap built by its constructor is checked (shape, range, row sums);
-the training loop builds the ProbMap of each forward without those checks,
-which a softmax always passes (masks.py says where validation happens).
+the training loop and predict_probs build the ProbMap of each forward
+without those checks, which a finite softmax always passes (masks.py
+says where validation happens).
 masked_cross_entropy checks only that its target set fits the map.
 
 ProbMap.probs is (N, C) in shape whatever its layout. The maps the

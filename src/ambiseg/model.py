@@ -87,7 +87,7 @@ from typing import Optional
 import numpy as np
 
 from .losses import ProbMap, softmax
-from .masks import ShapeError
+from .masks import ShapeError, _unchecked
 
 CHECKPOINT_MAGIC = b"MSEN"
 CHECKPOINT_VERSION = 1
@@ -261,9 +261,9 @@ class ForwardCache:
     and one input channel, a training cache takes 3.74 MB at 64x64 and
     0.94 MB at 32x32 (4.53 MB and 1.14 MB with the scratch), an inference
     cache 1.98 MB at 64x64 and the same 0.94 MB at 32x32. The eval path
-    allocates a cache per call of predict_probs or fused_prediction and
-    one per network on each executor of an eval crew, and frees them
-    afterwards. Measured after a training run in one process (the
+    allocates one inference cache per call of predict_probs,
+    fused_prediction or `ambiseg eval`, shared by the call's networks, and
+    frees it afterwards. Measured after a training run in one process (the
     benchmark's `ensemble-k2` eval unit, two networks, 64x64), the first
     eval pass took about 1.5 minor page faults per test image (11 with
     training caches) and later passes none.
@@ -508,14 +508,20 @@ def backward(
 
 def predict_probs(params: ModelParams, image: ImageTensor) -> ProbMap:
     """Forward pass plus per-pixel softmax, in a new inference cache that
-    is freed on return: layer 2 is built in tiles of rows."""
+    is freed on return: layer 2 is built in tiles of rows. ValueError when
+    the probabilities are not all finite, as after an overflowing forward."""
     cache = ForwardCache.allocate(params.arch, image.height, image.width, inference=True)
     logits, _ = forward(params, image, cache)
-    return ProbMap(
+    probs = softmax(logits)
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities must be finite")
+    # a finite softmax passes every other ProbMap check
+    return _unchecked(
+        ProbMap,
         width=image.width,
         height=image.height,
         num_classes=params.arch.num_classes,
-        probs=softmax(logits),
+        probs=probs,
     )
 
 

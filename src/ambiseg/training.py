@@ -46,8 +46,8 @@ function over a list of items, item r on executor r mod W: _row_steps
 over an iteration's batch, _checkpoint_row over a checkpoint's images.
 W = min(rows of the run's largest job, usable cores), where the largest
 job is an iteration's batch or a checkpoint's rows, whichever has more.
-`ambiseg eval` makes a crew of its own, W = min(test images, usable
-cores), and maps _fused_row over the test images.
+Inference has no crew: `ambiseg eval` maps _fused_row over the test
+images in the calling process, as fused_prediction does for one image.
 The calling process is executor 0; W - 1 workers are forked (start
 method "fork", named explicitly) once per run, and a crew of one forks
 nothing. A worker knows only its job: the calling process draws the
@@ -78,16 +78,15 @@ and every forward it makes for network z (training rows and checkpoint
 rows alike) writes z's activations into cache z. The crew owns executor
 0's caches, and each worker keeps its own. A cache is overwritten by the
 next forward that receives it, so a row's activations are valid only
-until the next row is built; backward only reads them. A training
-crew's caches are training caches, whose layer-2 columns cover the whole
-grid for backward. Nothing backpropagates through an "eval" crew's rows
-or fused_prediction, so their caches are inference caches
-(_InferenceCaches), which build layer 2 in tiles of rows and take about
-half the memory at 64x64 (model.ForwardCache). The run's caches die with
-the run: no returned object references them. fused_prediction shares
-one cache of its own across the networks; train_iteration and
-_checkpoint called without a crew use one cache per network for that
-call.
+until the next row is built; backward only reads them. An empty slot
+gets a training cache from forward, whose layer-2 columns cover the
+whole grid for backward. The run's caches die with the run: no returned
+object references them. train_iteration and _checkpoint called without a
+crew use one cache per network for that call. Nothing backpropagates
+through inference, so `ambiseg eval` and fused_prediction each allocate
+one inference cache, shared by every network, which builds layer 2 in
+tiles of rows and takes about half the memory at 64x64
+(model.ForwardCache).
 """
 
 from __future__ import annotations
@@ -285,12 +284,6 @@ class _PredictionRow:
     masks: list[LabelMask]
 
 
-class _InferenceCaches(list):
-    """A list of caches that only serve inference: an empty slot gets an
-    inference cache (model.ForwardCache), where an empty slot of a plain
-    list gets a training cache."""
-
-
 def _prediction_row(
     snapshot: Sequence[ModelParams],
     image: ImageTensor,
@@ -301,10 +294,6 @@ def _prediction_row(
     for z, params in enumerate(snapshot):
         # a list of one cache is shared by every network
         slot = z % len(caches)
-        if caches[slot] is None and isinstance(caches, _InferenceCaches):
-            caches[slot] = ForwardCache.allocate(
-                params.arch, image.height, image.width, inference=True
-            )
         logits, caches[slot] = forward(params, image, caches[slot])
         # a softmax of the model's logits passes every ProbMap check
         probs = _unchecked(
@@ -553,8 +542,7 @@ class _Crew:
     """A run's executors: the calling process and W - 1 workers, forked
     when the crew is made and stopped by close().
 
-    `caches` are executor 0's, one per network: inference caches for an
-    "eval" crew, training caches otherwise. Each worker talks to the
+    `caches` are executor 0's, one per network. Each worker talks to the
     calling process over its own pipe. run() maps a row function over a
     list of items and sends each worker with rows one job, (function,
     snapshot, items, args): the name of the row function, which the
@@ -565,9 +553,8 @@ class _Crew:
     for it.
     """
 
-    def __init__(self, executors: int, num_nets: int, task: str = "training"):
-        self.caches = _executor_caches(task, num_nets)
-        self.task = task  # names its workers in errors; "eval" tiles its caches
+    def __init__(self, executors: int, num_nets: int):
+        self.caches: list[Optional[ForwardCache]] = [None] * num_nets
         self._workers: list = []  # (executor number, process, pipe end)
         self._blas_threads: list = []  # (set, thread count before the crew)
         if executors < 2:
@@ -585,7 +572,7 @@ class _Crew:
                 inherited = [conn for _, _, conn in self._workers] + [ours]
                 proc = context.Process(
                     target=_worker,
-                    args=(theirs, inherited, _executor_caches(task, num_nets)),
+                    args=(theirs, inherited, [None] * num_nets),
                     name=f"ambiseg-executor-{w}",
                     daemon=True,
                 )
@@ -618,7 +605,7 @@ class _Crew:
         w, proc, _ = worker
         proc.join(timeout=1.0)
         return TrainingError(
-            f"{self.task} worker {w} stopped unexpectedly (exit code {proc.exitcode})"
+            f"training worker {w} stopped unexpectedly (exit code {proc.exitcode})"
         )
 
     def _send(self, worker, job) -> None:
@@ -640,7 +627,7 @@ class _Crew:
         except (EOFError, OSError):
             raise self._lost(worker) from None
         if tag == _FAILED:
-            raise TrainingError(f"{self.task} worker {worker[0]} failed: {body}")
+            raise TrainingError(f"training worker {worker[0]} failed: {body}")
         return body
 
     def run(self, function: str, snapshot: Sequence[ModelParams], items: Sequence, *args) -> list:
@@ -660,12 +647,6 @@ class _Crew:
         for w, worker in enumerate(busy, start=1):
             rows[w::executors] = self._receive(worker)
         return rows
-
-
-def _executor_caches(task: str, num_nets: int) -> list[Optional[ForwardCache]]:
-    """An executor's caches, one empty slot per network: inference caches
-    for an "eval" crew, training caches for any other."""
-    return (_InferenceCaches if task == "eval" else list)([None] * num_nets)
 
 
 def _worker(conn, inherited, caches: list[Optional[ForwardCache]]) -> None:
@@ -707,9 +688,12 @@ def fused_prediction(
     params_list: Sequence[ModelParams], image: ImageTensor
 ) -> LabelMask:
     """The ensemble's mask on one image, with one inference cache shared by
-    every network; ValueError when a network's probabilities are not all
-    finite."""
-    fused, _, bad = _fused_row(params_list, image, False, _InferenceCaches([None]))
+    every network; ValueError when there is no network or a network's
+    probabilities are not all finite."""
+    if not params_list:
+        raise ValueError("fused_prediction needs at least one network")
+    cache = ForwardCache.allocate(params_list[0].arch, image.height, image.width, inference=True)
+    fused, _, bad = _fused_row(params_list, image, False, [cache])
     if bad is not None:
         raise ValueError(f"network {bad} gives non-finite probabilities")
     return fused

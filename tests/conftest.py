@@ -39,7 +39,7 @@ def no_staging_leftovers(request):
 
 
 class SharedCount:
-    """A call count that forked workers (training's or eval's) add to as well."""
+    """A call count that training's forked workers add to as well."""
 
     def __init__(self):
         self._value = multiprocessing.get_context("fork").Value("q", 0)
@@ -53,12 +53,10 @@ class SharedCount:
 
 
 def use_executors(monkeypatch, w):
-    """Train and evaluate on min(rows, w) executors, whatever the
-    machine's core count."""
-    from ambiseg import cli, training
+    """Train on min(rows, w) executors, whatever the machine's core count."""
+    from ambiseg import training
 
-    for module in (training, cli):
-        monkeypatch.setattr(module, "_executor_count", lambda rows: min(rows, w))
+    monkeypatch.setattr(training, "_executor_count", lambda rows: min(rows, w))
 
 
 class Writes:

@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SharedCount, use_executors
+from conftest import use_executors
 
 from ambiseg import cli
 from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
 from ambiseg.data import AnnotatorProfile, build_dataset, load_dataset, save_tensor
 from ambiseg.fusion import STAPLE_MAX_ITER, majority_vote, staple_binary
 from ambiseg.model import Architecture, init_params, load_checkpoint, save_checkpoint
-from ambiseg.training import TrainConfig
+from ambiseg.training import TrainConfig, load_run
 
 
 @pytest.fixture(scope="module")
@@ -338,38 +338,49 @@ def test_eval_fused_and_per_network(run_dir, dataset_dir, tmp_path):
         assert 0.0 <= float(parts[3]) <= 1.0
 
 
-def test_eval_per_network_forwards_each_image_once_per_network(
-    run_dir, dataset_dir, tmp_path, monkeypatch
-):
-    from ambiseg import model, training
+def reference_report(run, data, per_network):
+    """The lines of eval's CSV report and of its summary, as scope-major
+    code computes them from model.predict_probs: a fused pass over the
+    test split, then, with `per_network`, one pass per network."""
+    from ambiseg import model
     from ambiseg.fusion import average_fuse
     from ambiseg.masks import argmax_mask
     from ambiseg.metrics import evaluate_masks
 
-    # the report as scope-major code computes it from model.predict_probs:
-    # a fused pass over the test split, then one pass per network
-    dataset = load_dataset(dataset_dir)
-    params = [load_checkpoint(run_dir / f"net{k}.msen") for k in range(2)]
+    dataset = load_dataset(data)
+    params = load_run(run)
     refs = [s.clean_gt for s in dataset.test]
     fused = [
         argmax_mask(average_fuse([model.predict_probs(p, s.image) for p in params]))
         for s in dataset.test
     ]
     scopes = [("fused", fused)]
-    for k, p in enumerate(params):
+    for k, p in enumerate(params if per_network else []):
         preds = [argmax_mask(model.predict_probs(p, s.image)) for s in dataset.test]
         scopes.append((f"net{k}", preds))
-    want = ["network,class,jaccard,dice"]
+    csv, summary = ["network,class,jaccard,dice"], []
     for name, preds in scopes:
         r = evaluate_masks(preds, refs)
-        want += [f"{name},{c},{r.class_jaccard[c]:.6f},{r.class_dice[c]:.6f}"
-                 for c in range(r.num_classes)]
+        csv += [f"{name},{c},{r.class_jaccard[c]:.6f},{r.class_dice[c]:.6f}"
+                for c in range(r.num_classes)]
+        summary.append(f"{name}: foreground jaccard {r.mean_jaccard:.4f}")
+    return csv, summary
 
-    calls = SharedCount()  # eval's workers add theirs
+
+def test_eval_per_network_forwards_each_image_once_per_network(
+    run_dir, dataset_dir, tmp_path, monkeypatch
+):
+    from ambiseg import model, training
+
+    params = load_run(run_dir)
+    dataset = load_dataset(dataset_dir)
+    want, _ = reference_report(run_dir, dataset_dir, per_network=True)
+
+    calls = []  # one entry per forward
     original = model.forward
 
     def counted(*args, **kwargs):
-        calls.add()
+        calls.append(None)
         return original(*args, **kwargs)
 
     # prediction rows call training's binding, predict_probs model's
@@ -722,8 +733,8 @@ def test_train_without_validation_split_leaves_nothing(tmp_path, capsys):
 
 
 def two_executors_with_failing_worker(monkeypatch, hook, name="backward"):
-    """Train or evaluate on two executors; hook() runs before each call of
-    training's `name` in the worker."""
+    """Train on two executors; hook() runs before each call of training's
+    `name` in the worker."""
     from ambiseg import training
 
     parent = os.getpid()
@@ -931,13 +942,8 @@ def test_eval_out_over_a_dataset_is_an_error(
     assert tree_digest(data) == before
 
 
-@pytest.mark.parametrize("scope,w", [
-    ([], 1), (["--per-network"], 1), ([], 2), (["--per-network"], 2),
-], ids=["fused", "per-network", "fused-w2", "per-network-w2"])
-def test_eval_overflowing_checkpoint_is_an_error(
-    scope, w, run_dir, dataset_dir, tmp_path, monkeypatch, capfd
-):
-    use_executors(monkeypatch, w)
+@pytest.mark.parametrize("scope", [[], ["--per-network"]], ids=["fused", "per-network"])
+def test_eval_overflowing_checkpoint_is_an_error(scope, run_dir, dataset_dir, tmp_path, capfd):
     # nine huge but finite layer-1 weights: the checkpoint loads, and its
     # forward pass overflows
     run = tmp_path / "run"
@@ -970,7 +976,7 @@ def test_fuse_out_is_the_data_directory_is_a_usage_error(dataset_dir, tmp_path, 
 def eval_cases(tmp_path_factory):
     """(run, dataset, flags) of a fused K=2 run, a per-network K=3 run and
     a single-annotator run, each with datasets of 1 and 5 test images."""
-    root = tmp_path_factory.mktemp("eval-crew")
+    root = tmp_path_factory.mktemp("eval-cases")
 
     def gen(k, n_test):
         out = root / f"ds-k{k}-t{n_test}"
@@ -996,24 +1002,53 @@ def eval_cases(tmp_path_factory):
     return [(run, splits[k, n], flags) for run, k, flags in runs for n in (1, 5)]
 
 
-def test_eval_output_is_the_same_for_every_executor_count(
-    eval_cases, tmp_path, monkeypatch, capfd
-):
+def test_eval_starts_no_process(eval_cases, monkeypatch, capfd):
+    def no_fork():
+        raise OSError("eval forked")
+
     capfd.readouterr()
-    for case, (run, data, flags) in enumerate(eval_cases):
-        outputs = set()
-        for w in (1, 2, 3):
-            use_executors(monkeypatch, w)
-            report = tmp_path / f"report-{case}-{w}.csv"
-            args = ["eval", "--run", str(run), "--data", str(data), *flags]
-            assert entry(args) == 0
-            printed = capfd.readouterr()
-            assert entry([*args, "--out", str(report)]) == 0
-            written = capfd.readouterr()
-            assert printed.err == written.err == ""
-            outputs.add((printed.out, report.read_bytes(), written.out.replace(str(report), "R")))
-            assert multiprocessing.active_children() == []
-        assert len(outputs) == 1, (run, data, flags)
+    monkeypatch.setattr(os, "fork", no_fork)
+    for run, data, flags in eval_cases:
+        assert entry(["eval", "--run", str(run), "--data", str(data), *flags]) == 0
+        csv, summary = reference_report(run, data, "--per-network" in flags)
+        assert capfd.readouterr() == ("\n".join(csv + summary) + "\n", "")
+
+
+def test_eval_over_mixed_image_sizes_matches_fused_prediction(
+    eval_cases, tmp_path, monkeypatch
+):
+    from dataclasses import replace
+
+    from ambiseg.data import write_dataset
+    from ambiseg.masks import argmax_mask
+    from ambiseg.model import predict_probs
+    from ambiseg.training import fused_prediction
+
+    run, data, _ = next(c for c in eval_cases if c[0].name == "k2" and "t5" in c[1].name)
+    other = tmp_path / "ds-48x40"
+    # 40 rows of 48 pixels: an inference cache tiles them, 16x16 is one tile
+    assert entry([
+        "gen-data", "--out", str(other), "--seed", "21", "--k", "2", "--n-multi", "1",
+        "--n-unann", "1", "--n-val", "1", "--n-test", "2", "--width", "48", "--height", "40",
+    ]) == 0
+    small, large = load_dataset(data), load_dataset(other)
+    mixed = small.test[:1] + large.test[:1] + small.test[1:3] + large.test[1:]
+    write_dataset(tmp_path / "mixed", replace(small, test=mixed))
+    scored = []  # each scope's predictions, in the order eval scores them
+    real = cli.evaluate_masks
+    monkeypatch.setattr(cli, "evaluate_masks", lambda p, r: scored.append(p) or real(p, r))
+    args = ["eval", "--run", str(run), "--data", str(tmp_path / "mixed"), "--per-network"]
+    assert entry([*args, "--out", str(tmp_path / "report.csv")]) == 0
+
+    params = load_run(run)
+    fused, *per_net = scored
+    assert len(fused) == len(mixed) and len(per_net) == len(params)
+    for i, sample in enumerate(mixed):
+        want = fused_prediction(params, sample.image)
+        assert np.array_equal(fused[i].labels, want.labels), i
+        for z, p in enumerate(params):
+            want = argmax_mask(predict_probs(p, sample.image))
+            assert np.array_equal(per_net[z][i].labels, want.labels), (i, z)
 
 
 def test_eval_names_the_first_non_finite_row_in_row_order(
@@ -1025,15 +1060,14 @@ def test_eval_names_the_first_non_finite_row_in_row_order(
     images = [s.image.values.tobytes() for s in load_dataset(data).test]
     original = training._fused_row
 
-    # network 1 on image 1 (the worker's row) and network 0 on image 2 (the
-    # calling process's, built first)
+    # network 1 on image 1 and network 0 on image 2: the first non-finite
+    # row in row order is named
     def poisoned(snapshot, image, per_network, caches):
         row = original(snapshot, image, per_network, caches)
         bad = {1: 1, 2: 0}.get(images.index(image.values.tobytes()))
         return row if bad is None else (None, [], bad)
 
-    monkeypatch.setattr(training, "_fused_row", poisoned)
-    use_executors(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_fused_row", poisoned)
     assert entry(["eval", "--run", str(run), "--data", str(data)]) == 1
     captured = capfd.readouterr()
     assert captured.out == ""
@@ -1041,21 +1075,3 @@ def test_eval_names_the_first_non_finite_row_in_row_order(
         f"error: {run / 'net1.msen'}: network 1 gives non-finite probabilities "
         "on test image 1\n"
     )
-
-
-@pytest.mark.parametrize("hook,message", [
-    (fail, "eval worker 1 failed: RuntimeError: boom in worker"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL),
-     "eval worker 1 stopped unexpectedly (exit code -9)"),
-], ids=["raises", "killed"])
-def test_eval_worker_failure_is_one_error_line(
-    hook, message, run_dir, dataset_dir, tmp_path, monkeypatch, capfd
-):
-    two_executors_with_failing_worker(monkeypatch, hook, "_fused_row")
-    report = tmp_path / "report.csv"
-    args = ["eval", "--run", str(run_dir), "--data", str(dataset_dir), "--per-network"]
-    assert entry([*args, "--out", str(report)]) == 1
-    captured = capfd.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
-    assert not report.exists()
-    assert multiprocessing.active_children() == []

@@ -374,11 +374,9 @@ def test_inference_caches_hold_no_backward_scratch(monkeypatch):
         image = ImageTensor.from_planes(np.random.default_rng(3).random((1, height, width)))
         predict_probs(nets[0], image)
         training.fused_prediction(nets, image)
-        with training._Crew(1, len(nets), "eval") as crew:
-            crew.run("_fused_row", nets, [image, image], True)
         # one cache per call of predict_probs and of fused_prediction, shared
-        # by its networks, and one per network for eval's rows on its crew
-        assert len(allocated) == 1 + 1 + len(nets)
+        # by its networks
+        assert len(allocated) == 1 + 1
         for cache in allocated:
             assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
             assert cache.inference and cache.cols2.shape == (8, 3, 3, rows, width)

@@ -607,6 +607,7 @@ def test_run_reuses_one_cache_per_network_and_frees_them(w, tiny_dataset, monkey
 @pytest.mark.parametrize("w", [1, 2])
 def test_training_caches_hold_whole_columns_and_eval_caches_a_tile(w, tmp_path, monkeypatch):
     from ambiseg import model, training
+    from ambiseg.cli import entry
 
     # at 48x48 an inference cache's cols2 is a 16-row tile
     root = tmp_path / "ds48"
@@ -632,8 +633,9 @@ def test_training_caches_hold_whole_columns_and_eval_caches_a_tile(w, tmp_path, 
     # every one of them, on every executor, has all 48 rows of cols2
     assert (len(forwards), len(tiled)) == (2 * 4 * 2 + 2 * 6 * 2, 0)
 
-    with training._Crew(w, config.k, "eval") as crew:
-        crew.run("_fused_row", result.best.params, [s.image for s in dataset.test], True)
+    write_run(result, tmp_path / "run")
+    args = ["eval", "--run", str(tmp_path / "run"), "--data", str(root), "--per-network"]
+    assert entry(args) == 0
     assert len(tiled) == len(forwards) - 40 == config.k * len(dataset.test)
 
 
@@ -656,6 +658,8 @@ def test_fused_prediction_shares_one_cache_across_networks(monkeypatch):
     # nothing backpropagates through inference, so one cache serves all
     assert len(caches) == 3
     assert all(c is caches[0] for c in caches)
+    with pytest.raises(ValueError, match="at least one network"):
+        training.fused_prediction([], image)
 
 
 def overflowing(params):
@@ -701,6 +705,15 @@ def test_fused_row_names_the_first_non_finite_network(bad_nets, named):
         item = (_VALIDATION, sample.image, majority_vote(sample.annotations))
         with pytest.raises(TrainingError, match=f"network {named} gives non-finite"):
             _checkpoint_row(nets, item, TrainConfig(k=3), [None] * 3)
+
+
+def test_predict_probs_is_the_softmax_of_forward_and_refuses_an_overflow():
+    image = make_sample(63).image
+    for params in make_nets(2, seed0=64):
+        logits, _ = forward(params, image)
+        assert predict_probs(params, image).probs.tobytes() == softmax(logits).tobytes()
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+            predict_probs(overflowing(params), image)
 
 
 def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
