@@ -13,7 +13,6 @@ from ambiseg import (
     Architecture,
     SceneSpec,
     argmax_mask,
-    consistency_set,
     generate_scene,
     init_params,
     predict_probs,
@@ -53,7 +52,7 @@ net_a = init_params(Architecture(), seed=11)
 net_b = init_params(Architecture(), seed=12)
 pred_a = argmax_mask(predict_probs(net_a, image))
 pred_b = argmax_mask(predict_probs(net_b, image))
-coincide = consistency_set(pred_a, pred_b)
+coincide, _ = separate_agreement(pred_a, pred_b)
 refined = restrict(coincide, disagree)
 print(f"untrained networks coincide on {len(coincide)}/{n} pixels; "
       f"{len(refined)} of those fall in the disagreement band")

@@ -19,7 +19,6 @@ from .masks import (
     ShapeError,
     argmax_mask,
     consensus_set,
-    consistency_set,
     full_grid_labels,
     restrict,
     separate_agreement,

@@ -26,7 +26,7 @@ from .data import (
 )
 from .fusion import FUSION_STRATEGIES, STAPLE_MAX_ITER, fuse_annotations, staple_runs
 from .metrics import evaluate_masks
-from .model import ForwardCache, gradient_check_report
+from .model import gradient_check_report
 from .training import (
     TrainConfig,
     TrainingError,
@@ -198,13 +198,11 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ValueError(f"dataset at {data_path} has no test split")
 
     refs = [s.clean_gt for s in dataset.test]
-    # one forward per (network, image), every network's into one inference
+    # one forward per (network, image), each image's into one inference
     # cache; a loadable checkpoint can still overflow, so a row names it
     # instead of warning
-    first = dataset.test[0].image
-    caches = [ForwardCache.allocate(params[0].arch, first.height, first.width, inference=True)]
     with np.errstate(all="ignore"):
-        rows = [_fused_row(params, s.image, ns.per_network, caches) for s in dataset.test]
+        rows = [_fused_row(params, s.image, ns.per_network) for s in dataset.test]
     fused, per_net, bad = zip(*rows)
     for i, z in enumerate(bad):
         if z is not None:
@@ -272,12 +270,7 @@ def cmd_grad_check(ns: argparse.Namespace) -> int:
     if ns.size < 1:
         raise UsageError(f"--size must be >= 1, got {ns.size}")
     check_seed(ns)
-    report = gradient_check_report(
-        seed=ns.seed,
-        instances=ns.instances,
-        size=ns.size,
-        corrupt=ns.corrupt,
-    )
+    report = gradient_check_report(seed=ns.seed, instances=ns.instances, size=ns.size)
     for layer, err in report["per_layer"].items():
         print(f"layer {layer}: max relative error {err:.3e}")
     print(
@@ -358,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--instances", type=int, default=20)
     c.add_argument("--size", type=int, default=8)
-    c.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     c.set_defaults(func=cmd_grad_check)
 
     return parser

@@ -200,12 +200,6 @@ def argmax_mask(p: "ProbMap") -> LabelMask:
     )
 
 
-def consistency_set(pred_a: LabelMask, pred_b: LabelMask) -> PixelLabels:
-    """Pixels where two predicted masks coincide, with the shared label."""
-    agree, _ = separate_agreement(pred_a, pred_b)
-    return agree
-
-
 def restrict(consistent: PixelLabels, disagree: PixelSet) -> PixelLabels:
     """The members of `consistent` that also lie in `disagree`."""
     if consistent.pixels.grid_size != disagree.grid_size:

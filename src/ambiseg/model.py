@@ -8,19 +8,17 @@ finite differences. The Adam optimizer lives here too; the learning-rate
 schedule does not (callers set lr per step).
 
 Buffers: forward writes its activations into a ForwardCache, the one it
-is given when that fits the architecture and image shape, else a new one
-of the same kind. A cache is overwritten by the next forward that
-receives it. backward only reads its activations, so a cache can be
-backpropagated any number of times; it works in the cache's gradient
-scratch, which the first backward on that cache allocates and every later
-one overwrites. A cache that only serves inference (predict_probs, the
-eval path) is an inference cache: it keeps one tile of layer 2's columns
-instead of all of them, so backward refuses it, and it never holds
-scratch. A bare forward(params, image) makes a training cache. Logits and
-gradients are always new arrays. Who owns the caches decides how long
-they live: each executor of a training run (the calling process and each
-forked worker) keeps one training cache per network for its training and
-checkpoint rows alike, and they die with the run.
+is given when that fits the architecture and image shape, else a new
+training cache. A cache is overwritten by the next forward that receives
+it. backward only reads its activations, so a cache can be
+backpropagated any number of times. A cache is complete when it is made,
+and its kind, training or inference, alone says whether backward may
+read it (see ForwardCache). Logits and gradients are always new arrays.
+Who owns the caches decides how long they live: each executor of a
+training run (the calling process and each forked worker) keeps one
+training cache per network for its training and checkpoint rows alike,
+and they die with the run; each prediction of the eval path makes its
+own inference cache.
 
 Layout: the output head is class-major. forward returns its (N, C)
 logits as the transpose of a contiguous (C, N) array, one plane per
@@ -51,17 +49,24 @@ those rows of the tap view (pixels r0*W up to (r0 + R)*W), zeroes the
 wrapped cells and runs one GEMM of the tile into the output's columns
 r0*W ... (r0 + R)*W - 1, a strided slice of the (O, H*W) output. A cache
 whose columns hold all H rows makes one tile: layer 1 always, and layer 2
-of every cache that backward may read. An inference cache tiles layer 2
-so that its columns stay inside a core's L2 cache: at 64x64 and hidden 8
-a whole cols2 is 2.36 MB and a 16-row tile 0.59 MB. R is the largest
-divisor of H with R*W at most TILE_PIXELS and a multiple of TILE_ALIGN;
-without one the tile is the whole grid (64x64 -> 16 rows, 128x128 -> 8,
-32x32, 33x65 and 64x63 whole). The tiles are equal and aligned because
+of every training cache. An inference cache tiles layer 2 so that its
+columns stay inside a core's L2 cache: at 64x64 and hidden 8 a whole
+cols2 is 2.36 MB and a 16-row tile 0.59 MB. R is the largest divisor of
+H with R*W at most TILE_PIXELS and a multiple of TILE_ALIGN; without one
+the tile is the whole grid (64x64 -> 16 rows, 128x128 -> 8, 32x32, 33x65
+and 64x63 whole). The tiles are equal and aligned because
 OpenBLAS sums a GEMM's edge columns in another order when its column
 count changes. Over 600 random GEMMs of layer shapes (OpenBLAS 0.3.31,
-x86_64, one thread), tiles matched the whole GEMM bit for bit in 200 of 200 cases
-when equal and a multiple of 64 columns, in 55 of 200 when equal and of
-another width, and in 34 of 200 with a shorter last tile.
+x86_64, SkylakeX kernel, one thread), tiles matched the whole GEMM bit
+for bit in 200 of 200 cases when equal and a multiple of 64 columns, in
+55 of 200 when equal and of another width, and in 34 of 200 with a
+shorter last tile. Whether the tiled layer 2 is bitwise that of whole
+columns depends on OpenBLAS's DGEMM kernel, which it picks per CPU
+(OPENBLAS_CORETYPE overrides the pick). It is on the SkylakeX and
+Sandybridge kernels. The Haswell kernel (which Zen CPUs load too) and
+the Nehalem kernel differ in the last bits with hidden 5 on grids of
+4096 pixels or more, and Nehalem also with hidden 8 at 48x48; there
+inference and checkpoint validation forward with different bits.
 
 The input gradient of layer 2 accumulates in its own (C, H, W) output.
 Output pixel (y, x) of tap (dy, dx) read input (y + dy - 1, x + dx - 1),
@@ -231,8 +236,8 @@ def init_params(arch: Architecture, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Activations saved by forward for exact backprop, plus backward's
-    gradient scratch.
+    """Activations saved by forward for exact backprop, plus, in a
+    training cache, backward's gradient scratch.
 
     A cache is a set of buffers sized for one architecture and image
     shape. forward overwrites every activation buffer of a cache it is
@@ -242,31 +247,29 @@ class ForwardCache:
     written when the cache is created, and no forward writes them; every
     other cell of every buffer is rewritten by each forward.
 
-    There are two kinds. A training cache's cols2 holds layer 2's columns
-    for all H rows, which backward reads. An inference cache's cols2 holds
-    one tile of rows (_tile_rows), which forward reuses for every tile, so
-    after a forward it holds the last tile only and backward refuses it.
-    Where no tile fits the rule the two kinds have the same buffers.
+    A cache is complete when allocate makes it, and its kind is fixed
+    then; backward reads a cache by its kind alone:
+    - A training cache (inference False) holds layer 2's columns for all
+      H rows in cols2, and backward's scratch, which every backward on the
+      cache overwrites:
+      - d2, d1: the gradients at layer 2's and layer 1's
+        pre-activations, (hidden, H, W) each;
+      - tap: one tap's product in layer 2's input gradient,
+        (hidden, H, W), which d1 accumulates (see the module docstring).
+      So a training run's caches allocate nothing after they are made.
+      forward(params, image) without a cache, or with one that does not
+      fit, makes a training cache.
+    - An inference cache (inference True) holds activations only: its
+      d2, d1 and tap are None, and its cols2 holds one tile of rows
+      (_tile_rows), which forward reuses for every tile, so after a
+      forward it holds the last tile only. backward refuses it, even
+      where no tile fits the rule and its cols2 covers the whole grid.
+      predict_probs and training._fused_row make one per predicted image,
+      shared by that image's networks, and free it afterwards.
 
-    backward only reads the activations and overwrites the scratch:
-    - d2, d1: the gradients at layer 2's and layer 1's pre-activations,
-      (hidden, H, W) each;
-    - tap: one tap's product in layer 2's input gradient, (hidden, H, W),
-      which d1 accumulates (see the module docstring).
-
-    The scratch is None until the first backward on the cache allocates
-    it (scratch()); later backwards reuse it, so a training run's caches
-    stop allocating after their first backward. Inference never
-    backpropagates, so its caches hold activations only. With hidden 8
-    and one input channel, a training cache takes 3.74 MB at 64x64 and
-    0.94 MB at 32x32 (4.53 MB and 1.14 MB with the scratch), an inference
-    cache 1.98 MB at 64x64 and the same 0.94 MB at 32x32. The eval path
-    allocates one inference cache per call of predict_probs,
-    fused_prediction or `ambiseg eval`, shared by the call's networks, and
-    frees it afterwards. Measured after a training run in one process (the
-    benchmark's `ensemble-k2` eval unit, two networks, 64x64), the first
-    eval pass took about 1.5 minor page faults per test image (11 with
-    training caches) and later passes none.
+    With hidden 8 and one input channel, a training cache takes 4.53 MB
+    at 64x64 and 1.14 MB at 32x32, an inference cache 1.98 MB at 64x64
+    and 0.94 MB at 32x32.
     """
 
     arch: Architecture
@@ -289,11 +292,13 @@ class ForwardCache:
     def allocate(
         cls, arch: Architecture, height: int, width: int, inference: bool = False
     ) -> "ForwardCache":
-        """Activation buffers for one forward; no backward scratch. An
-        inference cache's cols2 holds one tile of layer 2's rows."""
+        """A complete cache of its kind: a training cache's activations and
+        backward's scratch, or an inference cache's activations alone, its
+        cols2 one tile of layer 2's rows."""
         act = (arch.hidden, height, width)
         rows = _tile_rows(height, width) if inference else height
         x2 = _zero_ended(arch.hidden, height, width)
+        scratch = {} if inference else {name: np.empty(act) for name in ("d2", "d1", "tap")}
         return cls(
             arch=arch,
             width=width,
@@ -307,16 +312,8 @@ class ForwardCache:
             cols2=np.empty((arch.hidden, 3, 3, rows, width)),
             pre2=np.empty(act),
             act2=np.empty(act),
+            **scratch,
         )
-
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """backward's (d2, d1, tap), allocated by the first call."""
-        if self.tap is None:
-            act = (self.arch.hidden, self.height, self.width)
-            self.d2 = np.empty(act)
-            self.d1 = np.empty(act)
-            self.tap = np.empty(act)
-        return self.d2, self.d1, self.tap
 
 
 def _tile_rows(height: int, width: int) -> int:
@@ -360,14 +357,13 @@ def _tap_view(buf: np.ndarray, width: int) -> np.ndarray:
     return view
 
 
-def _im2col3(buf: np.ndarray, cols: np.ndarray, start: int = 0) -> None:
-    """Write the nine 3x3 taps of zero-ended buf's pixels start, start + 1,
-    ... into cols, shape (C, 3, 3, R, W): one copy from the tap view, then
-    zeros over the cells that wrapped round a row end (see the module
-    docstring)."""
+def _im2col3(taps: np.ndarray, cols: np.ndarray, start: int = 0) -> None:
+    """Write the nine 3x3 taps of pixels start, start + 1, ... into cols,
+    shape (C, 3, 3, R, W): one copy from `taps`, a zero-ended buffer's tap
+    view (_tap_view), then zeros over the cells that wrapped round a row
+    end (see the module docstring)."""
     channels, _, _, rows, w = cols.shape
-    taps = _tap_view(buf, w)[..., start : start + rows * w]
-    np.copyto(cols.reshape(channels, 3, 3, rows * w), taps)
+    np.copyto(cols.reshape(channels, 3, 3, rows * w), taps[..., start : start + rows * w])
     cols[:, :, 0, :, 0] = 0.0  # dx = 0 reads left of column 0
     cols[:, :, 2, :, w - 1] = 0.0  # dx = 2 reads right of the last column
 
@@ -381,8 +377,9 @@ def _conv3(
     out_2d = out.reshape(out.shape[0], -1)
     tile = cols.shape[3] * cols.shape[4]
     cols_2d = cols.reshape(-1, tile)
+    taps = _tap_view(buf, cols.shape[4])
     for start in range(0, out_2d.shape[1], tile):
-        _im2col3(buf, cols, start)
+        _im2col3(taps, cols, start)
         np.matmul(w_2d, cols_2d, out=out_2d[:, start : start + tile])
     out += b[:, None, None]
 
@@ -406,8 +403,7 @@ def forward(
         )
     shape = (image.height, image.width)
     if cache is None or (cache.arch, cache.height, cache.width) != (arch, *shape):
-        inference = cache is not None and cache.inference
-        cache = ForwardCache.allocate(arch, *shape, inference)
+        cache = ForwardCache.allocate(arch, *shape)
     p = params.unpack()
     np.copyto(_interior(cache.x1, *shape), image.planes())
     _conv3(cache.x1, cache.cols1, p["w1"], p["b1"], cache.pre1)
@@ -474,14 +470,14 @@ def backward(
     arch = params.arch
     if cache.arch != arch:
         raise ValueError("cache was produced by a different architecture")
-    if cache.cols2.shape[3] != cache.height:
-        raise ValueError("cache's layer-2 columns are a tile of rows (an inference cache)")
+    if cache.inference:
+        raise ValueError("an inference cache holds no backward scratch")
     n = cache.width * cache.height
     if grad_logits.shape != (n, arch.num_classes):
         raise ShapeError(
             f"grad_logits shape {grad_logits.shape} != ({n}, {arch.num_classes})"
         )
-    d2, d1, tap = cache.scratch()
+    d2, d1, tap = cache.d2, cache.d1, cache.tap
     p = params.unpack()
     grad = np.empty(param_count(arch))
     g = _unpack(arch, grad)
@@ -617,12 +613,7 @@ def load_checkpoint(path: str) -> ModelParams:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def gradient_check_report(
-    seed: int = 0,
-    instances: int = 20,
-    size: int = 8,
-    corrupt: bool = False,
-) -> dict:
+def gradient_check_report(seed: int = 0, instances: int = 20, size: int = 8) -> dict:
     """Compare analytic parameter gradients with central finite differences.
 
     Random full-grid masked-CE instances are screened so no ReLU
@@ -630,8 +621,7 @@ def gradient_check_report(
     GRAD_CHECK_STEP moves any pre-activation by at most ~1.1x that step,
     so no finite-difference evaluation ever crosses a kink and the loss
     is smooth over the probed interval. Returns per-layer and
-    overall max relative error; `corrupt` perturbs the analytic gradient
-    to prove the check can fail.
+    overall max relative error.
     """
     from .losses import masked_cross_entropy
     from .masks import full_grid_labels, LabelMask
@@ -667,8 +657,6 @@ def gradient_check_report(
         )
         _, grad_logits = masked_cross_entropy(probs, targets)
         analytic = backward(params, cache, grad_logits)
-        if corrupt:
-            analytic = analytic + 1e-2
 
         def loss_at(flat: np.ndarray) -> float:
             p = ModelParams(arch=arch, flat=flat, seed=params.seed)

@@ -79,14 +79,13 @@ rows alike) writes z's activations into cache z. The crew owns executor
 0's caches, and each worker keeps its own. A cache is overwritten by the
 next forward that receives it, so a row's activations are valid only
 until the next row is built; backward only reads them. An empty slot
-gets a training cache from forward, whose layer-2 columns cover the
-whole grid for backward. The run's caches die with the run: no returned
-object references them. train_iteration and _checkpoint called without a
-crew use one cache per network for that call. Nothing backpropagates
-through inference, so `ambiseg eval` and fused_prediction each allocate
-one inference cache, shared by every network, which builds layer 2 in
-tiles of rows and takes about half the memory at 64x64
-(model.ForwardCache).
+gets a training cache from forward, which backward may read. The run's
+caches die with the run: no returned object references them.
+train_iteration and _checkpoint called without a crew use one cache per
+network for that call. Nothing backpropagates through inference, so
+_fused_row called without caches, as by fused_prediction and `ambiseg
+eval`, makes one inference cache for its image, shared by every network
+(model.ForwardCache gives the rule for both kinds).
 """
 
 from __future__ import annotations
@@ -313,13 +312,16 @@ def _fused_row(
     snapshot: Sequence[ModelParams],
     image: ImageTensor,
     per_network: bool,
-    caches: list[Optional[ForwardCache]],
+    caches: Optional[list[Optional[ForwardCache]]] = None,
 ) -> tuple[Optional[LabelMask], list[LabelMask], Optional[int]]:
     """The argmax of the networks' averaged probabilities on one image,
     each network's mask when `per_network` is set (else none), and None;
     (None, [], z) when network z is the first whose probabilities are not
     all finite, checked before they are averaged. A lone network's average
-    is its own map, so its mask is the fused mask."""
+    is its own map, so its mask is the fused mask. Without `caches` every
+    network forwards into one new inference cache for this image."""
+    if caches is None:
+        caches = [ForwardCache.allocate(snapshot[0].arch, image.height, image.width, inference=True)]
     lone = len(snapshot) == 1
     row = _prediction_row(snapshot, image, per_network or lone, caches)
     for z, probs in enumerate(row.probs):
@@ -692,8 +694,7 @@ def fused_prediction(
     probabilities are not all finite."""
     if not params_list:
         raise ValueError("fused_prediction needs at least one network")
-    cache = ForwardCache.allocate(params_list[0].arch, image.height, image.width, inference=True)
-    fused, _, bad = _fused_row(params_list, image, False, [cache])
+    fused, _, bad = _fused_row(params_list, image, False)
     if bad is not None:
         raise ValueError(f"network {bad} gives non-finite probabilities")
     return fused

@@ -19,7 +19,6 @@ from ambiseg.masks import (
     PixelSet,
     argmax_mask,
     consensus_set,
-    consistency_set,
     full_grid_labels,
     restrict,
     separate_agreement,
@@ -72,7 +71,7 @@ def test_criterion_1_set_algebra_oracle(capsys):
 
         p = random_mask(rng, w, h, c)
         q = random_mask(rng, w, h, c)
-        cons = consistency_set(p, q)
+        cons, _ = separate_agreement(p, q)
         exp_cons = [i for i in range(n) if p.labels[i] == q.labels[i]]
         ok = ok and cons.pixels.indices.tolist() == exp_cons
 
@@ -114,7 +113,7 @@ def test_criterion_2_loss_and_model_gradients(capsys):
     ln2_err = abs(loss - math.log(2.0))
     empty_loss, _ = masked_cross_entropy(
         uniform,
-        restrict(consistency_set(mask, mask),
+        restrict(separate_agreement(mask, mask)[0],
                  PixelSet(np.zeros(16, dtype=bool))),
     )
     grad = gradient_check_report(seed=0, instances=20, size=8)

@@ -554,9 +554,13 @@ def test_grad_check_passes():
     assert entry(["grad-check", "--instances", "3", "--size", "8"]) == 0
 
 
-def test_grad_check_detects_corruption():
-    assert entry(["grad-check", "--instances", "2", "--size", "8",
-                  "--corrupt"]) == 1
+def test_grad_check_detects_corruption(monkeypatch, capsys):
+    from ambiseg import model
+
+    original = model.backward
+    monkeypatch.setattr(model, "backward", lambda *args: original(*args) + 1e-2)
+    assert entry(["grad-check", "--instances", "2", "--size", "8"]) == 1
+    assert "gradient check FAILED" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1062,7 +1066,7 @@ def test_eval_names_the_first_non_finite_row_in_row_order(
 
     # network 1 on image 1 and network 0 on image 2: the first non-finite
     # row in row order is named
-    def poisoned(snapshot, image, per_network, caches):
+    def poisoned(snapshot, image, per_network, caches=None):
         row = original(snapshot, image, per_network, caches)
         bad = {1: 1, 2: 0}.get(images.index(image.values.tobytes()))
         return row if bad is None else (None, [], bad)

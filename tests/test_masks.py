@@ -13,7 +13,6 @@ from ambiseg.masks import (
     ShapeError,
     argmax_mask,
     consensus_set,
-    consistency_set,
     full_grid_labels,
     restrict,
     separate_agreement,
@@ -125,12 +124,12 @@ def test_argmax_mask_equals_numpy_argmax_with_ties_in_any_layout(num_classes):
 def test_consistency_set_full_and_empty():
     rng = np.random.default_rng(4)
     m = random_mask(rng, 6, 6, 2)
-    full = consistency_set(m, m)
+    full, _ = separate_agreement(m, m)
     assert len(full) == m.size
     comp = LabelMask(
         width=6, height=6, num_classes=2, labels=1 - m.labels
     )
-    assert len(consistency_set(m, comp)) == 0
+    assert len(separate_agreement(m, comp)[0]) == 0
 
 
 def test_restrict_vs_bruteforce():
@@ -262,7 +261,7 @@ def test_agreement_and_disagreement_partition_the_grid(masks):
 
 @given(mask_groups(4))
 def test_restrict_is_a_subset_of_both_inputs(masks):
-    consistent = consistency_set(masks[0], masks[1])
+    consistent, _ = separate_agreement(masks[0], masks[1])
     _, disagree = separate_agreement(masks[2], masks[3])
     refined = restrict(consistent, disagree)
     assert not np.any(refined.pixels.member & ~consistent.pixels.member)

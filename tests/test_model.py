@@ -265,7 +265,7 @@ def test_im2col3_bitwise_equal_to_reference(channels, height, width):
     rng = np.random.default_rng(height * 100 + width + channels)
     buf, x = zero_ended_input(rng, channels, height, width)
     cols = np.full((channels, 3, 3, height, width), np.nan)  # every cell is rewritten
-    _im2col3(buf, cols)
+    _im2col3(_tap_view(buf, width), cols)
     assert np.array_equal(cols.view(np.uint64), ref_im2col3(x).view(np.uint64))
 
 
@@ -432,27 +432,41 @@ def test_backward_refuses_an_inference_cache():
     params, _, rng = odd_case(1, 2, 7, 5, seed=15)
     image = ImageTensor.from_planes(rng.uniform(-1, 1, size=(1, 64, 64)))
     logits, cache = forward(params, image, ForwardCache.allocate(params.arch, 64, 64, True))
-    with pytest.raises(ValueError, match="columns are a tile"):
+    with pytest.raises(ValueError, match="an inference cache"):
         backward(params, cache, np.zeros(logits.shape))
-    # a cache that does not fit is replaced by one of its own kind
+    # a cache that does not fit is replaced by a training cache
     small = ImageTensor.from_planes(rng.uniform(-1, 1, size=(1, 48, 48)))
     _, refit = forward(params, small, cache)
-    assert refit is not cache and refit.inference and refit.cols2.shape[3] == 16
+    assert refit is not cache and not refit.inference and refit.cols2.shape[3] == 48
+    assert refit.tap is not None
 
 
-def test_first_backward_allocates_scratch_and_later_ones_reuse_it():
+def test_backward_refuses_an_untiled_inference_cache():
+    # at 32x32 an inference cache's one tile is the whole grid, so only
+    # its kind tells it from a training cache
+    params, _, rng = odd_case(1, 2, 7, 5, seed=16)
+    image = ImageTensor.from_planes(rng.uniform(-1, 1, size=(1, 32, 32)))
+    cache = ForwardCache.allocate(params.arch, 32, 32, inference=True)
+    assert cache.cols2.shape[3] == 32
+    logits, used = forward(params, image, cache)
+    assert used is cache
+    with pytest.raises(ValueError, match="an inference cache"):
+        backward(params, cache, np.zeros(logits.shape))
+    assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
+
+
+def test_training_cache_holds_its_scratch_from_allocation_and_backward_reuses_it():
     params, image, rng = odd_case(3, 3, 9, 7, seed=14)
     logits, cache = forward(params, image)
-    assert all(a is None for a in (cache.d2, cache.d1, cache.tap))
-    backward(params, cache, rng.normal(size=logits.shape))
     scratch = (cache.d2, cache.d1, cache.tap)
     assert all(isinstance(a, np.ndarray) and a.shape == (5, 9, 7) for a in scratch)
     assert len({id(a) for a in scratch}) == 3
-    forward(params, image, cache)
-    backward(params, cache, rng.normal(size=logits.shape))
-    assert all(
-        now is before for now, before in zip((cache.d2, cache.d1, cache.tap), scratch)
-    )
+    for _ in range(2):
+        forward(params, image, cache)
+        backward(params, cache, rng.normal(size=logits.shape))
+        assert all(
+            now is before for now, before in zip((cache.d2, cache.d1, cache.tap), scratch)
+        )
 
 
 def relu_masked_gout(rng, channels, height, width):
@@ -571,8 +585,12 @@ def test_end_to_end_gradient_check():
     assert report["max_rel_error"] < 1e-4
 
 
-def test_gradient_check_detects_corruption():
-    report = gradient_check_report(seed=0, instances=2, size=8, corrupt=True)
+def test_gradient_check_detects_corruption(monkeypatch):
+    from ambiseg import model
+
+    original = model.backward
+    monkeypatch.setattr(model, "backward", lambda *args: original(*args) + 1e-2)
+    report = gradient_check_report(seed=0, instances=2, size=8)
     assert not report["passed"]
 
 
