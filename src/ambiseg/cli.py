@@ -31,6 +31,7 @@ from .training import (
     TrainConfig,
     TrainingError,
     _fused_row,
+    _one_blas_thread,
     checkpoint_files,
     config_hash,
     load_run,
@@ -199,9 +200,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
 
     refs = [s.clean_gt for s in dataset.test]
     # one forward per (network, image), each image's into one inference
-    # cache; a loadable checkpoint can still overflow, so a row names it
-    # instead of warning
-    with np.errstate(all="ignore"):
+    # cache, at one BLAS thread as in checkpoint validation; a loadable
+    # checkpoint can still overflow, so a row names it instead of warning
+    with np.errstate(all="ignore"), _one_blas_thread():
         rows = [_fused_row(params, s.image, ns.per_network) for s in dataset.test]
     fused, per_net, bad = zip(*rows)
     for i, z in enumerate(bad):

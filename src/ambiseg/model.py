@@ -62,11 +62,15 @@ for bit in 200 of 200 cases when equal and a multiple of 64 columns, in
 55 of 200 when equal and of another width, and in 34 of 200 with a
 shorter last tile. Whether the tiled layer 2 is bitwise that of whole
 columns depends on OpenBLAS's DGEMM kernel, which it picks per CPU
-(OPENBLAS_CORETYPE overrides the pick). It is on the SkylakeX and
-Sandybridge kernels. The Haswell kernel (which Zen CPUs load too) and
-the Nehalem kernel differ in the last bits with hidden 5 on grids of
-4096 pixels or more, and Nehalem also with hidden 8 at 48x48; there
-inference and checkpoint validation forward with different bits.
+(OPENBLAS_CORETYPE overrides the pick), and on its thread count. At one
+thread it is on every kernel checked: SkylakeX, Sandybridge, Haswell
+(which Zen CPUs load too) and Nehalem. At two threads Haswell and
+Nehalem differ in the last bits with hidden 5 on grids of 4096 pixels or
+more, and Nehalem also with hidden 8 at 48x48. `ambiseg train` and
+`ambiseg eval` hold one BLAS thread (training._one_blas_thread), so
+inference and checkpoint validation forward with the same bits; forward,
+predict_probs and training.fused_prediction run at the caller's thread
+count.
 
 The input gradient of layer 2 accumulates in its own (C, H, W) output.
 Output pixel (y, x) of tap (dy, dx) read input (y + dy - 1, x + dx - 1),

@@ -63,8 +63,13 @@ gradients in batch order and every checkpoint sum in row order, and takes
 every Adam step itself, so the rng, the parameters and the Adam state
 never leave it. Every row is computed by the same operations wherever it
 runs and its float64 results cross processes exactly, so results are
-bit-identical for every W. While workers run, numpy's OpenBLAS is held to
-one thread (the workers inherit the setting), and restored afterwards. W
+bit-identical for every W. A GEMM's bits depend on OpenBLAS's kernel and
+on its thread count, so a run holds numpy's OpenBLAS to one thread at
+every W, from before the workers are forked (they inherit the setting)
+until it returns, and restores the count afterwards; `ambiseg eval` holds
+one thread around its predictions too (_one_blas_thread). Bitwise claims
+hold at one BLAS thread on every kernel they were checked on. forward,
+predict_probs and fused_prediction run at the caller's thread count. W
 is 1 on one core, where the platform cannot fork or report its cores, and
 where no OpenBLAS thread control is found. A one-image batch still trains
 in the calling process, and only its checkpoints are split. A worker that
@@ -94,7 +99,7 @@ import hashlib
 import math
 import os
 import pickle
-from contextlib import suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
@@ -495,12 +500,7 @@ def _executor_count(rows: int) -> int:
 
 def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
     """The (get, set) thread-count functions of each OpenBLAS mapped into
-    this process, found by path in /proc/self/maps.
-
-    Executors hold BLAS to one thread each: a second BLAS thread buys
-    nothing on these small GEMMs, and with processes on every core, idle
-    BLAS threads spinning for work made a 2-core run ten times slower.
-    """
+    this process, found by path in /proc/self/maps."""
     import ctypes
 
     try:
@@ -536,6 +536,25 @@ def _openblas_paths(maps_lines: Iterable[str]) -> set[str]:
     return paths
 
 
+@contextmanager
+def _one_blas_thread():
+    """Hold each OpenBLAS in this process to one thread, and restore its
+    count on exit, also when an exception is raised; without an OpenBLAS
+    thread control, do nothing.
+
+    _train and `ambiseg eval` run inside it at every W, so their GEMMs sum
+    in the same order in every executor and in eval as in checkpoint
+    validation (see the module docstring). A second BLAS thread also buys
+    nothing on these small GEMMs, and with processes on every core, idle
+    BLAS threads spinning for work made a 2-core run ten times slower.
+    """
+    with ExitStack() as restore:
+        for get, set_ in _openblas_thread_controls():
+            restore.callback(set_, get())
+            set_(1)
+        yield
+
+
 # messages a worker sends: (tag, body)
 _DONE, _FAILED = "done", "failed"
 
@@ -552,22 +571,18 @@ class _Crew:
     else its rows read. A worker answers each job with _DONE and its
     rows, or with _FAILED and its error's message. A worker that dies
     closes its pipe, so the calling process reads EOF instead of waiting
-    for it.
+    for it. The crew holds no BLAS state: _train makes it inside
+    _one_blas_thread, so its workers are forked with one BLAS thread.
     """
 
     def __init__(self, executors: int, num_nets: int):
         self.caches: list[Optional[ForwardCache]] = [None] * num_nets
         self._workers: list = []  # (executor number, process, pipe end)
-        self._blas_threads: list = []  # (set, thread count before the crew)
         if executors < 2:
             return
         import multiprocessing
 
         context = multiprocessing.get_context("fork")
-        # one BLAS thread here and, through the fork, in every worker
-        self._blas_threads = [(set_, get()) for get, set_ in _openblas_thread_controls()]
-        for set_, _ in self._blas_threads:
-            set_(1)
         try:
             for w in range(1, executors):
                 ours, theirs = context.Pipe()
@@ -592,7 +607,7 @@ class _Crew:
         self.close()
 
     def close(self) -> None:
-        """Stop every worker with SIGTERM and restore BLAS's thread count."""
+        """Stop every worker with SIGTERM."""
         for _, proc, conn in self._workers:
             if proc.pid is not None:
                 proc.terminate()
@@ -600,8 +615,6 @@ class _Crew:
                 proc.close()
             conn.close()
         self._workers = []
-        for set_, threads in self._blas_threads:
-            set_(threads)
 
     def _lost(self, worker) -> TrainingError:
         w, proc, _ = worker
@@ -925,12 +938,12 @@ def train_single_annotator(
 def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """The training loop, with one network per annotation of a training sample.
 
-    Iterations run on the run's executors (see the module docstring),
-    forked after the networks are initialized and stopped before this
-    returns or raises; Ctrl-C ends the run with TrainingError. Every
-    forward this process makes goes through the crew's caches, one per
-    network, which are freed when this returns: the result references
-    none of them.
+    Iterations run on the run's executors (see the module docstring) at
+    one BLAS thread, forked after the networks are initialized and
+    stopped before this returns or raises; Ctrl-C ends the run with
+    TrainingError. Every forward this process makes goes through the
+    crew's caches, one per network, which are freed when this returns: the
+    result references none of them.
     """
     if not dataset.multi:
         raise TrainingError("training requires at least one multi-annotated sample")
@@ -960,7 +973,7 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     checkpoint_rows = len(_checkpoint_items(dataset, config, num_nets, val_refs)[0])
     executors = _executor_count(max(batch_rows, checkpoint_rows))
     try:
-        with _Crew(executors, num_nets) as crew:
+        with _one_blas_thread(), _Crew(executors, num_nets) as crew:
             while True:
                 row, net_scores = _checkpoint(
                     state.params, dataset, config, state.t, val_refs, crew

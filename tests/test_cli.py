@@ -405,6 +405,34 @@ def test_eval_per_network_forwards_each_image_once_per_network(
     assert report.read_text() == "\n".join(fused_lines) + "\n"
 
 
+def test_eval_forwards_with_one_blas_thread_and_restores_it(run_dir, dataset_dir, monkeypatch):
+    # eval computes the bits checkpoint validation computes, at one thread
+    from ambiseg import training
+
+    controls = training._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = controls[0]
+    before = get()
+    threads = []  # the BLAS thread count each forward saw
+    original = training.forward
+
+    def recording(*args, **kwargs):
+        threads.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "forward", recording)
+    set_(2)
+    try:
+        assert entry([
+            "eval", "--run", str(run_dir), "--data", str(dataset_dir), "--per-network",
+        ]) == 0
+        assert threads == [1] * 2 * len(load_dataset(dataset_dir).test)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
 def test_eval_missing_run(dataset_dir, tmp_path):
     code = entry([
         "eval", "--run", str(tmp_path / "ghost"), "--data", str(dataset_dir),

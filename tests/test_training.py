@@ -1064,6 +1064,16 @@ def k4_dataset(tmp_path_factory):
     return load_dataset(str(root))
 
 
+@pytest.fixture(scope="module")
+def wide_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ds") / "wide"
+    build_dataset(
+        str(root), n_multi=4, n_unann=4, n_val=3, n_test=2,
+        k=2, seed=3, width=65, height=33,
+    )
+    return load_dataset(str(root))
+
+
 def count_workers(monkeypatch):
     """Count the training workers that start, from inside each worker."""
     from ambiseg import training
@@ -1092,15 +1102,24 @@ EXECUTOR_VARIANTS = {
 }
 
 
+SHORT_RUN = dict(total_iters=6, validation_every=3, seed=9)
+
+
 @pytest.mark.parametrize("variant", sorted(EXECUTOR_VARIANTS))
-@pytest.mark.parametrize("k,ws", [(2, (1, 2)), (4, (1, 2, 3, 4))])
+@pytest.mark.parametrize("k,ws,data,schedule", [
+    pytest.param(2, (1, 2), "tiny_dataset", SHORT_RUN, id="2-ws0"),
+    pytest.param(4, (1, 2, 3, 4), "k4_dataset", SHORT_RUN, id="4-ws1"),
+    # a run whose W=1 differed from its W=2 at two BLAS threads, before
+    # training held one thread at every W
+    pytest.param(2, (1, 2), "wide_dataset",
+                 dict(total_iters=20, validation_every=10, seed=1), id="2-33x65"),
+])
 def test_executors_give_byte_identical_runs(
-    k, ws, variant, tiny_dataset, k4_dataset, tmp_path, monkeypatch
+    k, ws, data, schedule, variant, request, tmp_path, monkeypatch
 ):
-    dataset = tiny_dataset if k == 2 else k4_dataset
-    config = TrainConfig(k=k, lr=0.02, total_iters=6, validation_every=3, seed=9,
-                         annotated_per_iter=2, unannotated_batch=2,
-                         **EXECUTOR_VARIANTS[variant])
+    dataset = request.getfixturevalue(data)
+    config = TrainConfig(k=k, lr=0.02, annotated_per_iter=2, unannotated_batch=2,
+                         **schedule, **EXECUTOR_VARIANTS[variant])
     images = config.annotated_per_iter + (config.unannotated_batch if config.w_max else 0)
     # a checkpoint's rows: the training images, the probe batch, validation
     probe = min(config.unannotated_batch, len(dataset.unannotated)) if config.w_max else 0
@@ -1301,7 +1320,9 @@ def test_crew_builds_each_iteration_with_its_own_config():
             assert_same_networks(state, serial)
 
 
-def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypatch):
+@pytest.mark.parametrize("w", [1, 2])
+def test_workers_run_with_one_blas_thread_and_restore_it(w, tiny_dataset, monkeypatch):
+    # at every W, a crew of one included, training holds one BLAS thread
     from ambiseg import training
 
     controls = training._openblas_thread_controls()
@@ -1317,14 +1338,33 @@ def test_workers_run_with_one_blas_thread_and_restore_it(tiny_dataset, monkeypat
             seen.add()
         return original(*args)
 
-    use_executors(monkeypatch, 2)
+    use_executors(monkeypatch, w)
     monkeypatch.setattr(training, "_row_steps", counting_threads)
     set_(2)
     try:
         config = TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=1)
         run_training(tiny_dataset, config)
-        # all four rows of both iterations, on both executors, saw one BLAS thread
+        # all four rows of both iterations, on every executor, saw one BLAS thread
         assert len(seen) == 2 * (config.annotated_per_iter + config.unannotated_batch)
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+def test_one_blas_thread_restores_the_count_when_its_body_raises():
+    from ambiseg import training
+
+    controls = training._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = controls[0]
+    before = get()
+    set_(2)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            with training._one_blas_thread():
+                assert get() == 1
+                raise KeyboardInterrupt
         assert get() == 2
     finally:
         set_(before)
