@@ -625,7 +625,9 @@ def gradient_check_report(seed: int = 0, instances: int = 20, size: int = 8) -> 
     GRAD_CHECK_STEP moves any pre-activation by at most ~1.1x that step,
     so no finite-difference evaluation ever crosses a kink and the loss
     is smooth over the probed interval. Returns per-layer and
-    overall max relative error.
+    overall max relative error. Raises ValueError when 50 draws per
+    instance do not yield `instances` kink-free ones, which larger images,
+    with more pre-activations near a kink, make likelier.
     """
     from .losses import masked_cross_entropy
     from .masks import full_grid_labels, LabelMask
@@ -639,7 +641,8 @@ def gradient_check_report(seed: int = 0, instances: int = 20, size: int = 8) -> 
     while checked < instances:
         attempts += 1
         if attempts > instances * 50:
-            raise RuntimeError("could not find enough kink-free instances")
+            raise ValueError(f"found fewer than {instances} kink-free {size}x{size} "
+                             f"instances in {attempts - 1} attempts")
         params = init_params(arch, seed=int(rng.integers(2**31)))
         image = ImageTensor.from_planes(
             rng.uniform(0.0, 1.0, size=(arch.in_channels, size, size))

@@ -22,8 +22,10 @@ compares with itself, so it learns its whole annotation (full-grid CE),
 with nothing to refine, no peer consensus and no ramp weight.
 
 Every pass of several networks over images goes through prediction
-rows: one row per image holds every network's probabilities and, on
-request, argmax masks. An iteration walks the batch image by image: each
+rows: one row per image holds every network's probabilities and makes a
+network's argmax mask the first time a loss term, an agreement fraction
+or a validation score reads it, so a row takes only the argmaxes its
+readers use. An iteration walks the batch image by image: each
 row feeds every learner's loss terms on that image, each learner
 backpropagates once, and the next row is built only then. Each network
 therefore forwards each batch image once. Every learner's losses and
@@ -33,7 +35,8 @@ that computes each learner's losses on its own. A checkpoint is one pass
 of rows over the training images, the probe's unannotated images and the
 validation split, with no backward pass. One prediction function,
 _fused_row, makes a row's fused mask and, on request, each network's, for
-checkpoint validation, fused_prediction and `ambiseg eval` alike.
+checkpoint validation, fused_prediction and `ambiseg eval` alike;
+validation asks for each network's only under per-network selection.
 
 Executors: networks share nothing but hard predictions on the same image
 (a peer's argmax mask in the consistency term, the peers' consensus in
@@ -251,14 +254,14 @@ class RunState:
     trace: list[TraceRow] = field(default_factory=list)
     best: list[tuple[float, int, ModelParams]] = field(default_factory=list)
 
-    def record(self, row: TraceRow, net_scores: Sequence[float], selection: str) -> None:
-        """Log the checkpoint at t and keep each network whose score beats
-        its best, so a tie keeps the earlier checkpoint. Under fused
-        selection every network scores the fused validation Jaccard, so all
-        are kept from one checkpoint."""
+    def record(self, row: TraceRow, net_scores: Sequence[float]) -> None:
+        """Log the checkpoint at t and keep each network z whose score
+        net_scores[z] beats its best, so a tie keeps the earlier
+        checkpoint. Under fused selection _checkpoint scores every network
+        by the fused validation Jaccard, so all are kept from one
+        checkpoint."""
         self.trace.append(row)
-        fused = [row.val_jaccard] * len(net_scores)
-        for z, score in enumerate(net_scores if selection == "per-network" else fused):
+        for z, score in enumerate(net_scores):
             if score > self.best[z][0]:
                 self.best[z] = (score, self.t, self.params[z])
 
@@ -277,24 +280,30 @@ def pick_comparison(k: int, num_nets: int, rng: np.random.Generator) -> int:
 class _PredictionRow:
     """Every network's prediction on one image, indexed by network.
 
-    Holds each network's probabilities and, when the caller asked for
-    masks, its hard argmax mask. Every loss term of every learner on that
-    image reads from one row, so each network forwards each image once.
-    The row holds no activations: network z's stay in the cache the row
-    was built with until the next row overwrites them.
+    Holds each network's probabilities; mask(z) makes network z's hard
+    argmax mask the first time it is read and keeps it, so the row takes
+    one argmax per network that a reader asks for and none for the rest.
+    Every loss term of every learner on that image reads from one row, so
+    each network forwards each image once. The row holds no activations:
+    network z's stay in the cache the row was built with until the next
+    row overwrites them.
     """
 
     probs: list[ProbMap]
-    masks: list[LabelMask]
+    _masks: dict[int, LabelMask] = field(default_factory=dict)
+
+    def mask(self, z: int) -> LabelMask:
+        if z not in self._masks:
+            self._masks[z] = argmax_mask(self.probs[z])
+        return self._masks[z]
 
 
 def _prediction_row(
     snapshot: Sequence[ModelParams],
     image: ImageTensor,
-    masks: bool,
     caches: list[Optional[ForwardCache]],
 ) -> _PredictionRow:
-    row = _PredictionRow(probs=[], masks=[])
+    row = _PredictionRow(probs=[])
     for z, params in enumerate(snapshot):
         # a list of one cache is shared by every network
         slot = z % len(caches)
@@ -308,8 +317,6 @@ def _prediction_row(
             probs=softmax(logits),
         )
         row.probs.append(probs)
-        if masks:
-            row.masks.append(argmax_mask(probs))
     return row
 
 
@@ -322,18 +329,18 @@ def _fused_row(
     """The argmax of the networks' averaged probabilities on one image,
     each network's mask when `per_network` is set (else none), and None;
     (None, [], z) when network z is the first whose probabilities are not
-    all finite, checked before they are averaged. A lone network's average
-    is its own map, so its mask is the fused mask. Without `caches` every
-    network forwards into one new inference cache for this image."""
+    all finite, checked before they are averaged. The average of a lone
+    network's map is that map, so its fused mask is its own mask, taken by
+    a second argmax when `per_network` asks for that too. Without `caches`
+    every network forwards into one new inference cache for this image."""
     if caches is None:
         caches = [ForwardCache.allocate(snapshot[0].arch, image.height, image.width, inference=True)]
-    lone = len(snapshot) == 1
-    row = _prediction_row(snapshot, image, per_network or lone, caches)
+    row = _prediction_row(snapshot, image, caches)
     for z, probs in enumerate(row.probs):
         if not np.isfinite(probs.probs).all():
             return None, [], z
-    fused = row.masks[0] if lone else argmax_mask(average_fuse(row.probs))
-    return fused, row.masks if per_network else [], None
+    masks = [row.mask(z) for z in range(len(snapshot))] if per_network else []
+    return argmax_mask(average_fuse(row.probs)), masks, None
 
 
 def npce_losses(
@@ -359,7 +366,7 @@ def npce_losses(
     l_pc = 0.0
     # annotations that agree everywhere leave nothing to refine
     if beta != 0 and len(disagree):
-        consistent, _ = separate_agreement(row.masks[k], row.masks[j])
+        consistent, _ = separate_agreement(row.mask(k), row.mask(j))
         refined = restrict(consistent, disagree)
         l_pc, g_pc = masked_cross_entropy(probs_k, refined)
         grad_logits += beta * g_pc
@@ -369,14 +376,8 @@ def npce_losses(
 def mnps_loss(row: _PredictionRow, k: int) -> tuple[float, np.ndarray]:
     """l_ps and its logit gradient for network k: the pixels where all of
     its peers' hard predictions agree, labeled with that prediction."""
-    peer_masks = [mask for z, mask in enumerate(row.masks) if z != k]
+    peer_masks = [row.mask(z) for z in range(len(row.probs)) if z != k]
     return masked_cross_entropy(row.probs[k], consensus_set(peer_masks))
-
-
-def _needs_masks(config: TrainConfig, num_nets: int) -> bool:
-    """Whether annotated rows need argmax masks: only the consistency term
-    reads them, and a lone network has no peer to be consistent with."""
-    return config.beta != 0 and num_nets > 1
 
 
 def _ramp_weight(config: TrainConfig, t: int, num_nets: int) -> float:
@@ -401,8 +402,7 @@ def _row_steps(
     pseudo-supervision term. Each network backpropagates once into its cache.
     """
     annotated = isinstance(sample, MultiAnnotatedSample)
-    masks = _needs_masks(config, len(snapshot)) if annotated else True
-    row = _prediction_row(snapshot, sample.image, masks, caches)
+    row = _prediction_row(snapshot, sample.image, caches)
     steps = []
     for k, params in enumerate(snapshot):
         if annotated:
@@ -787,16 +787,17 @@ def _checkpoint_row(
       sample) is given, each network's probe (l_ma, l_pc), else None;
     - (_PROBE, image, None): each network's probe l_ps;
     - (_VALIDATION, image, ref): the fused foreground Jaccard against the
-      reference and each network's; TrainingError when a network's
-      probabilities are not all finite.
+      reference and the score each network is kept by: its own mask's
+      Jaccard under per-network selection, else the fused Jaccard;
+      TrainingError when a network's probabilities are not all finite.
     """
     kind, image, extra = item
     num_nets = len(snapshot)
     nets = range(num_nets)
     if kind == _AGREEMENT:
-        row = _prediction_row(snapshot, image, num_nets > 1, caches)
+        row = _prediction_row(snapshot, image, caches)
         fractions = [
-            agreement_fraction(row.masks[a], row.masks[b])
+            agreement_fraction(row.mask(a), row.mask(b))
             for a in nets for b in range(a + 1, num_nets)
         ]
         npce = None if extra is None else [
@@ -805,12 +806,14 @@ def _checkpoint_row(
         ]
         return fractions, npce
     if kind == _PROBE:
-        row = _prediction_row(snapshot, image, True, caches)
+        row = _prediction_row(snapshot, image, caches)
         return [mnps_loss(row, k)[0] for k in nets]
-    fused, masks, bad = _fused_row(snapshot, image, True, caches)
+    fused, masks, bad = _fused_row(snapshot, image, config.selection == "per-network", caches)
     if bad is not None:
         raise TrainingError(f"network {bad} gives non-finite validation probabilities")
-    return _foreground_jaccard(fused, extra), [_foreground_jaccard(m, extra) for m in masks]
+    score = _foreground_jaccard(fused, extra)
+    # fused selection asks for no masks and keeps every network by `score`
+    return score, [_foreground_jaccard(m, extra) for m in masks] if masks else [score] * num_nets
 
 
 def _checkpoint_items(
@@ -836,8 +839,9 @@ def _checkpoint(
     val_refs: Sequence[LabelMask],
     crew: Optional[_Crew] = None,
 ) -> tuple[TraceRow, list[float]]:
-    """The trace row of a checkpoint at iteration t, and each network's
-    mean foreground Jaccard on the validation split.
+    """The trace row of a checkpoint at iteration t, and the validation
+    score each network is kept by: under per-network selection the mean
+    foreground Jaccard of its own masks, else the fused score.
 
     One pass of prediction rows on the crew (this process alone without
     one), with no backward pass and no rng draw:
@@ -850,7 +854,7 @@ def _checkpoint(
     - rows over the head of the unannotated pool give the probe's
       pseudo-supervision loss;
     - rows over the validation split give the fused score, which the
-      trace records, and the per-network scores.
+      trace records, and each network's score (see _checkpoint_row).
     Every sum is taken here in row order, so the result does not depend on
     W. The loss columns are ensemble means.
     """
@@ -978,7 +982,7 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 row, net_scores = _checkpoint(
                     state.params, dataset, config, state.t, val_refs, crew
                 )
-                state.record(row, net_scores, config.selection)
+                state.record(row, net_scores)
                 if state.t == config.total_iters:
                     break
                 for _ in range(config.validation_every):

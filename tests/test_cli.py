@@ -591,6 +591,14 @@ def test_grad_check_detects_corruption(monkeypatch, capsys):
     assert "gradient check FAILED" in capsys.readouterr().err
 
 
+def test_grad_check_without_enough_kink_free_instances_is_an_error(capsys):
+    # at 32x32 each of the default seed's 50 draws has a ReLU near its kink
+    assert entry(["grad-check", "--size", "32", "--instances", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: found fewer than 1 kink-free 32x32 instances in 50 attempts\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "args",
     [["--instances", "0"], ["--instances", "-3"], ["--size", "0"], ["--seed", "-1"]],

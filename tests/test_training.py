@@ -351,8 +351,9 @@ def test_config_rejects_non_finite_values(name, value):
 def test_row_values_equal_validated_constructors():
     snapshot = make_nets(2, seed0=40)
     image = make_sample(41).image
-    row = _prediction_row(snapshot, image, True, [None])
-    for params, probs, mask in zip(snapshot, row.probs, row.masks):
+    row = _prediction_row(snapshot, image, [None])
+    for z, (params, probs) in enumerate(zip(snapshot, row.probs)):
+        mask = row.mask(z)
         logits, _ = forward(params, image)
         checked = ProbMap(width=16, height=16, num_classes=2, probs=softmax(logits))
         checked_mask = LabelMask(width=16, height=16, num_classes=2,
@@ -716,10 +717,11 @@ def test_predict_probs_is_the_softmax_of_forward_and_refuses_an_overflow():
             predict_probs(overflowing(params), image)
 
 
-def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
+def count_argmaxes(monkeypatch):
+    """Count training's argmax masks, in this process and in the workers
+    it forks afterwards, which build checkpoint rows."""
     from ambiseg import training
 
-    # counted in this process and in the workers, which build checkpoint rows
     calls = SharedCount()
     original = training.argmax_mask
 
@@ -728,13 +730,18 @@ def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
         return original(probs)
 
     monkeypatch.setattr(training, "argmax_mask", counted)
+    return calls
+
+
+def test_single_annotator_builds_no_training_masks(tiny_dataset, monkeypatch):
+    calls = count_argmaxes(monkeypatch)
     config = TrainConfig(k=2, lr=0.01, total_iters=4, validation_every=2,
                          annotated_per_iter=2)
     assert config.beta != 0
     result = train_single_annotator(tiny_dataset, config, annotator=1)
     # only the validation rows take argmax masks, one per image: a lone
-    # network's consistency term never reads a mask, and its fused
-    # prediction is its own mask
+    # network's consistency term never reads a mask, and fused selection
+    # reads only the argmax of its one-map average
     n_val = len(tiny_dataset.validation)
     assert len(calls) == len(result.trace) * n_val
     refs = validation_references(tiny_dataset.validation)
@@ -937,7 +944,12 @@ def test_per_network_selection_keeps_each_networks_first_best(
     assert result.best.score == float(np.mean(maxima))
 
 
-@pytest.mark.parametrize("script", [None, TIED_SCORES], ids=["measured", "tied"])
+# TIED_SCORES as _checkpoint returns them under fused selection, which
+# scores every network by the fused score
+TIED_FUSED_SCORES = [(fused, [fused] * 2) for fused, _ in TIED_SCORES]
+
+
+@pytest.mark.parametrize("script", [None, TIED_FUSED_SCORES], ids=["measured", "tied"])
 def test_fused_selection_keeps_the_first_best(script, tiny_dataset, monkeypatch):
     config = TrainConfig(k=2, lr=0.01, total_iters=8, validation_every=2, seed=13)
     log = record_checkpoints(monkeypatch, script)
@@ -1472,7 +1484,7 @@ def k3_dataset(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", sorted(CHECKPOINT_CASES))
-def test_checkpoint_is_the_same_on_every_crew(case, tiny_dataset, k3_dataset):
+def test_checkpoint_is_the_same_on_every_crew(case, tiny_dataset, k3_dataset, monkeypatch):
     from ambiseg import training
 
     nets, changes = CHECKPOINT_CASES[case]
@@ -1488,10 +1500,21 @@ def test_checkpoint_is_the_same_on_every_crew(case, tiny_dataset, k3_dataset):
     snapshot = make_nets(nets, seed0=40)
     refs = validation_references(dataset.validation)
     t = 10  # a ramp weight above zero
+    # one argmax per network on an agreement row (none for a lone network,
+    # which has no pair and no disagreement) and on a probe row; a
+    # validation row takes the fused mask, and each network's under
+    # per-network selection only
+    argmaxes = count_argmaxes(monkeypatch)
+    probe = dataset.unannotated[: config.unannotated_batch] if config.w_max > 0 else []
+    per_validation = nets + 1 if config.selection == "per-network" else 1
+    want = (nets * len(dataset.multi) if nets > 1 else 0) + nets * len(probe)
+    want += per_validation * len(dataset.validation)
     results = []
     for w in (1, 2, 3):
+        before = len(argmaxes)
         with training._Crew(w, nets) as crew:
             results.append(_checkpoint(snapshot, dataset, config, t, refs, crew))
+        assert len(argmaxes) - before == want, w
     row, net_scores = results[0]
     assert len(net_scores) == nets
     assert (row.l_ps != 0) == (nets > 1 and config.w_max > 0)
