@@ -194,7 +194,8 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     if ns.out and Path(ns.out).is_dir():
         raise IsADirectoryError(f"--out {ns.out} exists and is a directory")
     params = load_run(run_dir)
-    dataset = load_dataset(data_path)
+    # every manifest row is checked, and only the test split's files read
+    dataset = load_dataset(data_path, splits=("test",))
     if not dataset.test:
         raise ValueError(f"dataset at {data_path} has no test split")
 

@@ -613,8 +613,13 @@ def write_dataset(out_dir: str | Path, dataset: Dataset) -> Path:
     return Path(out_dir)
 
 
-def load_dataset(root: str | Path) -> Dataset:
-    """Read a dataset directory written by write_dataset."""
+SPLITS = ("multi", "unann", "val", "test")
+
+
+def load_dataset(root: str | Path, splits: Sequence[str] = SPLITS) -> Dataset:
+    """Read a dataset directory written by write_dataset. Every manifest
+    row is checked, but only the rows of `splits` have their files read;
+    the other splits are returned empty."""
     root = Path(root)
     manifest = root / "manifest.tsv"
     if not manifest.exists():
@@ -638,19 +643,20 @@ def load_dataset(root: str | Path) -> Dataset:
                 f"{where}: expected {len(expect)} tab-separated fields, got {len(fields)}"
             )
         sample_id, split, image_rel, gt_rel, mask_field, k_str = fields
-        if split not in ("multi", "unann", "val", "test"):
+        if split not in SPLITS:
             raise ValueError(f"{where}: unknown split {split!r}")
         if not k_str.isdecimal():
             raise ValueError(f"{where}: k must be an integer, got {k_str!r}")
+        mask_rels = [rel for rel in mask_field.split(";") if rel]
+        if len(mask_rels) != int(k_str):
+            raise ValueError(f"{where}: row {sample_id} mask count mismatch")
+        if split == "test" and not gt_rel:
+            raise ValueError(f"{where}: test row {sample_id} lacks gt")
+        if split not in splits:
+            continue
         image = load_image(root / image_rel)
         gt = load_mask_pgm(root / gt_rel) if gt_rel else None
-        masks = [
-            load_mask_pgm(root / rel) for rel in mask_field.split(";") if rel
-        ]
-        if len(masks) != int(k_str):
-            raise ValueError(f"{where}: row {sample_id} mask count mismatch")
-        if split == "test" and gt is None:
-            raise ValueError(f"{where}: test row {sample_id} lacks gt")
+        masks = [load_mask_pgm(root / rel) for rel in mask_rels]
         try:
             if split == "unann":
                 ds.unannotated.append(UnannotatedSample(image=image))

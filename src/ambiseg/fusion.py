@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .losses import ProbMap
-from .masks import LabelMask, ShapeError, _check_same_shape
+from .masks import LabelMask, ShapeError, _check_same_shape, _unchecked
 
 STAPLE_INIT_RATE = 0.99999
 STAPLE_CLAMP = 1e-6
@@ -25,7 +25,11 @@ FUSION_STRATEGIES = ("average-vote", "random", "staple")
 
 
 def average_fuse(maps: Sequence[ProbMap]) -> ProbMap:
-    """Per-pixel, per-class arithmetic mean of probability maps."""
+    """Per-pixel, per-class arithmetic mean of probability maps.
+
+    The maps are ProbMaps, checked when they were made or softmaxes, so
+    their mean is one as well and is not checked again; only their shapes
+    are (ShapeError)."""
     if len(maps) == 0:
         raise ValueError("average_fuse needs at least one probability map")
     first = maps[0]
@@ -43,7 +47,8 @@ def average_fuse(maps: Sequence[ProbMap]) -> ProbMap:
     for m in maps[1:]:
         total += m.probs.T
     total /= len(maps)
-    return ProbMap(
+    return _unchecked(
+        ProbMap,
         width=first.width,
         height=first.height,
         num_classes=first.num_classes,

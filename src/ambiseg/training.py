@@ -57,28 +57,37 @@ nothing. A worker knows only its job: the calling process draws the
 batch and the comparison networks in the serial order, sends each worker
 that has rows one job (the row function's name, the snapshot, the items
 of its rows and everything else they read), builds its own rows
-meanwhile and reads one reply per job (its rows' results). A job's
-arrays go to the pipe out of band, straight from their memory. A
-checkpoint's jobs carry images, and validation images their majority-vote
-references; only its first row reads annotations, and that row is always
-the calling process's. The calling process adds each network's terms and
-gradients in batch order and every checkpoint sum in row order, and takes
-every Adam step itself, so the rng, the parameters and the Adam state
-never leave it. Every row is computed by the same operations wherever it
-runs and its float64 results cross processes exactly, so results are
-bit-identical for every W. A GEMM's bits depend on OpenBLAS's kernel and
-on its thread count, so a run holds numpy's OpenBLAS to one thread at
-every W, from before the workers are forked (they inherit the setting)
-until it returns, and restores the count afterwards; `ambiseg eval` holds
-one thread around its predictions too (_one_blas_thread). Bitwise claims
-hold at one BLAS thread on every kernel they were checked on. forward,
-predict_probs and fused_prediction run at the caller's thread count. W
-is 1 on one core, where the platform cannot fork or report its cores, and
-where no OpenBLAS thread control is found. A one-image batch still trains
-in the calling process, and only its checkpoints are split. A worker that
-raises (its message travels to the calling process), dies or is
-interrupted ends the run with TrainingError. Every worker is stopped
-with SIGTERM before the run returns or raises.
+meanwhile and reads one reply per job (its rows' results). The run's
+objects cross the pipe as indices: before forking, _train gives the crew
+a table of every training, unannotated and validation sample, each
+sample's image and each validation reference, a job names each table
+object it holds by its index, and the worker reads the object from the
+copy it inherited. Nothing in a run changes a table object, so the two
+copies stay equal; snapshots, configs and anything outside the table go
+by value. A waiting executor (a worker between jobs, the calling process
+for a reply) polls its pipe for up to _POLL_SECONDS, so a message that
+comes soon finds it awake, and then sleeps in a blocking read. A
+checkpoint's jobs name images, and validation images their majority-vote
+references, all from the table; only its first row reads annotations,
+and that row is always the calling process's. The calling process adds
+each network's terms and gradients in batch order and every checkpoint
+sum in row order, and takes every Adam step itself, so the rng, the
+parameters and the Adam state never leave it. Every row is computed by
+the same operations wherever it runs and its float64 results cross
+processes exactly, so results are bit-identical for every W. A GEMM's
+bits depend on OpenBLAS's kernel and on its thread count, so a run holds
+numpy's OpenBLAS to one thread at every W, from before the workers are
+forked (they inherit the setting) until it returns, and restores the
+count afterwards; `ambiseg eval` holds one thread around its predictions
+too (_one_blas_thread). Bitwise claims hold at one BLAS thread on every
+kernel they were checked on. forward, predict_probs and fused_prediction
+run at the caller's thread count. W is 1 on one core, where the platform
+cannot fork or report its cores, and where no OpenBLAS thread control is
+found. A one-image batch still trains in the calling process, and only
+its checkpoints are split. A worker that raises (its message travels to
+the calling process), dies or is interrupted ends the run with
+TrainingError. Every worker is stopped with SIGTERM before the run
+returns or raises.
 
 Buffers, per executor: an executor holds one forward cache per network
 (a list indexed by network, None until that network's first forward),
@@ -99,9 +108,11 @@ eval`, makes one inference cache for its image, shared by every network
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import pickle
+import time
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -558,6 +569,20 @@ def _one_blas_thread():
 # messages a worker sends: (tag, body)
 _DONE, _FAILED = "done", "failed"
 
+# how long a waiting executor polls its pipe before it sleeps in a blocking
+# read. On ensemble-k4-32 (2-vCPU VM, one BLAS thread) the gaps between a
+# reply and the next job were 0.1-2 ms, and a message that found its reader
+# asleep reached it 0.17-0.46 ms after it was sent.
+_POLL_SECONDS = 0.01
+
+
+def _wait(conn) -> None:
+    """Return when `conn` has a message or EOF to read, or after polling it
+    for _POLL_SECONDS; the caller's read then blocks for what is left."""
+    deadline = time.perf_counter() + _POLL_SECONDS
+    while not conn.poll() and time.perf_counter() < deadline:
+        pass
+
 
 class _Crew:
     """A run's executors: the calling process and W - 1 workers, forked
@@ -568,16 +593,23 @@ class _Crew:
     list of items and sends each worker with rows one job, (function,
     snapshot, items, args): the name of the row function, which the
     worker looks up in this module, the worker's items and everything
-    else its rows read. A worker answers each job with _DONE and its
-    rows, or with _FAILED and its error's message. A worker that dies
+    else its rows read. A job is one pickle, in which each object of
+    `table` is its index into the table; each worker inherits the table
+    when it is forked, so the table's objects must not change while the
+    crew lives. A worker answers each job with _DONE and its rows, or
+    with _FAILED and its error's message. Each waiting side polls its
+    pipe for up to _POLL_SECONDS, then blocks (_wait). A worker that dies
     closes its pipe, so the calling process reads EOF instead of waiting
     for it. The crew holds no BLAS state: _train makes it inside
     _one_blas_thread, so its workers are forked with one BLAS thread.
     """
 
-    def __init__(self, executors: int, num_nets: int):
+    def __init__(self, executors: int, num_nets: int, table: Sequence = ()):
         self.caches: list[Optional[ForwardCache]] = [None] * num_nets
         self._workers: list = []  # (executor number, process, pipe end)
+        # the list keeps each table object, and so its id, alive
+        self._table = list(table)
+        self._index = {id(obj): i for i, obj in enumerate(self._table)}
         if executors < 2:
             return
         import multiprocessing
@@ -589,7 +621,7 @@ class _Crew:
                 inherited = [conn for _, _, conn in self._workers] + [ours]
                 proc = context.Process(
                     target=_worker,
-                    args=(theirs, inherited, [None] * num_nets),
+                    args=(theirs, inherited, [None] * num_nets, self._table),
                     name=f"ambiseg-executor-{w}",
                     daemon=True,
                 )
@@ -623,21 +655,25 @@ class _Crew:
             f"training worker {w} stopped unexpectedly (exit code {proc.exitcode})"
         )
 
+    def _pickle(self, job) -> bytes:
+        """`job` pickled with each table object as its index."""
+        buffer = io.BytesIO()
+        pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: self._index.get(id(obj))
+        pickler.dump(job)
+        return buffer.getvalue()
+
     def _send(self, worker, job) -> None:
-        """Send a job as a pickle of its structure plus each array's bytes,
-        written to the pipe straight from the array's memory: no pickled
-        copy of the job's images is made in this process."""
-        arrays: list[pickle.PickleBuffer] = []
-        head = pickle.dumps(job, protocol=5, buffer_callback=arrays.append)
         try:
-            worker[2].send((head, [array.raw().nbytes for array in arrays]))
-            for array in arrays:
-                worker[2].send_bytes(array.raw())
+            worker[2].send_bytes(self._pickle(job))
         except OSError:
             raise self._lost(worker) from None
 
     def _receive(self, worker):
+        """A worker's rows: polls its pipe for up to _POLL_SECONDS, then
+        blocks until the reply comes (_wait)."""
         try:
+            _wait(worker[2])
             tag, body = worker[2].recv()
         except (EOFError, OSError):
             raise self._lost(worker) from None
@@ -664,15 +700,17 @@ class _Crew:
         return rows
 
 
-def _worker(conn, inherited, caches: list[Optional[ForwardCache]]) -> None:
+def _worker(conn, inherited, caches: list[Optional[ForwardCache]], table: Sequence) -> None:
     """A forked executor: it builds the rows of one job at a time until it
-    is terminated, each with its own cache per network, `caches`.
+    is terminated, each with its own cache per network, `caches`, and
+    reads each index in a job from its copy of the crew's `table`.
 
-    Ctrl-C is the calling process's to handle, so the worker ignores
-    SIGINT. It closes the pipe ends it inherited from the calling
-    process, so that either side sees EOF when the other dies, and it
-    catches its own exceptions and sends their message to the calling
-    process instead of printing a traceback.
+    Between jobs it polls its pipe, then blocks (_wait), so a worker idle
+    through a serial phase sleeps. Ctrl-C is the calling process's to
+    handle, so the worker ignores SIGINT. It closes the pipe ends it
+    inherited from the calling process, so that either side sees EOF when
+    the other dies, and it catches its own exceptions and sends their
+    message to the calling process instead of printing a traceback.
     """
     import signal
 
@@ -681,11 +719,10 @@ def _worker(conn, inherited, caches: list[Optional[ForwardCache]]) -> None:
         other.close()
     try:
         while True:
-            head, sizes = conn.recv()
-            arrays = [bytearray(size) for size in sizes]
-            for array in arrays:
-                conn.recv_bytes_into(array)
-            function, snapshot, items, args = pickle.loads(head, buffers=arrays)
+            _wait(conn)
+            job = pickle.Unpickler(io.BytesIO(conn.recv_bytes()))
+            job.persistent_load = table.__getitem__
+            function, snapshot, items, args = job.load()
             row = globals()[function]
             conn.send((_DONE, [row(snapshot, item, *args, caches) for item in items]))
     except EOFError:
@@ -945,9 +982,12 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     Iterations run on the run's executors (see the module docstring) at
     one BLAS thread, forked after the networks are initialized and
     stopped before this returns or raises; Ctrl-C ends the run with
-    TrainingError. Every forward this process makes goes through the
-    crew's caches, one per network, which are freed when this returns: the
-    result references none of them.
+    TrainingError. The crew's table holds the dataset's samples, their
+    images and the validation references, which jobs send as indices;
+    nothing here changes them, which keeps each worker's inherited copy
+    equal to this process's. Every forward this process makes goes
+    through the crew's caches, one per network, which are freed when this
+    returns: the result references none of them.
     """
     if not dataset.multi:
         raise TrainingError("training requires at least one multi-annotated sample")
@@ -976,8 +1016,10 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     batch_rows = config.annotated_per_iter + (config.unannotated_batch if use_unannotated else 0)
     checkpoint_rows = len(_checkpoint_items(dataset, config, num_nets, val_refs)[0])
     executors = _executor_count(max(batch_rows, checkpoint_rows))
+    samples = [*dataset.multi, *dataset.unannotated, *dataset.validation]
+    table = [*samples, *(s.image for s in samples), *val_refs]
     try:
-        with _one_blas_thread(), _Crew(executors, num_nets) as crew:
+        with _one_blas_thread(), _Crew(executors, num_nets, table) as crew:
             while True:
                 row, net_scores = _checkpoint(
                     state.params, dataset, config, state.t, val_refs, crew

@@ -648,7 +648,8 @@ def test_eval_truncated_image_tensor_is_an_error(
 ):
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
-    image = sorted((data / "images").glob("*.tns"))[0]
+    # eval reads the test split's files alone
+    image = sorted((data / "images").glob("t*.tns"))[0]
     image.write_bytes(image.read_bytes()[:6])
     code = entry(["eval", "--run", str(run_dir), "--data", str(data)])
     assert code == 1
@@ -656,12 +657,48 @@ def test_eval_truncated_image_tensor_is_an_error(
     assert err.startswith("error:") and image.name in err
 
 
+def test_eval_reads_the_test_split_alone(run_dir, dataset_dir, tmp_path):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    unannotated = sorted((data / "images").glob("u*.tns"))
+    assert unannotated
+    for image in unannotated:
+        image.unlink()
+    reports = []
+    for name, root in (("intact", dataset_dir), ("no-unann", data)):
+        out = tmp_path / f"{name}.csv"
+        code = entry(["eval", "--run", str(run_dir), "--data", str(root),
+                      "--out", str(out), "--per-network"])
+        assert code == 0
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("\tunann\t", "\tunann ", 1),
+     ":5: expected 6 tab-separated fields, got 5"),
+    (lambda text: text.replace("\tunann\t", "\tunan\t", 1), ":5: unknown split 'unan'"),
+    (lambda text: text.replace("\tmasks/v000_a0.pgm;", "\t", 1),
+     ":8: row v000 mask count mismatch"),
+], ids=["five-fields", "unknown-split", "mask-count"])
+def test_eval_checks_the_rows_of_every_split(
+    edit, message, run_dir, dataset_dir, tmp_path, capsys
+):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset_dir, data)
+    manifest = data / "manifest.tsv"
+    manifest.write_text(edit(manifest.read_text()))
+    assert entry(["eval", "--run", str(run_dir), "--data", str(data)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {manifest}{message}")
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_empty_image_is_an_error(command, run_dir, dataset_dir, tmp_path, capsys):
     data = tmp_path / "ds"
     shutil.copytree(dataset_dir, data)
-    # unannotated images have no masks whose shape could reveal them
-    empty = sorted((data / "images").glob("u*.tns"))
+    # unannotated images have no masks whose shape could reveal them;
+    # eval reads the test split's files alone
+    empty = sorted((data / "images").glob("u*.tns" if command == "train" else "t*.tns"))
     for image in empty:
         save_tensor(image, np.zeros((1, 0, 0)))
     if command == "train":

@@ -1332,6 +1332,71 @@ def test_crew_builds_each_iteration_with_its_own_config():
             assert_same_networks(state, serial)
 
 
+def test_a_job_sends_table_objects_as_indices_and_others_whole(tiny_dataset):
+    from ambiseg import training
+
+    config = TrainConfig(k=2, lr=0.02, total_iters=10, validation_every=5,
+                         annotated_per_iter=2, unannotated_batch=2)
+    snapshot = make_nets(2, seed0=70)
+    samples = [*tiny_dataset.multi, *tiny_dataset.unannotated]
+    table = [*samples, *(s.image for s in samples)]
+    inside = [tiny_dataset.multi[1], tiny_dataset.unannotated[2]]
+    # an equal image that is not in the table travels by value
+    image = inside[1].image
+    outside = UnannotatedSample(image=replace(image, values=image.values.copy()))
+    # the worker builds rows 1 and 3: the outside sample and a table sample
+    batch = [tiny_dataset.multi[0], outside, *inside]
+    peers = [1, 0]
+    serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
+    with training._Crew(executors=2, num_nets=2, table=table) as crew:
+        assert len(crew._pickle(inside)) < sum(s.image.values.nbytes for s in inside) / 100
+        assert len(crew._pickle([outside])) > image.values.nbytes
+        rows = crew.run("_row_steps", snapshot, batch, peers, config)
+    assert step_bytes(rows) == step_bytes(serial)
+
+
+def test_a_worker_idle_past_its_poll_window_answers_the_next_job():
+    from ambiseg import training
+
+    config = TrainConfig(k=2, lr=0.02, total_iters=10, validation_every=5,
+                         annotated_per_iter=2, unannotated_batch=3)
+    snapshot = make_nets(2, seed0=71)
+    annotated, unannotated = iteration_batch(2, 71)
+    batch = [*annotated, *unannotated]
+    peers = [1, 0]
+    serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
+    with training._Crew(executors=2, num_nets=2) as crew:
+        first = crew.run("_row_steps", snapshot, batch, peers, config)
+        # the worker stops polling and blocks in its read
+        time.sleep(5 * training._POLL_SECONDS)
+        second = crew.run("_row_steps", snapshot, batch, peers, config)
+    assert step_bytes(first) == step_bytes(serial)
+    assert step_bytes(second) == step_bytes(serial)
+
+
+@pytest.mark.parametrize("windows", [0.3, 3.0], ids=["polling", "blocked"])
+def test_a_worker_killed_while_the_caller_waits_is_reported(windows, monkeypatch):
+    from ambiseg import training
+
+    parent = os.getpid()
+
+    def killed_in_worker(snapshot, item, caches):
+        # this process's row returns at once, so it waits for the reply
+        # while the worker sleeps and dies
+        if os.getpid() != parent:
+            time.sleep(windows * training._POLL_SECONDS)
+            kill_worker()
+        return item
+
+    monkeypatch.setattr(training, "_killed_in_worker", killed_in_worker, raising=False)
+    message = r"training worker 1 stopped unexpectedly \(exit code -9\)"
+    with training._Crew(executors=2, num_nets=1) as crew:
+        start = time.monotonic()
+        with pytest.raises(TrainingError, match=message):
+            crew.run("_killed_in_worker", [], [0, 1])
+        assert time.monotonic() - start < 10
+
+
 @pytest.mark.parametrize("w", [1, 2])
 def test_workers_run_with_one_blas_thread_and_restore_it(w, tiny_dataset, monkeypatch):
     # at every W, a crew of one included, training holds one BLAS thread
