@@ -26,11 +26,10 @@ from .data import (
 )
 from .fusion import FUSION_STRATEGIES, STAPLE_MAX_ITER, fuse_annotations, staple_runs
 from .metrics import evaluate_masks
-from .model import gradient_check_report
+from .model import _prediction_row, gradient_check_report
 from .training import (
     TrainConfig,
     TrainingError,
-    _fused_row,
     _one_blas_thread,
     checkpoint_files,
     config_hash,
@@ -132,8 +131,8 @@ def cmd_train(ns: argparse.Namespace) -> int:
             raise UsageError(f"config file not found: {cfg_path}")
         values = parse_config_file(cfg_path)
 
-    for key in ("data", "out", "seed", "k", "total_iters", "validation_every",
-                "lr", "w_max", "unannotated_batch", "selection"):
+    # a config key without a train flag reads None
+    for key in (*EXTRA_KEYS, *CONFIG_TYPES):
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
@@ -200,26 +199,27 @@ def cmd_eval(ns: argparse.Namespace) -> int:
         raise ValueError(f"dataset at {data_path} has no test split")
 
     refs = [s.clean_gt for s in dataset.test]
+    alone = range(len(params) if ns.per_network else 0)  # networks scored alone
+    names = ["fused"] + [f"net{z}" for z in alone]
+    preds = []  # per test image, its mask in each scope
     # one forward per (network, image), each image's into one inference
     # cache, at one BLAS thread as in checkpoint validation; a loadable
-    # checkpoint can still overflow, so a row names it instead of warning
+    # checkpoint can still overflow, so its row names it instead of warning
     with np.errstate(all="ignore"), _one_blas_thread():
-        rows = [_fused_row(params, s.image, ns.per_network) for s in dataset.test]
-    fused, per_net, bad = zip(*rows)
-    for i, z in enumerate(bad):
-        if z is not None:
-            raise ValueError(
-                f"{checkpoint_files(run_dir)[z]}: network {z} gives "
-                f"non-finite probabilities on test image {i}"
-            )
-    scopes = [("fused", fused)]
-    if ns.per_network:
-        scopes += [(f"net{z}", preds) for z, preds in enumerate(zip(*per_net))]
+        for i, sample in enumerate(dataset.test):
+            row = _prediction_row(params, sample.image)
+            bad = row.nonfinite()
+            if bad is not None:
+                raise ValueError(
+                    f"{checkpoint_files(run_dir)[bad]}: network {bad} gives "
+                    f"non-finite probabilities on test image {i}"
+                )
+            preds.append([row.fused()] + [row.mask(z) for z in alone])
 
     lines = ["network,class,jaccard,dice"]
     summary = []
-    for name, preds in scopes:
-        report = evaluate_masks(preds, refs)
+    for name, scope in zip(names, zip(*preds)):
+        report = evaluate_masks(scope, refs)
         for c in range(report.num_classes):
             lines.append(
                 f"{name},{c},{report.class_jaccard[c]:.6f},{report.class_dice[c]:.6f}"

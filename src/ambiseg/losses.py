@@ -6,7 +6,7 @@ returns the exact analytic gradient with respect to the pre-softmax
 scores, so callers never differentiate through the log themselves.
 
 A ProbMap built by its constructor is checked (shape, range, row sums);
-the training loop and predict_probs build the ProbMap of each forward
+prediction rows (model._prediction_row) build the ProbMap of each forward
 without those checks, which a finite softmax always passes (masks.py
 says where validation happens).
 masked_cross_entropy checks only that its target set fits the map.

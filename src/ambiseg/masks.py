@@ -15,9 +15,9 @@ not errors; downstream losses treat them as zero contribution.
 Validation happens where values enter: the public constructors check
 every field. Values the package derives from already valid ones skip the
 checks that cannot fail: argmax_mask builds its LabelMask unchecked
-except for the class count, and the training loop and predict_probs build
-each forward's ProbMap unchecked from a softmax, predict_probs after one
-finiteness check (see _unchecked).
+except for the class count, and prediction rows (model._prediction_row)
+build each forward's ProbMap unchecked from a softmax; a row's nonfinite
+is the one finiteness check on those maps (see _unchecked).
 """
 
 from __future__ import annotations

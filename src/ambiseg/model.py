@@ -20,6 +20,13 @@ training cache per network for its training and checkpoint rows alike,
 and they die with the run; each prediction of the eval path makes its
 own inference cache.
 
+Prediction rows: every pass of several networks over one image, in
+training, checkpoint validation and inference alike, is one
+_PredictionRow built by _prediction_row. It holds each network's softmax
+and is the one place that checks them for finiteness (nonfinite), takes
+a network's argmax mask (mask) and the argmax of their average (fused).
+predict_probs is the map of a one-network row.
+
 Layout: the output head is class-major. forward returns its (N, C)
 logits as the transpose of a contiguous (C, N) array, one plane per
 class, and softmax, masked_cross_entropy, argmax_mask and average_fuse
@@ -90,13 +97,14 @@ from __future__ import annotations
 
 import functools
 import struct
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .fusion import average_fuse
 from .losses import ProbMap, softmax
-from .masks import ShapeError, _unchecked
+from .masks import LabelMask, ShapeError, _unchecked, argmax_mask
 
 CHECKPOINT_MAGIC = b"MSEN"
 CHECKPOINT_VERSION = 1
@@ -268,8 +276,10 @@ class ForwardCache:
       (_tile_rows), which forward reuses for every tile, so after a
       forward it holds the last tile only. backward refuses it, even
       where no tile fits the rule and its cols2 covers the whole grid.
-      predict_probs and training._fused_row make one per predicted image,
-      shared by that image's networks, and free it afterwards.
+      _prediction_row without caches (predict_probs,
+      training.fused_prediction and `ambiseg eval`) makes one per
+      predicted image, shared by that image's networks and freed when it
+      returns.
 
     With hidden 8 and one input channel, a training cache takes 4.53 MB
     at 64x64 and 1.14 MB at 32x32, an inference cache 1.98 MB at 64x64
@@ -397,8 +407,8 @@ def forward(
     (num_classes, width*height) one: each class's logits are one
     contiguous plane. The activations go into `cache` when it fits this
     architecture and image shape, overwriting what it held, and into a
-    new cache of the same kind otherwise (a training cache when `cache`
-    is None); the cache used is returned.
+    new training cache otherwise, whatever the kind of `cache`, and when
+    `cache` is None; the cache used is returned.
     """
     arch = params.arch
     if image.channels != arch.in_channels:
@@ -417,6 +427,80 @@ def forward(
     logits_cn = np.dot(p["w3"][:, :, 0, 0], cache.act2.reshape(arch.hidden, -1))
     logits_cn += p["b3"][:, None]
     return logits_cn.T, cache
+
+
+@dataclass
+class _PredictionRow:
+    """Every network's prediction on one image, indexed by network.
+
+    Holds each network's probabilities; mask(z) makes network z's hard
+    argmax mask the first time it is read and keeps it, so the row takes
+    one argmax per network that a reader asks for and none for the rest.
+    fused() is the argmax of the networks' averaged probabilities, and
+    nonfinite() names the first network whose probabilities are not all
+    finite, which a reader of a row that may have overflowed checks
+    first. Every loss term of every learner on that image reads from one
+    row, so each network forwards each image once. The row holds no
+    activations: network z's stay in the cache the row was built with
+    until the next row overwrites them.
+    """
+
+    probs: list[ProbMap]
+    _masks: dict[int, LabelMask] = field(default_factory=dict)
+
+    def mask(self, z: int) -> LabelMask:
+        if z not in self._masks:
+            self._masks[z] = argmax_mask(self.probs[z])
+        return self._masks[z]
+
+    def fused(self) -> LabelMask:
+        """The argmax of the averaged probabilities; a lone network's
+        average is its own map."""
+        return argmax_mask(average_fuse(self.probs))
+
+    def nonfinite(self) -> Optional[int]:
+        """The first network whose probabilities are not all finite, else None."""
+        return next(
+            (z for z, p in enumerate(self.probs) if not np.isfinite(p.probs).all()), None
+        )
+
+
+def _prediction_row(
+    snapshot: Sequence[ModelParams],
+    image: ImageTensor,
+    caches: Optional[list[Optional[ForwardCache]]] = None,
+) -> _PredictionRow:
+    """Each network's softmax on `image`, network z forwarding into
+    caches[z]; a list of one cache is shared by every network, and without
+    `caches` they share one new inference cache, freed on return (the row
+    holds no activations)."""
+    if caches is None:
+        caches = [ForwardCache.allocate(snapshot[0].arch, image.height, image.width, inference=True)]
+    row = _PredictionRow(probs=[])
+    for z, params in enumerate(snapshot):
+        slot = z % len(caches)
+        logits, caches[slot] = forward(params, image, caches[slot])
+        # a finite softmax passes every ProbMap check (see nonfinite)
+        probs = _unchecked(
+            ProbMap,
+            width=image.width,
+            height=image.height,
+            num_classes=params.arch.num_classes,
+            probs=softmax(logits),
+        )
+        row.probs.append(probs)
+    return row
+
+
+def predict_probs(params: ModelParams, image: ImageTensor) -> ProbMap:
+    """Forward pass plus per-pixel softmax: the map of a one-network
+    prediction row, in a new inference cache that is freed on return.
+    ValueError when the probabilities are not all finite, as after an
+    overflowing forward."""
+    row = _prediction_row([params], image)
+    if row.nonfinite() is not None:
+        raise ValueError("probabilities must be finite")
+    return row.probs[0]
 
 
 def _conv3_param_grads(
@@ -504,25 +588,6 @@ def backward(
     d1 *= cache.pre1 > 0.0  # d_act1 -> d_pre1
     _conv3_param_grads(cache.cols1, d1, g["w1"], g["b1"])
     return grad
-
-
-def predict_probs(params: ModelParams, image: ImageTensor) -> ProbMap:
-    """Forward pass plus per-pixel softmax, in a new inference cache that
-    is freed on return: layer 2 is built in tiles of rows. ValueError when
-    the probabilities are not all finite, as after an overflowing forward."""
-    cache = ForwardCache.allocate(params.arch, image.height, image.width, inference=True)
-    logits, _ = forward(params, image, cache)
-    probs = softmax(logits)
-    if not np.isfinite(probs).all():
-        raise ValueError("probabilities must be finite")
-    # a finite softmax passes every other ProbMap check
-    return _unchecked(
-        ProbMap,
-        width=image.width,
-        height=image.height,
-        num_classes=params.arch.num_classes,
-        probs=probs,
-    )
 
 
 @dataclass

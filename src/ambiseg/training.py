@@ -22,21 +22,22 @@ compares with itself, so it learns its whole annotation (full-grid CE),
 with nothing to refine, no peer consensus and no ramp weight.
 
 Every pass of several networks over images goes through prediction
-rows: one row per image holds every network's probabilities and makes a
-network's argmax mask the first time a loss term, an agreement fraction
-or a validation score reads it, so a row takes only the argmaxes its
-readers use. An iteration walks the batch image by image: each
-row feeds every learner's loss terms on that image, each learner
-backpropagates once, and the next row is built only then. Each network
-therefore forwards each batch image once. Every learner's losses and
-gradients still add up in batch order (annotated samples, then
-unannotated ones), so results are bit-identical to a learner-major loop
-that computes each learner's losses on its own. A checkpoint is one pass
-of rows over the training images, the probe's unannotated images and the
-validation split, with no backward pass. One prediction function,
-_fused_row, makes a row's fused mask and, on request, each network's, for
-checkpoint validation, fused_prediction and `ambiseg eval` alike;
-validation asks for each network's only under per-network selection.
+rows (model._prediction_row): one row per image holds every network's
+probabilities and makes a network's argmax mask the first time a loss
+term, an agreement fraction or a validation score reads it, so a row
+takes only the argmaxes its readers use. An iteration walks the batch
+image by image: each row feeds every learner's loss terms on that image,
+each learner backpropagates once, and the next row is built only then.
+Each network therefore forwards each batch image once. Every learner's
+losses and gradients still add up in batch order (annotated samples,
+then unannotated ones), so results are bit-identical to a learner-major
+loop that computes each learner's losses on its own. A checkpoint is one
+pass of rows over the training images, the probe's unannotated images
+and the validation split, with no backward pass. Checkpoint validation,
+fused_prediction and `ambiseg eval` read a row alike: the first network
+whose probabilities are not all finite (nonfinite) is an error, else they
+read the row's fused mask and, where each network is scored alone, each
+network's mask; validation reads those only under per-network selection.
 
 Executors: networks share nothing but hard predictions on the same image
 (a peer's argmax mask in the consistency term, the peers' consensus in
@@ -49,8 +50,9 @@ function over a list of items, item r on executor r mod W: _row_steps
 over an iteration's batch, _checkpoint_row over a checkpoint's images.
 W = min(rows of the run's largest job, usable cores), where the largest
 job is an iteration's batch or a checkpoint's rows, whichever has more.
-Inference has no crew: `ambiseg eval` maps _fused_row over the test
-images in the calling process, as fused_prediction does for one image.
+Inference has no crew: `ambiseg eval` builds the test images' rows one
+after another in the calling process, as fused_prediction does for one
+image.
 The calling process is executor 0; W - 1 workers are forked (start
 method "fork", named explicitly) once per run, and a crew of one forks
 nothing. A worker knows only its job: the calling process draws the
@@ -99,9 +101,9 @@ until the next row is built; backward only reads them. An empty slot
 gets a training cache from forward, which backward may read. The run's
 caches die with the run: no returned object references them.
 train_iteration and _checkpoint called without a crew use one cache per
-network for that call. Nothing backpropagates through inference, so
-_fused_row called without caches, as by fused_prediction and `ambiseg
-eval`, makes one inference cache for its image, shared by every network
+network for that call. Nothing backpropagates through inference, so a
+row built without caches, as by fused_prediction and `ambiseg eval`,
+forwards every network into one new inference cache for its image
 (model.ForwardCache gives the rule for both kinds).
 """
 
@@ -121,23 +123,19 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .data import Dataset, MultiAnnotatedSample, UnannotatedSample, text_lines
-from .fusion import average_fuse, majority_vote
+from .fusion import majority_vote
 from .losses import (
     ALPHA_DEFAULT,
     BETA_DEFAULT,
     LossBreakdown,
-    ProbMap,
     RampUp,
     W_MAX_DEFAULT,
     masked_cross_entropy,
     ramp_lambda,
-    softmax,
     total_network_loss,
 )
 from .masks import (
     LabelMask,
-    _unchecked,
-    argmax_mask,
     consensus_set,
     restrict,
     separate_agreement,
@@ -149,9 +147,10 @@ from .model import (
     ImageTensor,
     ModelParams,
     OptState,
+    _PredictionRow,
+    _prediction_row,
     adam_step,
     backward,
-    forward,
     init_opt_state,
     init_params,
     load_checkpoint,
@@ -285,73 +284,6 @@ def pick_comparison(k: int, num_nets: int, rng: np.random.Generator) -> int:
         raise ValueError(f"network index {k} out of range [0, {num_nets})")
     draw = int(rng.integers(num_nets - 1))
     return draw + (draw >= k)
-
-
-@dataclass
-class _PredictionRow:
-    """Every network's prediction on one image, indexed by network.
-
-    Holds each network's probabilities; mask(z) makes network z's hard
-    argmax mask the first time it is read and keeps it, so the row takes
-    one argmax per network that a reader asks for and none for the rest.
-    Every loss term of every learner on that image reads from one row, so
-    each network forwards each image once. The row holds no activations:
-    network z's stay in the cache the row was built with until the next
-    row overwrites them.
-    """
-
-    probs: list[ProbMap]
-    _masks: dict[int, LabelMask] = field(default_factory=dict)
-
-    def mask(self, z: int) -> LabelMask:
-        if z not in self._masks:
-            self._masks[z] = argmax_mask(self.probs[z])
-        return self._masks[z]
-
-
-def _prediction_row(
-    snapshot: Sequence[ModelParams],
-    image: ImageTensor,
-    caches: list[Optional[ForwardCache]],
-) -> _PredictionRow:
-    row = _PredictionRow(probs=[])
-    for z, params in enumerate(snapshot):
-        # a list of one cache is shared by every network
-        slot = z % len(caches)
-        logits, caches[slot] = forward(params, image, caches[slot])
-        # a softmax of the model's logits passes every ProbMap check
-        probs = _unchecked(
-            ProbMap,
-            width=image.width,
-            height=image.height,
-            num_classes=params.arch.num_classes,
-            probs=softmax(logits),
-        )
-        row.probs.append(probs)
-    return row
-
-
-def _fused_row(
-    snapshot: Sequence[ModelParams],
-    image: ImageTensor,
-    per_network: bool,
-    caches: Optional[list[Optional[ForwardCache]]] = None,
-) -> tuple[Optional[LabelMask], list[LabelMask], Optional[int]]:
-    """The argmax of the networks' averaged probabilities on one image,
-    each network's mask when `per_network` is set (else none), and None;
-    (None, [], z) when network z is the first whose probabilities are not
-    all finite, checked before they are averaged. The average of a lone
-    network's map is that map, so its fused mask is its own mask, taken by
-    a second argmax when `per_network` asks for that too. Without `caches`
-    every network forwards into one new inference cache for this image."""
-    if caches is None:
-        caches = [ForwardCache.allocate(snapshot[0].arch, image.height, image.width, inference=True)]
-    row = _prediction_row(snapshot, image, caches)
-    for z, probs in enumerate(row.probs):
-        if not np.isfinite(probs.probs).all():
-            return None, [], z
-    masks = [row.mask(z) for z in range(len(snapshot))] if per_network else []
-    return argmax_mask(average_fuse(row.probs)), masks, None
 
 
 def npce_losses(
@@ -739,15 +671,16 @@ def _worker(conn, inherited, caches: list[Optional[ForwardCache]], table: Sequen
 def fused_prediction(
     params_list: Sequence[ModelParams], image: ImageTensor
 ) -> LabelMask:
-    """The ensemble's mask on one image, with one inference cache shared by
-    every network; ValueError when there is no network or a network's
-    probabilities are not all finite."""
+    """The ensemble's mask on one image, the fused mask of its prediction
+    row, with one inference cache shared by every network; ValueError when
+    there is no network or a network's probabilities are not all finite."""
     if not params_list:
         raise ValueError("fused_prediction needs at least one network")
-    fused, _, bad = _fused_row(params_list, image, False)
+    row = _prediction_row(params_list, image)
+    bad = row.nonfinite()
     if bad is not None:
         raise ValueError(f"network {bad} gives non-finite probabilities")
-    return fused
+    return row.fused()
 
 
 def _foreground_jaccard(pred: LabelMask, ref: LabelMask) -> float:
@@ -831,8 +764,8 @@ def _checkpoint_row(
     kind, image, extra = item
     num_nets = len(snapshot)
     nets = range(num_nets)
+    row = _prediction_row(snapshot, image, caches)
     if kind == _AGREEMENT:
-        row = _prediction_row(snapshot, image, caches)
         fractions = [
             agreement_fraction(row.mask(a), row.mask(b))
             for a in nets for b in range(a + 1, num_nets)
@@ -843,14 +776,15 @@ def _checkpoint_row(
         ]
         return fractions, npce
     if kind == _PROBE:
-        row = _prediction_row(snapshot, image, caches)
         return [mnps_loss(row, k)[0] for k in nets]
-    fused, masks, bad = _fused_row(snapshot, image, config.selection == "per-network", caches)
+    bad = row.nonfinite()
     if bad is not None:
         raise TrainingError(f"network {bad} gives non-finite validation probabilities")
-    score = _foreground_jaccard(fused, extra)
-    # fused selection asks for no masks and keeps every network by `score`
-    return score, [_foreground_jaccard(m, extra) for m in masks] if masks else [score] * num_nets
+    score = _foreground_jaccard(row.fused(), extra)
+    if config.selection == "per-network":
+        return score, [_foreground_jaccard(row.mask(z), extra) for z in nets]
+    # fused selection takes no network's mask and keeps every network by `score`
+    return score, [score] * num_nets
 
 
 def _checkpoint_items(

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, reproducibility."""
 
+import argparse
 import ast
 import hashlib
 import multiprocessing
@@ -21,7 +22,7 @@ from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
 from ambiseg.data import AnnotatorProfile, build_dataset, load_dataset, save_tensor
 from ambiseg.fusion import STAPLE_MAX_ITER, majority_vote, staple_binary
 from ambiseg.model import Architecture, init_params, load_checkpoint, save_checkpoint
-from ambiseg.training import TrainConfig, load_run
+from ambiseg.training import TrainConfig, TrainingError, load_run
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,62 @@ def test_train_config_file_with_override(dataset_dir, tmp_path):
     assert "seed\t12" in (out / "manifest.tsv").read_text()
 
 
+# for each train option that overrides a config key: its value in the
+# config file, then on the command line
+FLAG_OVERRIDES = {
+    "seed": ("1", "2"),
+    "k": ("2", "4"),
+    "total_iters": ("4", "8"),
+    "validation_every": ("2", "4"),
+    "lr": ("0.01", "0.02"),
+    "w_max": ("1", "2"),
+    "unannotated_batch": ("1", "2"),
+    "selection": ("fused", "per-network"),
+}
+
+
+def test_every_train_flag_for_a_config_key_overrides_the_file(
+    dataset_dir, tmp_path, monkeypatch
+):
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        a.dest: a.option_strings[0]
+        for a in subparsers.choices["train"]._actions if a.dest in cli.CONFIG_TYPES
+    }
+    assert options.keys() == FLAG_OVERRIDES.keys()
+    cfg = tmp_path / "run.cfg"
+    # the file's data names no dataset, so every run below reads --data's
+    cfg.write_text(
+        "".join(f"{key} = {text}\n" for key, (text, _) in FLAG_OVERRIDES.items())
+        + f"data = {tmp_path / 'missing'}\n"
+    )
+    configs = []  # the config of each train run, which stops before training
+
+    def recorded(dataset, config):
+        configs.append(config)
+        raise TrainingError("stopped before training")
+
+    monkeypatch.setattr(cli, "run_training", recorded)
+    base = ["train", "--config", str(cfg), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "run")]
+    assert entry(base) == 1
+    for dest, option in options.items():
+        assert entry([*base, option, FLAG_OVERRIDES[dest][1]]) == 1
+    assert len(configs) == 1 + len(options)
+
+    def values(config):  # t_max always equals total_iters
+        return {f.name: getattr(config, f.name) for f in fields(config) if f.name != "t_max"}
+
+    from_file, *flagged = map(values, configs)
+    for dest, (text, _) in FLAG_OVERRIDES.items():
+        assert from_file[dest] == cli.CONFIG_TYPES[dest](text), dest
+    for dest, got in zip(options, flagged):
+        want = {**from_file, dest: cli.CONFIG_TYPES[dest](FLAG_OVERRIDES[dest][1])}
+        assert got == want, dest
+
+
 # a config-file value for each key, and the value it must parse to
 CONFIG_VALUES = {
     "k": ("3", 3),
@@ -370,7 +427,7 @@ def reference_report(run, data, per_network):
 def test_eval_per_network_forwards_each_image_once_per_network(
     run_dir, dataset_dir, tmp_path, monkeypatch
 ):
-    from ambiseg import model, training
+    from ambiseg import model
 
     params = load_run(run_dir)
     dataset = load_dataset(dataset_dir)
@@ -383,9 +440,8 @@ def test_eval_per_network_forwards_each_image_once_per_network(
         calls.append(None)
         return original(*args, **kwargs)
 
-    # prediction rows call training's binding, predict_probs model's
-    for module in (model, training):
-        monkeypatch.setattr(module, "forward", counted)
+    # prediction rows look forward up in model's globals
+    monkeypatch.setattr(model, "forward", counted)
     report = tmp_path / "report.csv"
     assert entry([
         "eval", "--run", str(run_dir), "--data", str(dataset_dir),
@@ -407,7 +463,7 @@ def test_eval_per_network_forwards_each_image_once_per_network(
 
 def test_eval_forwards_with_one_blas_thread_and_restores_it(run_dir, dataset_dir, monkeypatch):
     # eval computes the bits checkpoint validation computes, at one thread
-    from ambiseg import training
+    from ambiseg import model, training
 
     controls = training._openblas_thread_controls()
     if not controls:
@@ -415,13 +471,13 @@ def test_eval_forwards_with_one_blas_thread_and_restores_it(run_dir, dataset_dir
     get, set_ = controls[0]
     before = get()
     threads = []  # the BLAS thread count each forward saw
-    original = training.forward
+    original = model.forward
 
     def recording(*args, **kwargs):
         threads.append(get())
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(training, "forward", recording)
+    monkeypatch.setattr(model, "forward", recording)
     set_(2)
     try:
         assert entry([
@@ -1129,26 +1185,35 @@ def test_eval_over_mixed_image_sizes_matches_fused_prediction(
 
 
 def test_eval_names_the_first_non_finite_row_in_row_order(
-    eval_cases, monkeypatch, capfd
+    eval_cases, tmp_path, monkeypatch, capfd
 ):
-    from ambiseg import training
-
     run, data, _ = next(c for c in eval_cases if c[0].name == "k2" and "t5" in c[1].name)
     images = [s.image.values.tobytes() for s in load_dataset(data).test]
-    original = training._fused_row
+    original = cli._prediction_row
+    built = []  # the test image of each row eval builds
 
     # network 1 on image 1 and network 0 on image 2: the first non-finite
     # row in row order is named
-    def poisoned(snapshot, image, per_network, caches=None):
-        row = original(snapshot, image, per_network, caches)
-        bad = {1: 1, 2: 0}.get(images.index(image.values.tobytes()))
-        return row if bad is None else (None, [], bad)
+    def poisoned(snapshot, image, caches=None):
+        row = original(snapshot, image, caches)
+        built.append(images.index(image.values.tobytes()))
+        bad = {1: 1, 2: 0}.get(built[-1])
+        if bad is not None:
+            row.probs[bad].probs[0, 0] = np.nan
+        return row
 
-    monkeypatch.setattr(cli, "_fused_row", poisoned)
-    assert entry(["eval", "--run", str(run), "--data", str(data)]) == 1
-    captured = capfd.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: {run / 'net1.msen'}: network 1 gives non-finite probabilities "
-        "on test image 1\n"
-    )
+    monkeypatch.setattr(cli, "_prediction_row", poisoned)
+    report = tmp_path / "report.csv"
+    for out in ([], ["--out", str(report)]):
+        built.clear()
+        assert entry(["eval", "--run", str(run), "--data", str(data), *out]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {run / 'net1.msen'}: network 1 gives non-finite probabilities "
+            "on test image 1\n"
+        )
+        # eval stops at the first bad row, before it publishes anything
+        assert built == [0, 1]
+        assert not report.exists() and not Path(f"{report}.partial").exists()
+    assert not any(tmp_path.iterdir())

@@ -45,6 +45,7 @@ from ambiseg.masks import (
 from ambiseg.model import (
     Architecture,
     ModelParams,
+    _prediction_row,
     adam_step,
     backward,
     forward,
@@ -60,7 +61,6 @@ from ambiseg.training import (
     TrainConfig,
     TrainingError,
     _checkpoint,
-    _prediction_row,
     config_hash,
     pick_comparison,
     run_training,
@@ -506,7 +506,7 @@ def test_train_iteration_equals_learner_major_reference(k):
 
 
 def count_calls(monkeypatch, name):
-    """Count calls of model.<name> under both of its bindings, in this
+    """Count calls of model.<name> under each of its bindings, in this
     process and in the training workers it forks."""
     from ambiseg import model, training
 
@@ -517,10 +517,11 @@ def count_calls(monkeypatch, name):
         calls.add()
         return original(*args, **kwargs)
 
-    # training imports the function by name; model's own callers
-    # (predict_probs) look it up in model's globals
+    # training imports backward by name; model's own callers (the
+    # prediction rows) look forward up in model's globals
     for module in (model, training):
-        monkeypatch.setattr(module, name, counted)
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -589,8 +590,8 @@ def test_run_reuses_one_cache_per_network_and_frees_them(w, tiny_dataset, monkey
             caches.append(weakref.ref(out))
         return logits, out
 
-    for module in (model, training):
-        monkeypatch.setattr(module, "forward", recording)
+    # prediction rows look forward up in model's globals
+    monkeypatch.setattr(model, "forward", recording)
     result = run_training(tiny_dataset, config)
     assert len(result.trace) == 3  # checkpoints at iterations 0, 2 and 4
 
@@ -626,7 +627,7 @@ def test_training_caches_hold_whole_columns_and_eval_caches_a_tile(w, tmp_path, 
             tiled.add()
         return logits, out
 
-    monkeypatch.setattr(training, "forward", recording)
+    monkeypatch.setattr(model, "forward", recording)
     config = TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=2,
                          annotated_per_iter=2, unannotated_batch=2)
     result = run_training(dataset, config)
@@ -651,8 +652,7 @@ def test_fused_prediction_shares_one_cache_across_networks(monkeypatch):
         caches.append(out)
         return logits, out
 
-    for module in (model, training):
-        monkeypatch.setattr(module, "forward", recording)
+    monkeypatch.setattr(model, "forward", recording)
     nets = make_nets(3)
     image, _ = generate_scene(SceneSpec(width=16, height=16, seed=52))
     training.fused_prediction(nets, image)
@@ -673,6 +673,7 @@ def overflowing(params):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fused_row_is_the_mean_map_argmax_and_each_networks_mask(k):
+    """A prediction row's fused mask and each network's mask."""
     from ambiseg import training
     from ambiseg.fusion import average_fuse
 
@@ -680,17 +681,19 @@ def test_fused_row_is_the_mean_map_argmax_and_each_networks_mask(k):
     image = make_sample(61).image
     probs = [predict_probs(p, image) for p in nets]
     want = argmax_mask(average_fuse(probs)).labels
-    for per_network in (False, True):
-        fused, masks, bad = training._fused_row(nets, image, per_network, [None])
-        assert bad is None and np.array_equal(fused.labels, want)
-        assert [m.labels.tolist() for m in masks] == (
-            [argmax_mask(p).labels.tolist() for p in probs] if per_network else []
+    for caches in ([None], None):
+        row = _prediction_row(nets, image, caches)
+        assert row.nonfinite() is None and np.array_equal(row.fused().labels, want)
+        assert not row._masks  # the fused mask takes no network's mask
+        assert [row.mask(z).labels.tolist() for z in range(k)] == (
+            [argmax_mask(p).labels.tolist() for p in probs]
         )
     assert np.array_equal(training.fused_prediction(nets, image).labels, want)
 
 
 @pytest.mark.parametrize("bad_nets,named", [((1,), 1), ((0, 2), 0), ((2,), 2)])
 def test_fused_row_names_the_first_non_finite_network(bad_nets, named):
+    """A prediction row's nonfinite() and each reader's error."""
     from ambiseg import training
     from ambiseg.fusion import majority_vote
     from ambiseg.training import _VALIDATION, _checkpoint_row
@@ -698,9 +701,8 @@ def test_fused_row_names_the_first_non_finite_network(bad_nets, named):
     nets = [overflowing(p) if z in bad_nets else p for z, p in enumerate(make_nets(3))]
     sample = make_sample(62, k=3)
     with np.errstate(all="ignore"):
-        for per_network in (False, True):
-            row = training._fused_row(nets, sample.image, per_network, [None])
-            assert row == (None, [], named)
+        for caches in ([None], None):
+            assert _prediction_row(nets, sample.image, caches).nonfinite() == named
         with pytest.raises(ValueError, match=f"network {named} gives non-finite"):
             training.fused_prediction(nets, sample.image)
         item = (_VALIDATION, sample.image, majority_vote(sample.annotations))
@@ -718,18 +720,18 @@ def test_predict_probs_is_the_softmax_of_forward_and_refuses_an_overflow():
 
 
 def count_argmaxes(monkeypatch):
-    """Count training's argmax masks, in this process and in the workers
-    it forks afterwards, which build checkpoint rows."""
-    from ambiseg import training
+    """Count prediction rows' argmax masks, in this process and in the
+    workers it forks afterwards, which build checkpoint rows."""
+    from ambiseg import model
 
     calls = SharedCount()
-    original = training.argmax_mask
+    original = model.argmax_mask
 
     def counted(probs):
         calls.add()
         return original(probs)
 
-    monkeypatch.setattr(training, "argmax_mask", counted)
+    monkeypatch.setattr(model, "argmax_mask", counted)
     return calls
 
 
