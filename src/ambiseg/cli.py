@@ -30,7 +30,6 @@ from .model import _prediction_row, gradient_check_report
 from .training import (
     TrainConfig,
     TrainingError,
-    _one_blas_thread,
     checkpoint_files,
     config_hash,
     load_run,
@@ -203,9 +202,9 @@ def cmd_eval(ns: argparse.Namespace) -> int:
     names = ["fused"] + [f"net{z}" for z in alone]
     preds = []  # per test image, its mask in each scope
     # one forward per (network, image), each image's into one inference
-    # cache, at one BLAS thread as in checkpoint validation; a loadable
-    # checkpoint can still overflow, so its row names it instead of warning
-    with np.errstate(all="ignore"), _one_blas_thread():
+    # cache; a loadable checkpoint can still overflow, so its row names it
+    # instead of warning
+    with np.errstate(all="ignore"):
         for i, sample in enumerate(dataset.test):
             row = _prediction_row(params, sample.image)
             bad = row.nonfinite()
@@ -369,7 +368,7 @@ def entry(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, GenerationError, TrainingError) as exc:
+    except (OSError, ValueError, MemoryError, GenerationError, TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

@@ -73,11 +73,15 @@ columns depends on OpenBLAS's DGEMM kernel, which it picks per CPU
 thread it is on every kernel checked: SkylakeX, Sandybridge, Haswell
 (which Zen CPUs load too) and Nehalem. At two threads Haswell and
 Nehalem differ in the last bits with hidden 5 on grids of 4096 pixels or
-more, and Nehalem also with hidden 8 at 48x48. `ambiseg train` and
-`ambiseg eval` hold one BLAS thread (training._one_blas_thread), so
-inference and checkpoint validation forward with the same bits; forward,
-predict_probs and training.fused_prediction run at the caller's thread
-count.
+more, and Nehalem also with hidden 8 at 48x48. So every entry that runs
+the package's GEMMs holds numpy's OpenBLAS at one thread
+(_one_blas_thread): a prediction row built without caches (predict_probs,
+training.fused_prediction and `ambiseg eval`), the rows of every
+training.train_iteration and training._checkpoint, with a crew or
+without one, and gradient_check_report. Inference, checkpoint validation
+and training therefore forward with the same bits whichever entry a
+caller used; only the kernels forward and backward run at their caller's
+thread count.
 
 The input gradient of layer 2 accumulates in its own (C, H, W) output.
 Output pixel (y, x) of tap (dy, dx) read input (y + dy - 1, x + dx - 1),
@@ -97,8 +101,9 @@ from __future__ import annotations
 
 import functools
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -429,6 +434,74 @@ def forward(
     return logits_cn.T, cache
 
 
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into
+    this process, found by path in /proc/self/maps once per process:
+    numpy's OpenBLAS, the only one that runs the package's GEMMs, is
+    mapped when numpy is imported, before the first call, and a forked
+    worker inherits both the mapping and the controls."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = _openblas_paths(maps)
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+    return tuple(controls)
+
+
+def _openblas_paths(maps_lines: Iterable[str]) -> set[str]:
+    """The OpenBLAS pathnames among /proc/<pid>/maps lines. A pathname is
+    the sixth field and everything after it, so it may hold spaces."""
+    paths = set()
+    for line in maps_lines:
+        fields = line.rstrip("\n").split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in fields[5].lower():
+            paths.add(fields[5])
+    return paths
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold each OpenBLAS in this process to one thread, and restore its
+    count on exit, also when an exception is raised; a count already at one
+    is left alone, and without an OpenBLAS thread control, do nothing.
+
+    Every entry that runs the package's GEMMs holds it (see the module
+    docstring), so they sum in the same order in every executor of a run,
+    in checkpoint validation and in every prediction, whatever thread
+    count the caller set. A second BLAS thread also buys nothing on these
+    small GEMMs, and with processes on every core, idle BLAS threads
+    spinning for work made a 2-core run ten times slower. The controls
+    are found once per process, so entering and leaving costs a few
+    microseconds. Kept private: every @contextmanager function shares
+    one code object, by which the bench tracer tells functions apart.
+    """
+    held = [(set_, count) for get, set_ in _openblas_thread_controls() if (count := get()) != 1]
+    try:
+        for set_, _ in held:
+            set_(1)
+        yield
+    finally:
+        for set_, count in held:
+            set_(count)
+
+
 @dataclass
 class _PredictionRow:
     """Every network's prediction on one image, indexed by network.
@@ -473,9 +546,11 @@ def _prediction_row(
     """Each network's softmax on `image`, network z forwarding into
     caches[z]; a list of one cache is shared by every network, and without
     `caches` they share one new inference cache, freed on return (the row
-    holds no activations)."""
+    holds no activations), at one BLAS thread."""
     if caches is None:
-        caches = [ForwardCache.allocate(snapshot[0].arch, image.height, image.width, inference=True)]
+        cache = ForwardCache.allocate(snapshot[0].arch, image.height, image.width, inference=True)
+        with _one_blas_thread():
+            return _prediction_row(snapshot, image, [cache])
     row = _PredictionRow(probs=[])
     for z, params in enumerate(snapshot):
         slot = z % len(caches)
@@ -692,7 +767,8 @@ def gradient_check_report(seed: int = 0, instances: int = 20, size: int = 8) -> 
     is smooth over the probed interval. Returns per-layer and
     overall max relative error. Raises ValueError when 50 draws per
     instance do not yield `instances` kink-free ones, which larger images,
-    with more pre-activations near a kink, make likelier.
+    with more pre-activations near a kink, make likelier. Runs at one
+    BLAS thread, as training does.
     """
     from .losses import masked_cross_entropy
     from .masks import full_grid_labels, LabelMask
@@ -703,52 +779,53 @@ def gradient_check_report(seed: int = 0, instances: int = 20, size: int = 8) -> 
     per_layer = {name: 0.0 for name in slices}
     checked = 0
     attempts = 0
-    while checked < instances:
-        attempts += 1
-        if attempts > instances * 50:
-            raise ValueError(f"found fewer than {instances} kink-free {size}x{size} "
-                             f"instances in {attempts - 1} attempts")
-        params = init_params(arch, seed=int(rng.integers(2**31)))
-        image = ImageTensor.from_planes(
-            rng.uniform(0.0, 1.0, size=(arch.in_channels, size, size))
-        )
-        logits, cache = forward(params, image)
-        if min(np.abs(cache.pre1).min(), np.abs(cache.pre2).min()) < 1e-4:
-            continue
-        labels = rng.integers(0, arch.num_classes, size=size * size)
-        mask = LabelMask(
-            width=size, height=size, num_classes=arch.num_classes, labels=labels
-        )
-        targets = full_grid_labels(mask)
+    with _one_blas_thread():
+        while checked < instances:
+            attempts += 1
+            if attempts > instances * 50:
+                raise ValueError(f"found fewer than {instances} kink-free {size}x{size} "
+                                 f"instances in {attempts - 1} attempts")
+            params = init_params(arch, seed=int(rng.integers(2**31)))
+            image = ImageTensor.from_planes(
+                rng.uniform(0.0, 1.0, size=(arch.in_channels, size, size))
+            )
+            logits, cache = forward(params, image)
+            if min(np.abs(cache.pre1).min(), np.abs(cache.pre2).min()) < 1e-4:
+                continue
+            labels = rng.integers(0, arch.num_classes, size=size * size)
+            mask = LabelMask(
+                width=size, height=size, num_classes=arch.num_classes, labels=labels
+            )
+            targets = full_grid_labels(mask)
 
-        probs = ProbMap(
-            width=size,
-            height=size,
-            num_classes=arch.num_classes,
-            probs=softmax(logits),
-        )
-        _, grad_logits = masked_cross_entropy(probs, targets)
-        analytic = backward(params, cache, grad_logits)
+            probs = ProbMap(
+                width=size,
+                height=size,
+                num_classes=arch.num_classes,
+                probs=softmax(logits),
+            )
+            _, grad_logits = masked_cross_entropy(probs, targets)
+            analytic = backward(params, cache, grad_logits)
 
-        def loss_at(flat: np.ndarray) -> float:
-            p = ModelParams(arch=arch, flat=flat, seed=params.seed)
-            value, _ = masked_cross_entropy(predict_probs(p, image), targets)
-            return value
+            def loss_at(flat: np.ndarray) -> float:
+                p = ModelParams(arch=arch, flat=flat, seed=params.seed)
+                value, _ = masked_cross_entropy(predict_probs(p, image), targets)
+                return value
 
-        fd = np.empty_like(params.flat)
-        for i in range(params.flat.shape[0]):
-            bumped = params.flat.copy()
-            bumped[i] += GRAD_CHECK_STEP
-            hi = loss_at(bumped)
-            bumped[i] -= 2.0 * GRAD_CHECK_STEP
-            lo = loss_at(bumped)
-            fd[i] = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
+            fd = np.empty_like(params.flat)
+            for i in range(params.flat.shape[0]):
+                bumped = params.flat.copy()
+                bumped[i] += GRAD_CHECK_STEP
+                hi = loss_at(bumped)
+                bumped[i] -= 2.0 * GRAD_CHECK_STEP
+                lo = loss_at(bumped)
+                fd[i] = (hi - lo) / (2.0 * GRAD_CHECK_STEP)
 
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
-        rel = np.abs(analytic - fd) / denom
-        for name, sl in slices.items():
-            per_layer[name] = max(per_layer[name], float(rel[sl].max()))
-        checked += 1
+            denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
+            rel = np.abs(analytic - fd) / denom
+            for name, sl in slices.items():
+                per_layer[name] = max(per_layer[name], float(rel[sl].max()))
+            checked += 1
 
     overall = max(per_layer.values())
     return {

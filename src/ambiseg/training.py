@@ -77,19 +77,19 @@ sum in row order, and takes every Adam step itself, so the rng, the
 parameters and the Adam state never leave it. Every row is computed by
 the same operations wherever it runs and its float64 results cross
 processes exactly, so results are bit-identical for every W. A GEMM's
-bits depend on OpenBLAS's kernel and on its thread count, so a run holds
-numpy's OpenBLAS to one thread at every W, from before the workers are
-forked (they inherit the setting) until it returns, and restores the
-count afterwards; `ambiseg eval` holds one thread around its predictions
-too (_one_blas_thread). Bitwise claims hold at one BLAS thread on every
-kernel they were checked on. forward, predict_probs and fused_prediction
-run at the caller's thread count. W is 1 on one core, where the platform
-cannot fork or report its cores, and where no OpenBLAS thread control is
-found. A one-image batch still trains in the calling process, and only
-its checkpoints are split. A worker that raises (its message travels to
-the calling process), dies or is interrupted ends the run with
-TrainingError. Every worker is stopped with SIGTERM before the run
-returns or raises.
+bits depend on OpenBLAS's kernel and on its thread count, so the crew
+holds numpy's OpenBLAS at one thread (model._one_blas_thread) while it
+forks its workers, which keep that count for their whole life, and while
+the calling process builds its rows, at every W; train_iteration and
+_checkpoint called without a crew build their rows the same way. Bitwise
+claims hold at one BLAS thread on every kernel they were checked on, and
+every entry that runs the package's GEMMs holds it (see model). W is 1 on
+one core, where the platform cannot fork or report its cores, and where
+no OpenBLAS thread control is found. A one-image batch still trains in
+the calling process, and only its checkpoints are split. A worker that
+raises (its message travels to the calling process), dies or is
+interrupted ends the run with TrainingError. Every worker is stopped with
+SIGTERM before the run returns or raises.
 
 Buffers, per executor: an executor holds one forward cache per network
 (a list indexed by network, None until that network's first forward),
@@ -115,10 +115,10 @@ import math
 import os
 import pickle
 import time
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import suppress
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -148,6 +148,8 @@ from .model import (
     ModelParams,
     OptState,
     _PredictionRow,
+    _one_blas_thread,
+    _openblas_thread_controls,
     _prediction_row,
     adam_step,
     backward,
@@ -441,63 +443,6 @@ def _executor_count(rows: int) -> int:
     return min(rows, len(os.sched_getaffinity(0)))
 
 
-def _openblas_thread_controls() -> list[tuple[Callable[[], int], Callable[[int], None]]]:
-    """The (get, set) thread-count functions of each OpenBLAS mapped into
-    this process, found by path in /proc/self/maps."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = _openblas_paths(maps)
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-    return controls
-
-
-def _openblas_paths(maps_lines: Iterable[str]) -> set[str]:
-    """The OpenBLAS pathnames among /proc/<pid>/maps lines. A pathname is
-    the sixth field and everything after it, so it may hold spaces."""
-    paths = set()
-    for line in maps_lines:
-        fields = line.rstrip("\n").split(maxsplit=5)
-        if len(fields) == 6 and "openblas" in fields[5].lower():
-            paths.add(fields[5])
-    return paths
-
-
-@contextmanager
-def _one_blas_thread():
-    """Hold each OpenBLAS in this process to one thread, and restore its
-    count on exit, also when an exception is raised; without an OpenBLAS
-    thread control, do nothing.
-
-    _train and `ambiseg eval` run inside it at every W, so their GEMMs sum
-    in the same order in every executor and in eval as in checkpoint
-    validation (see the module docstring). A second BLAS thread also buys
-    nothing on these small GEMMs, and with processes on every core, idle
-    BLAS threads spinning for work made a 2-core run ten times slower.
-    """
-    with ExitStack() as restore:
-        for get, set_ in _openblas_thread_controls():
-            restore.callback(set_, get())
-            set_(1)
-        yield
-
-
 # messages a worker sends: (tag, body)
 _DONE, _FAILED = "done", "failed"
 
@@ -532,8 +477,9 @@ class _Crew:
     with _FAILED and its error's message. Each waiting side polls its
     pipe for up to _POLL_SECONDS, then blocks (_wait). A worker that dies
     closes its pipe, so the calling process reads EOF instead of waiting
-    for it. The crew holds no BLAS state: _train makes it inside
-    _one_blas_thread, so its workers are forked with one BLAS thread.
+    for it. The crew forks its workers inside _one_blas_thread, so each
+    runs its whole life at one BLAS thread, and run() builds executor 0's
+    rows inside it too; the caller's thread count holds between runs.
     """
 
     def __init__(self, executors: int, num_nets: int, table: Sequence = ()):
@@ -558,7 +504,8 @@ class _Crew:
                     daemon=True,
                 )
                 self._workers.append((w, proc, ours))
-                proc.start()
+                with _one_blas_thread():
+                    proc.start()
                 theirs.close()
         except BaseException:
             self.close()
@@ -624,9 +571,10 @@ class _Crew:
             self._send(worker, (function, snapshot, items[w::executors], args))
         row = globals()[function]
         rows: list = [None] * len(items)
-        rows[::executors] = [
-            row(snapshot, item, *args, self.caches) for item in items[::executors]
-        ]
+        with _one_blas_thread():
+            rows[::executors] = [
+                row(snapshot, item, *args, self.caches) for item in items[::executors]
+            ]
         for w, worker in enumerate(busy, start=1):
             rows[w::executors] = self._receive(worker)
         return rows
@@ -953,7 +901,7 @@ def _train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     samples = [*dataset.multi, *dataset.unannotated, *dataset.validation]
     table = [*samples, *(s.image for s in samples), *val_refs]
     try:
-        with _one_blas_thread(), _Crew(executors, num_nets, table) as crew:
+        with _Crew(executors, num_nets, table) as crew:
             while True:
                 row, net_scores = _checkpoint(
                     state.params, dataset, config, state.t, val_refs, crew

@@ -28,10 +28,9 @@ from ambiseg.masks import (
     separate_agreement,
 )
 from ambiseg.metrics import dice, jaccard
-from ambiseg.model import gradient_check_report
+from ambiseg.model import _one_blas_thread, gradient_check_report
 from ambiseg.training import (
     TrainConfig,
-    _one_blas_thread,
     fused_prediction,
     run_training,
     train_single_annotator,

@@ -23,10 +23,12 @@ def test_traced_modules_define_no_public_generator(monkeypatch):
     from tracer import layer_functions
 
     # the tracer's self-check counts calls with sys.setprofile, which sees
-    # every resume of a generator as a call its wrapper never saw
+    # every resume of a generator as a call its wrapper never saw; a
+    # @contextmanager's wrapper is no generator function, but it shares
+    # contextlib's one code object with every other, so it counts too
     generators = [
         name for name, fn in layer_functions().items()
-        if inspect.isgeneratorfunction(fn)
+        if inspect.isgeneratorfunction(fn) or inspect.isgeneratorfunction(inspect.unwrap(fn))
     ]
     assert generators == []
 

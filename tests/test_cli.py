@@ -22,7 +22,7 @@ from ambiseg.cli import EXTRA_KEYS, entry, parse_config_file
 from ambiseg.data import AnnotatorProfile, build_dataset, load_dataset, save_tensor
 from ambiseg.fusion import STAPLE_MAX_ITER, majority_vote, staple_binary
 from ambiseg.model import Architecture, init_params, load_checkpoint, save_checkpoint
-from ambiseg.training import TrainConfig, TrainingError, load_run
+from ambiseg.training import TrainConfig, TrainingError, load_run, run_training
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,20 @@ def test_train_config_file_with_override(dataset_dir, tmp_path):
     ])
     assert code == 0
     assert "seed\t12" in (out / "manifest.tsv").read_text()
+
+
+def test_train_that_cannot_allocate_its_networks_is_an_error(dataset_dir, tmp_path, capsys):
+    # layer 1's weights alone would take 720 TB, more than an x86-64 process
+    # can address, so numpy refuses them at once without touching memory
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("hidden = 10000000000000\ntotal_iters = 2\nvalidation_every = 1\n")
+    out = tmp_path / "run"
+    code = entry(["train", "--data", str(dataset_dir), "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists() and not out.with_name("run.partial").exists()
 
 
 # for each train option that overrides a config key: its value in the
@@ -463,9 +477,9 @@ def test_eval_per_network_forwards_each_image_once_per_network(
 
 def test_eval_forwards_with_one_blas_thread_and_restores_it(run_dir, dataset_dir, monkeypatch):
     # eval computes the bits checkpoint validation computes, at one thread
-    from ambiseg import model, training
+    from ambiseg import model
 
-    controls = training._openblas_thread_controls()
+    controls = model._openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS thread control in this process")
     get, set_ = controls[0]
@@ -487,6 +501,29 @@ def test_eval_forwards_with_one_blas_thread_and_restores_it(run_dir, dataset_dir
         assert get() == 2
     finally:
         set_(before)
+
+
+def test_blas_controls_are_found_once_per_process(run_dir, dataset_dir, monkeypatch):
+    # every pin reads the controls found by the first: /proc/self/maps is
+    # read at most once across training, eval and repeated predictions
+    from ambiseg import model
+
+    scans = []
+    original = model._openblas_paths
+
+    def counted(maps_lines):
+        scans.append(None)
+        return original(maps_lines)
+
+    monkeypatch.setattr(model, "_openblas_paths", counted)
+    model._openblas_thread_controls.cache_clear()
+    dataset = load_dataset(dataset_dir)
+    run_training(dataset, TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=1))
+    assert entry(["eval", "--run", str(run_dir), "--data", str(dataset_dir)]) == 0
+    params = load_run(run_dir)[0]
+    for sample in dataset.test * 3:
+        model.predict_probs(params, sample.image)
+    assert len(scans) == int(Path("/proc/self/maps").exists())
 
 
 def test_eval_missing_run(dataset_dir, tmp_path):

@@ -16,6 +16,8 @@ from ambiseg.model import (
     _conv3_input_grad,
     _im2col3,
     _interior,
+    _one_blas_thread,
+    _openblas_paths,
     _tap_view,
     _tile_rows,
     _zero_ended,
@@ -31,7 +33,6 @@ from ambiseg.model import (
     predict_probs,
     save_checkpoint,
 )
-from ambiseg.training import _one_blas_thread
 
 
 def naive_forward(params: ModelParams, image: ImageTensor) -> np.ndarray:
@@ -710,3 +711,15 @@ def test_sanity_fit_single_clean_sample():
             break
         params, opt = adam_step(params, opt, backward(params, cache, grad_logits))
     assert loss < 0.05
+
+
+def test_openblas_paths_are_read_whole_from_maps_lines():
+    lib = "/home/u/My Envs/py311/lib/libopenblas64_p-r0.3.so"
+    lines = [
+        f"7f2a1c000000-7f2a1c200000 r-xp 00000000 08:01 131  {lib}\n",
+        f"7f2a1c200000-7f2a1c400000 rw-p 00200000 08:01 131  {lib}\n",
+        "7f2a1d000000-7f2a1d100000 r-xp 00000000 08:01 77   /usr/lib/libm.so.6\n",
+        "7f2a1e000000-7f2a1e021000 rw-p 00000000 00:00 0 \n",
+        "7f2a1f000000-7f2a1f100000 r-xp 00000000 08:01 99   /usr/local/lib/libopenblas.so",
+    ]
+    assert _openblas_paths(lines) == {lib, "/usr/local/lib/libopenblas.so"}

@@ -45,6 +45,8 @@ from ambiseg.masks import (
 from ambiseg.model import (
     Architecture,
     ModelParams,
+    _one_blas_thread,
+    _openblas_thread_controls,
     _prediction_row,
     adam_step,
     backward,
@@ -719,6 +721,116 @@ def test_predict_probs_is_the_softmax_of_forward_and_refuses_an_overflow():
             predict_probs(overflowing(params), image)
 
 
+def test_predictions_forward_with_one_blas_thread_and_restore_it(monkeypatch):
+    # predict_probs and fused_prediction compute the bits eval computes, at
+    # one thread, whatever the caller's count
+    from ambiseg import model, training
+
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    get, set_ = controls[0]
+    before = get()
+    threads = []  # the BLAS thread count each forward saw
+    original = model.forward
+
+    def recording(*args, **kwargs):
+        threads.append(get())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(model, "forward", recording)
+    nets = make_nets(3)
+    image = make_sample(65).image
+    set_(2)
+    try:
+        predict_probs(nets[0], image)
+        training.fused_prediction(nets, image)
+        assert threads == [1] * (1 + len(nets))
+        assert get() == 2
+    finally:
+        set_(before)
+
+
+# Run in a fresh process under one DGEMM kernel (OPENBLAS_CORETYPE is read
+# when numpy loads): each entry's bytes at the caller's two BLAS threads,
+# then at one; prints the entries whose bytes differ.
+TWO_THREAD_ENTRIES = """
+import sys
+
+import numpy as np
+
+from ambiseg.data import load_dataset
+from ambiseg.model import (
+    Architecture, ImageTensor, ModelParams, _openblas_thread_controls, init_opt_state,
+    init_params, param_count, predict_probs,
+)
+from ambiseg.training import (
+    RunState, TrainConfig, _checkpoint, fused_prediction, train_iteration,
+    validation_references,
+)
+
+controls = _openblas_thread_controls()
+if not controls:
+    print("no control")
+    sys.exit()
+dataset = load_dataset(sys.argv[1])
+rng = np.random.default_rng(0)
+
+
+def nets(hidden, n):
+    arch = Architecture(hidden=hidden)
+    return [ModelParams(arch=arch, seed=s, flat=init_params(arch, seed=s).flat
+                        + rng.normal(scale=0.2, size=param_count(arch))) for s in range(n)]
+
+
+image64 = dataset.multi[0].image
+image128 = ImageTensor.from_planes(rng.uniform(0, 1, size=(1, 128, 128)))
+h5, h8 = nets(5, 2), nets(8, 1)
+config = TrainConfig(k=2, hidden=5, lr=0.01)
+refs = validation_references(dataset.validation)
+
+
+def iteration():
+    params = [init_params(Architecture(hidden=5), seed=s) for s in range(2)]
+    state = RunState(params, [init_opt_state(p, config.lr) for p in params], t=0,
+                     rng=np.random.default_rng(5))
+    train_iteration(state, dataset.multi, dataset.unannotated, config)
+    return [p.flat.tobytes() for p in state.params]
+
+
+entries = {
+    "predict_probs": lambda: [predict_probs(p, image).probs.tobytes()
+                              for p, image in ((h5[0], image128), (h8[0], image64))],
+    "fused_prediction": lambda: [fused_prediction(h5, image).labels.tobytes()
+                                 for image in (image128, image64)],
+    "train_iteration": iteration,
+    "_checkpoint": lambda: repr(_checkpoint(h5, dataset, config, 0, refs)),
+}
+results = {}
+for threads in (2, 1):
+    for get, set_ in controls:
+        set_(threads)
+    results[threads] = {name: entry() for name, entry in entries.items()}
+print("differ:", *(name for name in entries if results[2][name] != results[1][name]))
+"""
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Nehalem"])
+def test_entries_give_their_one_thread_bytes_at_two_threads(core, tmp_path):
+    # at two BLAS threads these kernels sum some GEMMs of hidden 5 and 8 in
+    # another order than at one, so an entry left at its caller's count
+    # gives other bytes; a crew-less train_iteration and _checkpoint included
+    root = tmp_path / "ds"
+    build_dataset(str(root), n_multi=2, n_unann=2, n_val=1, n_test=0, k=2, seed=3)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["ambiseg"].__file__)))
+    proc = subprocess.run([sys.executable, "-c", TWO_THREAD_ENTRIES, str(root)],
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core),
+                          capture_output=True, text=True, check=True)
+    if proc.stdout == "no control\n":
+        pytest.skip("no OpenBLAS thread control in a new process")
+    assert proc.stdout.split() == ["differ:"]
+
+
 def count_argmaxes(monkeypatch):
     """Count prediction rows' argmax masks, in this process and in the
     workers it forks afterwards, which build checkpoint rows."""
@@ -1209,24 +1321,10 @@ def test_single_annotator_splits_its_batch_across_executors(
 def test_executor_count_is_usable_cores_capped_by_images():
     from ambiseg import training
 
-    cores = len(os.sched_getaffinity(0)) if training._openblas_thread_controls() else 1
+    cores = len(os.sched_getaffinity(0)) if _openblas_thread_controls() else 1
     assert training._executor_count(1) == 1
     assert training._executor_count(2) == min(2, cores)
     assert training._executor_count(64) == min(64, cores)
-
-
-def test_openblas_paths_are_read_whole_from_maps_lines():
-    from ambiseg import training
-
-    lib = "/home/u/My Envs/py311/lib/libopenblas64_p-r0.3.so"
-    lines = [
-        f"7f2a1c000000-7f2a1c200000 r-xp 00000000 08:01 131  {lib}\n",
-        f"7f2a1c200000-7f2a1c400000 rw-p 00200000 08:01 131  {lib}\n",
-        "7f2a1d000000-7f2a1d100000 r-xp 00000000 08:01 77   /usr/lib/libm.so.6\n",
-        "7f2a1e000000-7f2a1e021000 rw-p 00000000 00:00 0 \n",
-        "7f2a1f000000-7f2a1f100000 r-xp 00000000 08:01 99   /usr/local/lib/libopenblas.so",
-    ]
-    assert training._openblas_paths(lines) == {lib, "/usr/local/lib/libopenblas.so"}
 
 
 class SharedLog:
@@ -1301,6 +1399,16 @@ def step_bytes(rows):
     ]
 
 
+def serial_steps(snapshot, batch, peers, config):
+    """Each sample's row built in this process at one BLAS thread, the
+    count every row of a crew is built at."""
+    from ambiseg import training
+
+    with _one_blas_thread():
+        return [training._row_steps(snapshot, s, peers, config, [None] * len(snapshot))
+                for s in batch]
+
+
 def test_crew_builds_rows_of_samples_from_outside_any_dataset():
     from ambiseg import training
 
@@ -1310,7 +1418,7 @@ def test_crew_builds_rows_of_samples_from_outside_any_dataset():
     annotated, unannotated = iteration_batch(2, 70)
     batch = [*annotated, *unannotated]
     peers = [1, 0]
-    serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
+    serial = serial_steps(snapshot, batch, peers, config)
     with training._Crew(executors=2, num_nets=2) as crew:
         rows = crew.run("_row_steps", snapshot, batch, peers, config)
     assert step_bytes(rows) == step_bytes(serial)
@@ -1349,7 +1457,7 @@ def test_a_job_sends_table_objects_as_indices_and_others_whole(tiny_dataset):
     # the worker builds rows 1 and 3: the outside sample and a table sample
     batch = [tiny_dataset.multi[0], outside, *inside]
     peers = [1, 0]
-    serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
+    serial = serial_steps(snapshot, batch, peers, config)
     with training._Crew(executors=2, num_nets=2, table=table) as crew:
         assert len(crew._pickle(inside)) < sum(s.image.values.nbytes for s in inside) / 100
         assert len(crew._pickle([outside])) > image.values.nbytes
@@ -1366,7 +1474,7 @@ def test_a_worker_idle_past_its_poll_window_answers_the_next_job():
     annotated, unannotated = iteration_batch(2, 71)
     batch = [*annotated, *unannotated]
     peers = [1, 0]
-    serial = [training._row_steps(snapshot, s, peers, config, [None] * 2) for s in batch]
+    serial = serial_steps(snapshot, batch, peers, config)
     with training._Crew(executors=2, num_nets=2) as crew:
         first = crew.run("_row_steps", snapshot, batch, peers, config)
         # the worker stops polling and blocks in its read
@@ -1399,12 +1507,13 @@ def test_a_worker_killed_while_the_caller_waits_is_reported(windows, monkeypatch
         assert time.monotonic() - start < 10
 
 
-@pytest.mark.parametrize("w", [1, 2])
+@pytest.mark.parametrize("w", [1, 2, None])
 def test_workers_run_with_one_blas_thread_and_restore_it(w, tiny_dataset, monkeypatch):
-    # at every W, a crew of one included, training holds one BLAS thread
+    # at every W, a crew of one included, training holds one BLAS thread,
+    # and so does one train_iteration called without a crew (w None)
     from ambiseg import training
 
-    controls = training._openblas_thread_controls()
+    controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS thread control in this process")
     get, set_ = controls[0]
@@ -1417,23 +1526,28 @@ def test_workers_run_with_one_blas_thread_and_restore_it(w, tiny_dataset, monkey
             seen.add()
         return original(*args)
 
-    use_executors(monkeypatch, w)
     monkeypatch.setattr(training, "_row_steps", counting_threads)
     set_(2)
     try:
         config = TrainConfig(k=2, lr=0.01, total_iters=2, validation_every=1)
-        run_training(tiny_dataset, config)
-        # all four rows of both iterations, on every executor, saw one BLAS thread
-        assert len(seen) == 2 * (config.annotated_per_iter + config.unannotated_batch)
+        if w is None:
+            annotated = tiny_dataset.multi[: config.annotated_per_iter]
+            unannotated = tiny_dataset.unannotated[: config.unannotated_batch]
+            train_iteration(make_state(config), annotated, unannotated, config)
+            iterations = 1
+        else:
+            use_executors(monkeypatch, w)
+            run_training(tiny_dataset, config)
+            iterations = config.total_iters
+        # every row of every iteration, on every executor, saw one BLAS thread
+        assert len(seen) == iterations * (config.annotated_per_iter + config.unannotated_batch)
         assert get() == 2
     finally:
         set_(before)
 
 
 def test_one_blas_thread_restores_the_count_when_its_body_raises():
-    from ambiseg import training
-
-    controls = training._openblas_thread_controls()
+    controls = _openblas_thread_controls()
     if not controls:
         pytest.skip("no OpenBLAS thread control in this process")
     get, set_ = controls[0]
@@ -1441,7 +1555,7 @@ def test_one_blas_thread_restores_the_count_when_its_body_raises():
     set_(2)
     try:
         with pytest.raises(KeyboardInterrupt):
-            with training._one_blas_thread():
+            with _one_blas_thread():
                 assert get() == 1
                 raise KeyboardInterrupt
         assert get() == 2
